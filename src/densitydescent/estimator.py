@@ -14,8 +14,9 @@ import numpy as np
 
 from . import diffcore as dc
 from .errors import ConfigError, NumericError
-from .flow import FlowModel
-from .latent import GmmLatent, class_conditional_loglik, marginal_loglik
+from .flow import FlowModel, kernel_backward, kernel_forward
+from .latent import (GmmLatent, class_conditional_loglik, component_means,
+                     gaussian_logpdf_grad, marginal_loglik, mixture_logpdf_grad)
 from .optim import Adam, step_decay
 
 
@@ -30,7 +31,6 @@ class FlowTrainConfig:
     sample_budget: int = 2048        # desk-scale default; 20000 at full scale
     warm_start_epoch: int = 2        # estimator begins at this main-model epoch
     updates_per_iteration: int = 1   # flow steps per main-model iteration
-    seed: int = 0
 
     def __post_init__(self):
         if self.sample_budget < 2 or self.sample_budget % 2 != 0:
@@ -120,15 +120,29 @@ def sample_feature_pool(teacher, x_labeled: np.ndarray, y_labeled: np.ndarray,
 
 def flow_train_step(pool: FeaturePool, model: FlowModel, latent: GmmLatent,
                     opt: Adam) -> float:
-    """One Adam step on the flow parameters only; returns the loss value."""
-    loss = flow_loss(pool.labeled, pool.labels, pool.unlabeled, model, latent)
-    value = float(loss.data)
+    """One Adam step on the flow parameters only; returns the loss value.
+
+    Computes ``flow_loss`` and its parameter gradients with the analytic
+    kernel, both pools in one batch: labeled rows take the gradient of their
+    own component, unlabeled rows that of the mixture.
+    """
+    n_l = len(pool.labeled)
+    n = pool.total
+    if n == 0:
+        raise ValueError("flow_loss needs at least one feature")
+    x = np.concatenate([a for a in (pool.labeled, pool.unlabeled) if len(a)])
+    z, logdet, saved = kernel_forward(x, model)
+    ll_l, gz_l = gaussian_logpdf_grad(z[:n_l], component_means(pool.labels, latent))
+    ll_u, gz_u = mixture_logpdf_grad(z[n_l:], latent)
+    total = (ll_l + logdet[:n_l]).sum() + (ll_u + logdet[n_l:]).sum()
+    value = float(total * (-1.0 / n))
     if not np.isfinite(value):
         raise NumericError(
             f"non-finite flow loss (lr={opt.lr:g}, pool={pool.total}, "
             f"labeled_mean={_safe_mean(pool.labeled):g}, "
             f"unlabeled_mean={_safe_mean(pool.unlabeled):g})")
-    grads = dc.grad(loss, model.params())
+    gz = np.concatenate([gz_l, gz_u]) * (-1.0 / n)
+    _, grads = kernel_backward(model, saved, gz, -1.0 / n, params=True)
     if any(not np.isfinite(g).all() for g in grads):
         raise NumericError(f"non-finite flow gradient (lr={opt.lr:g}, pool={pool.total})")
     opt.step(grads)

@@ -14,6 +14,13 @@ the finite-difference verification tolerances require, and the clamp bounds
 each scale factor inside (e^-s_max, e^s_max) so the inverse stays stable.
 Conditioner output layers start at zero, making the freshly built flow an
 exact identity (up to the channel reversal).
+
+The map exists twice. ``flow_forward`` builds tape nodes, so any scalar
+built on it can be differentiated with ``diffcore.grad``; inference and the
+tests use it. ``kernel_forward`` and ``kernel_backward`` run the same
+arithmetic in plain numpy with a hand-derived vector-Jacobian product; the
+two gradient hot paths (the online flow step and the density gradient) use
+them.
 """
 
 from __future__ import annotations
@@ -151,8 +158,8 @@ def coupling_inverse(v_out, block: CouplingBlock) -> np.ndarray:
     v2 = arr[None, :] if single else arr
     half = v2.shape[1] // 2
     va = v2[:, :half]
-    s, t = _conditioner(block, dc.tensor(va))
-    vb = (v2[:, half:] - t.data) * np.exp(-s.data)
+    _, u, t = _conditioner_np(block, va)
+    vb = (v2[:, half:] - t) * np.exp(-(u * block.s_max))
     out = np.concatenate([va, vb], axis=1)
     return out[0] if single else out
 
@@ -194,6 +201,81 @@ def flow_inverse(z, model: FlowModel) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# analytic kernel: the same map in plain numpy, with a hand-derived VJP
+
+
+def _conditioner_np(block: CouplingBlock, va: np.ndarray):
+    """Numpy ``_conditioner``: hidden activations h, u = tanh(s_raw / s_max)
+    (so the clamped log-scale is s = s_max * u) and the shift t."""
+    h = va @ block.w1.data
+    h += block.b1.data
+    np.tanh(h, out=h)
+    raw = h @ block.w2.data + block.b2.data
+    half = raw.shape[1] // 2
+    u = np.tanh(raw[:, :half] * (1.0 / block.s_max))
+    return h, u, raw[:, half:]
+
+
+def kernel_forward(v: np.ndarray, model: FlowModel):
+    """``flow_forward`` on an (N, d) array without graph nodes.
+
+    Returns z, the per-row log-determinant and, per block, the activations
+    ``kernel_backward`` reads: (v_a, v_b, h, u, exp(s)).
+    """
+    x = np.asarray(v, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != model.d:
+        raise ValueError(f"expected an (N, {model.d}) batch, got shape {x.shape}")
+    half = model.d // 2
+    saved = []
+    logdet = None
+    for i, block in enumerate(model.blocks):
+        if i:
+            x = x[:, model.perm]
+        va, vb = x[:, :half], x[:, half:]
+        h, u, t = _conditioner_np(block, va)
+        s = u * block.s_max
+        es = np.exp(s)
+        x = np.concatenate([va, vb * es + t], axis=1)
+        ld = s.sum(axis=1)
+        logdet = ld if logdet is None else logdet + ld
+        saved.append((va, vb, h, u, es))
+    return x, logdet, saved
+
+
+def kernel_backward(model: FlowModel, saved, gz: np.ndarray, glogdet,
+                    params: bool = False):
+    """VJP of ``kernel_forward``: (dL/dz, dL/dlogdet) -> dL/dv.
+
+    ``glogdet`` is a scalar or one value per row; each block's log-scales
+    receive it unchanged, since the log-det is their plain sum. Block
+    Jacobians are triangular: v_a passes through and v_b only scales, so
+    dL/dv_b = dL/dy_b * exp(s) and everything else flows through the
+    conditioner. With ``params`` the parameter gradients are returned too,
+    in ``model.params()`` order; otherwise the second value is None.
+    """
+    half = model.d // 2
+    gld = np.reshape(glogdet, (-1, 1))
+    g = gz
+    grads: list[np.ndarray] = []
+    for i in range(len(model.blocks) - 1, -1, -1):
+        block = model.blocks[i]
+        va, vb, h, u, es = saved[i]
+        gy_b = g[:, half:]
+        gs = gy_b * vb * es + gld
+        graw = np.concatenate([gs * (1.0 - u * u), gy_b], axis=1)
+        dh = h * h                           # tanh' = 1 - h^2, built in place
+        np.subtract(1.0, dh, out=dh)
+        gpre = graw @ block.w2.data.T
+        gpre *= dh
+        if params:
+            grads[:0] = [va.T @ gpre, gpre.sum(axis=0), h.T @ graw, graw.sum(axis=0)]
+        g = np.concatenate([g[:, :half] + gpre @ block.w1.data.T, gy_b * es], axis=1)
+        if i:
+            g = g[:, model.perm]   # the reversal is its own inverse
+    return g, (grads if params else None)
+
+
+# ---------------------------------------------------------------------------
 # checkpoint io (npz: float64 arrays are stored losslessly)
 
 
@@ -218,7 +300,11 @@ def save_checkpoint(path, model: FlowModel, latent: GmmLatent) -> None:
 
 
 def load_checkpoint(path) -> tuple[FlowModel, GmmLatent]:
-    with np.load(path, allow_pickle=False) as z:
+    try:
+        archive = np.load(path, allow_pickle=False)
+    except FileNotFoundError:
+        raise ConfigError(f"checkpoint not found: {path}")
+    with archive as z:
         meta = json.loads(str(z["__meta__"]))
         if meta.get("format") != CHECKPOINT_FORMAT:
             raise ConfigError(f"unsupported checkpoint format {meta.get('format')!r}")

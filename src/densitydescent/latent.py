@@ -68,6 +68,14 @@ def gaussian_logpdf(z, mean) -> dc.Tensor:
     return q * (-0.5) + (-0.5 * d * LOG_2PI)
 
 
+def _row_const(latent: GmmLatent) -> np.ndarray:
+    """Per-component constant of the expanded log-density:
+    log pi_k - ||mu_k||^2 / 2 - d/2 log(2 pi)."""
+    mu = latent.means
+    d = mu.shape[1]
+    return latent.log_weights - 0.5 * np.einsum("kd,kd->k", mu, mu) - 0.5 * d * LOG_2PI
+
+
 def mixture_logpdf(z, latent: GmmLatent) -> dc.Tensor:
     """log sum_k pi_k N(z | mu_k, I), evaluated with logsumexp.
 
@@ -79,14 +87,48 @@ def mixture_logpdf(z, latent: GmmLatent) -> dc.Tensor:
     single = zt.ndim == 1
     if single:
         zt = dc.reshape(zt, (1, zt.shape[0]))
-    mu = latent.means
-    d = mu.shape[1]
-    row_const = latent.log_weights - 0.5 * np.einsum("kd,kd->k", mu, mu) - 0.5 * d * LOG_2PI
-    cross = dc.matmul(zt, dc.as_tensor(mu.T))            # (N, K)
+    cross = dc.matmul(zt, dc.as_tensor(latent.means.T))  # (N, K)
     sq = dc.sum(zt * zt, axis=1, keepdims=True)          # (N, 1)
-    comp = cross + sq * (-0.5) + dc.as_tensor(row_const)
+    comp = cross + sq * (-0.5) + dc.as_tensor(_row_const(latent))
     out = dc.logsumexp(comp, axis=1)
     return dc.reshape(out, ()) if single else out
+
+
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of an (N, K) array, max-shifted for stability."""
+    m = logits.max(axis=1, keepdims=True)
+    e = np.exp(logits - m)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def mixture_logpdf_grad(z: np.ndarray, latent: GmmLatent) -> tuple[np.ndarray, np.ndarray]:
+    """``mixture_logpdf`` of an (N, d) array and its z-gradient.
+
+    The gradient is softmax(comp) @ mu - z: the responsibility-weighted pull
+    toward the component means.
+    """
+    comp = z @ latent.means.T + (z * z).sum(axis=1, keepdims=True) * (-0.5) \
+        + _row_const(latent)
+    m = comp.max(axis=1, keepdims=True)
+    ll = m[:, 0] + np.log(np.exp(comp - m).sum(axis=1))
+    return ll, softmax(comp) @ latent.means - z
+
+
+def gaussian_logpdf_grad(z: np.ndarray, mean: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``gaussian_logpdf`` of an (N, d) array against per-row means, and its
+    z-gradient -(z - mean)."""
+    diff = z - mean
+    ll = (diff * diff).sum(axis=1) * (-0.5) + (-0.5 * z.shape[1] * LOG_2PI)
+    return ll, -diff
+
+
+def component_means(labels, latent: GmmLatent) -> np.ndarray:
+    """Each label's component mean; rejects indices outside [0, K)."""
+    lab = np.atleast_1d(np.asarray(labels, dtype=np.int64))
+    if lab.size and (lab.min() < 0 or lab.max() >= latent.n_components):
+        raise ValueError(
+            f"class index outside [0, {latent.n_components}): {lab.min()}..{lab.max()}")
+    return latent.means[lab]
 
 
 def class_conditional_loglik(v, labels, flow_model, latent: GmmLatent) -> dc.Tensor:
@@ -97,12 +139,10 @@ def class_conditional_loglik(v, labels, flow_model, latent: GmmLatent) -> dc.Ten
     """
     from .flow import flow_forward
 
-    lab = np.atleast_1d(np.asarray(labels, dtype=np.int64))
-    if lab.min() < 0 or lab.max() >= latent.n_components:
-        raise ValueError(
-            f"class index outside [0, {latent.n_components}): {lab.min()}..{lab.max()}")
+    mu = component_means(labels, latent)
     z, logdet = flow_forward(v, flow_model)
-    mu = latent.means[lab[0]] if z.ndim == 1 else latent.means[lab]
+    if z.ndim == 1:
+        mu = mu[0]
     return gaussian_logpdf(z, mu) + logdet
 
 

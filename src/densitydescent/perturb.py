@@ -16,8 +16,8 @@ import numpy as np
 
 from . import diffcore as dc
 from .errors import ConfigError, NumericError
-from .flow import FlowModel
-from .latent import GmmLatent, marginal_loglik
+from .flow import FlowModel, kernel_backward, kernel_forward
+from .latent import GmmLatent, mixture_logpdf_grad, softmax
 
 KINDS = ("density-descending", "uniform-noise", "channel-dropout", "vat-lite")
 GRAD_FLOOR = 1e-12
@@ -61,19 +61,26 @@ def density_gradient(v, model: FlowModel, latent: GmmLatent) -> np.ndarray:
     """Gradient of -log p(v) w.r.t. v through the full marginal.
 
     Works on a single vector or a batch (rows are independent samples, so
-    the gradient of the summed objective gives per-row gradients).
+    each row's gradient is that of its own log-density). Computed with the
+    analytic flow kernel; ``marginal_loglik`` on the tape is the reference.
     """
     arr = np.array(v, dtype=np.float64)
-    leaf = dc.tensor(arr)
-    ll = marginal_loglik(leaf, model, latent)
-    objective = -(ll if ll.ndim == 0 else dc.sum(ll))
-    g, = dc.grad(objective, [leaf])
+    single = arr.ndim == 1
+    z, logdet, saved = kernel_forward(arr[None, :] if single else arr, model)
+    ll, gz = mixture_logpdf_grad(z, latent)
+    ll += logdet
+    if not np.isfinite(ll).all():
+        bad = np.flatnonzero(~np.isfinite(ll))[:5]
+        raise NumericError(
+            f"non-finite log-density in forward pass at rows {bad.tolist()}, "
+            f"v={np.atleast_2d(arr)[bad].tolist()}")
+    g, _ = kernel_backward(model, saved, -gz, -1.0)
     if not np.isfinite(g).all():
-        bad = np.argwhere(~np.isfinite(np.atleast_2d(g)).all(axis=1)).ravel()[:5]
+        bad = np.argwhere(~np.isfinite(g).all(axis=1)).ravel()[:5]
         raise NumericError(
             f"non-finite density gradient at rows {bad.tolist()}, "
             f"v={np.atleast_2d(arr)[bad].tolist()}")
-    return g
+    return g[0] if single else g
 
 
 def _normalize_rows(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -152,7 +159,7 @@ def vat_perturbation(v: np.ndarray, eps: float,
     two_d = arr.ndim == 2
     mat = arr if two_d else arr[None, :]
     base_logits = logits_fn(dc.tensor(mat)).data
-    p = _softmax(base_logits)
+    p = softmax(base_logits)
     direction, _ = _normalize_rows(rng.standard_normal(mat.shape))
     for _ in range(power_iters):
         r = dc.tensor(xi * direction)
@@ -163,12 +170,6 @@ def vat_perturbation(v: np.ndarray, eps: float,
         direction, _ = _normalize_rows(g)
     delta = eps * direction
     return delta if two_d else delta[0]
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    m = logits.max(axis=1, keepdims=True)
-    e = np.exp(logits - m)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def generate_perturbation(v: np.ndarray, cfg: PerturbConfig, rng: np.random.Generator,

@@ -82,7 +82,7 @@ SCHEMA: dict = {
     },
 }
 
-_NULLABLE = {"flow.components", "ssl.ft_start_epoch", "verify.checkpoint"}
+_NULLABLE = {"flow.components": int, "ssl.ft_start_epoch": int, "verify.checkpoint": str}
 
 
 @dataclass
@@ -92,6 +92,14 @@ class FitSpec:
     grid: bool = False
     grid_bounds: tuple[float, float] = (-8.0, 8.0)
     grid_resolution: int = 64
+
+    def __post_init__(self):
+        if self.steps < 1:
+            raise ConfigError("fit.steps must be >= 1")
+        if self.batch < 2 or self.batch % 2 != 0:
+            raise ConfigError("fit.batch must be even and >= 2 (split across pools)")
+        if self.grid_resolution < 1:
+            raise ConfigError("fit.grid_resolution must be >= 1")
 
 
 @dataclass
@@ -141,9 +149,10 @@ def _check_value(path: str, default, value):
         if path in _NULLABLE:
             return None
         raise ConfigError(f"{path}: null is not allowed here")
-    if default is None:                       # nullable keys accept int or str
-        if isinstance(value, bool) or not isinstance(value, (int, str)):
-            raise ConfigError(f"{path}: unexpected type {type(value).__name__}")
+    if default is None:                       # nullable keys: their own type only
+        kind = _NULLABLE[path]
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ConfigError(f"{path}: expected {kind.__name__} or null, got {value!r}")
         return value
     if isinstance(default, bool):
         if not isinstance(value, bool):
@@ -217,7 +226,7 @@ def parse_config(doc: dict) -> RunConfig:
         lr=ft["lr"], beta1=ft["beta1"], beta2=ft["beta2"], adam_eps=ft["adam_eps"],
         decay_fractions=tuple(ft["decay_fractions"]), decay_gamma=ft["decay_gamma"],
         sample_budget=ft["sample_budget"], warm_start_epoch=ft["warm_start_epoch"],
-        updates_per_iteration=ft["updates_per_iteration"], seed=eff["seed"])
+        updates_per_iteration=ft["updates_per_iteration"])
     fl = eff["flow"]
     flow = FlowArch(blocks=fl["blocks"], hidden=fl["hidden"], s_max=fl["s_max"],
                     components=fl["components"])

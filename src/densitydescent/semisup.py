@@ -22,7 +22,7 @@ from .data import DataSpec, Dataset, make_dataset
 from .errors import ConfigError, NumericError
 from .estimator import FlowTrainConfig, flow_train_step, sample_feature_pool
 from .flow import init_flow
-from .latent import init_latent
+from .latent import init_latent, softmax
 from .optim import Adam, MomentumSGD, poly_decay, step_decay
 from .perturb import PerturbConfig, generate_perturbation
 
@@ -52,7 +52,7 @@ class Model:
         return self.decode(self.encode(x))
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        return _softmax(self.forward(x).data)
+        return softmax(self.forward(x).data)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return np.argmax(self.forward(x).data, axis=1)
@@ -72,12 +72,6 @@ def init_model(input_dim: int, hidden: int, feature_dim: int, n_classes: int,
         dec_w=dc.tensor(rng.standard_normal((feature_dim, n_classes)) * np.sqrt(1.0 / feature_dim)),
         dec_b=dc.tensor(np.zeros(n_classes)),
     )
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    m = logits.max(axis=1, keepdims=True)
-    e = np.exp(logits - m)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 @dataclass

@@ -181,3 +181,38 @@ def test_out_root_env_override(small_fit_config, tmp_path, monkeypatch):
     assert main(["fit-density", "--config", small_fit_config,
                  "--out", "nested/run"]) == 0
     assert (root / "nested" / "run" / "loss.csv").exists()
+
+
+class TestConfigRejectedBeforeWork:
+    """Bad values exit 2 with one ``config error:`` line and write nothing."""
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("fit", "steps", 0),
+        ("fit", "batch", 63),
+        ("fit", "grid_resolution", 0),
+        ("flow", "components", "3"),
+    ])
+    def test_bad_value_is_config_error(self, section, key, value, tmp_path, capsys):
+        doc = {
+            "dataset": {"n": 200, "noise": 0.1},
+            "flow": {"hidden": 16},
+            "fit": {"steps": 5, "batch": 64, "grid": True},
+        }
+        doc[section][key] = value
+        cfg = write_json(tmp_path / "c.json", doc)
+        out = tmp_path / "run"
+        assert main(["fit-density", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert f"{section}.{key}" in err[0]
+        assert not out.exists()
+
+    def test_missing_checkpoint_is_config_error(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "v.json", {
+            "verify": {"checkpoint": str(tmp_path / "missing.npz")},
+        })
+        assert main(["verify", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert "PASS" not in captured.out
