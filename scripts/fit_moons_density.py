@@ -10,7 +10,7 @@ import argparse
 import numpy as np
 
 from densitydescent import (DataSpec, init_flow, init_latent, make_dataset,
-                            marginal_loglik, save_checkpoint)
+                            marginal_logpdf, save_checkpoint)
 from densitydescent.estimator import FlowTrainConfig, fit_density
 from densitydescent.oracle import grid_density_dump, mc_normalization
 
@@ -37,7 +37,7 @@ def main():
                          FlowTrainConfig(), steps=args.steps, batch=256,
                          rng=np.random.default_rng(args.seed + 2))
     held = ds.x[ds.test_idx]
-    nll = -float(np.mean(marginal_loglik(held, flow, latent).data))
+    nll = -float(np.mean(marginal_logpdf(held, flow, latent)))
     mass, se, _ = mc_normalization(flow, latent, ((-8, 8), (-8, 8)),
                                    200_000, seed=args.seed)
     print(f"final loss {result.losses[-1]:.4f}  heldout NLL {nll:.4f}  "

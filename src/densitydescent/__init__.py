@@ -9,7 +9,8 @@ from .flow import (CouplingBlock, FlowModel, coupling_forward, coupling_inverse,
                    flow_forward, flow_inverse, init_flow, load_checkpoint,
                    save_checkpoint)
 from .latent import (GmmLatent, class_conditional_loglik, gaussian_logpdf,
-                     init_latent, marginal_loglik, mixture_logpdf)
+                     init_latent, marginal_logpdf, marginal_loglik,
+                     mixture_logpdf)
 from .perturb import (PerturbConfig, density_descent_perturbation, density_gradient,
                       generate_perturbation, inject)
 from .semisup import (Model, PseudoLabelBatch, SslConfig, SweepSpec, TrainResult,
@@ -25,7 +26,7 @@ __all__ = [
     "coupling_inverse", "flow_forward", "flow_inverse",
     "save_checkpoint", "load_checkpoint",
     "GmmLatent", "init_latent", "gaussian_logpdf", "mixture_logpdf",
-    "class_conditional_loglik", "marginal_loglik",
+    "class_conditional_loglik", "marginal_loglik", "marginal_logpdf",
     "FlowTrainConfig", "FeaturePool", "flow_loss", "flow_train_step",
     "sample_feature_pool", "fit_density",
     "PerturbConfig", "density_gradient", "density_descent_perturbation", "inject",

@@ -23,13 +23,12 @@ from .errors import ConfigError, NumericError
 from .estimator import fit_density
 from .flow import (flow_forward, flow_inverse, init_flow, load_checkpoint,
                    randomize_conditioners, save_checkpoint)
-from .latent import init_latent, marginal_loglik
+from .latent import init_latent, marginal_logpdf, marginal_loglik
 from .oracle import (finite_diff_grad, grid_density_dump, mc_normalization,
                      numeric_jacobian_logdet)
 from .perturb import density_gradient
 from .runconfig import echo_config, load_config, load_sweep
-from .semisup import (SweepSpec, ablate, dataset_for_run, train_ssl,
-                      write_metrics_csv)
+from .semisup import ablate, dataset_for_run, train_ssl, write_metrics_csv
 
 OUT_ROOT_ENV = "DENSITYDESCENT_OUT_ROOT"
 
@@ -62,7 +61,7 @@ def cmd_fit_density(args) -> int:
     echo_config(cfg, os.path.join(out, "config.json"))
     ds = make_dataset(cfg.dataset)
     dim = ds.x.shape[1]
-    k = cfg.flow.components or ds.n_classes
+    k = ds.n_classes if cfg.flow.components is None else cfg.flow.components
     s_flow, s_latent, s_fit = _derived_seeds(cfg.seed, 3)
     model = init_flow(dim, cfg.flow.blocks, cfg.flow.hidden, cfg.flow.s_max, s_flow)
     latent = init_latent(k, dim, s_latent)
@@ -91,7 +90,7 @@ def cmd_fit_density(args) -> int:
                           path=os.path.join(out, "grid.csv"))
     held = ds.x[ds.test_idx]
     if len(held):
-        nll = -float(np.mean(marginal_loglik(held, model, latent).data))
+        nll = -float(np.mean(marginal_logpdf(held, model, latent)))
         _log(out, f"fit-density done: final_loss={result.losses[-1]:.6f} "
                   f"heldout_nll={nll:.6f}")
     else:
@@ -103,13 +102,24 @@ def cmd_fit_density(args) -> int:
 # train-ssl
 
 
+def _ssl_config(cfg):
+    """The SSL config of a run; its latent has one component per class, so
+    any other ``flow.components`` is rejected rather than ignored."""
+    n_classes = make_dataset(cfg.dataset).n_classes
+    if cfg.flow.components not in (None, n_classes):
+        raise ConfigError(f"flow.components: the SSL latent has one component per "
+                          f"class, so it must be null or {n_classes}, got "
+                          f"{cfg.flow.components}")
+    return cfg.ssl_config()
+
+
 def cmd_train_ssl(args) -> int:
     cfg = load_config(args.config)
+    ssl_cfg = _ssl_config(cfg)
     out = _resolve_out(args.out)
     echo_config(cfg, os.path.join(out, "config.json"))
     seeds = ([int(s) for s in args.seeds.split(",")] if args.seeds
              else [cfg.seed])
-    ssl_cfg = cfg.ssl_config()
     accs = {}
     for s in seeds:
         ds = dataset_for_run(cfg.dataset, s)
@@ -139,13 +149,12 @@ def cmd_train_ssl(args) -> int:
 def cmd_ablate(args) -> int:
     cfg = load_config(args.config)
     sweep = load_sweep(args.sweep)
+    ssl_cfg = _ssl_config(cfg)
     out = _resolve_out(args.out)
     echo_config(cfg, os.path.join(out, "config.json"))
-    spec = SweepSpec(kinds=sweep.kinds, eps=sweep.eps,
-                     lambda_ft=sweep.lambda_ft, seeds=sweep.seeds)
-    _log(out, f"ablate: kinds={spec.kinds} eps={spec.eps} "
-              f"lambda_ft={spec.lambda_ft} seeds={spec.seeds}")
-    rows = ablate(cfg.ssl_config(), cfg.dataset, spec)
+    _log(out, f"ablate: kinds={sweep.kinds} eps={sweep.eps} "
+              f"lambda_ft={sweep.lambda_ft} seeds={sweep.seeds}")
+    rows = ablate(ssl_cfg, cfg.dataset, sweep)
     with open(os.path.join(out, "sweep.csv"), "w") as fh:
         fh.write("kind,eps,lambda_ft,seed,test_acc\n")
         for r in rows:
@@ -175,7 +184,8 @@ def cmd_verify(args) -> int:
         for d in cfg.verify.dims:
             model = init_flow(d, cfg.flow.blocks, cfg.flow.hidden,
                               cfg.flow.s_max, cfg.seed)
-            latent = init_latent(cfg.flow.components or 2, d, cfg.seed + 1)
+            latent = init_latent(2 if cfg.flow.components is None
+                                 else cfg.flow.components, d, cfg.seed + 1)
             pairs.append((model, latent))
             rand = init_flow(d, cfg.flow.blocks, cfg.flow.hidden,
                              cfg.flow.s_max, cfg.seed)

@@ -17,6 +17,10 @@ from .errors import ConfigError
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
+# rows per pass of ``marginal_logpdf``: bounds its working memory (the
+# hidden activations of one pass) whatever the number of points
+BLOCK_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class GmmLatent:
@@ -101,16 +105,22 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _mixture_comp_ll(z: np.ndarray, latent: GmmLatent) -> tuple[np.ndarray, np.ndarray]:
+    """Per-component log-terms (N, K) of an (N, d) array and their logsumexp,
+    the mixture log-density; the same arithmetic as ``mixture_logpdf``."""
+    comp = z @ latent.means.T + (z * z).sum(axis=1, keepdims=True) * (-0.5) \
+        + _row_const(latent)
+    m = comp.max(axis=1, keepdims=True)
+    return comp, m[:, 0] + np.log(np.exp(comp - m).sum(axis=1))
+
+
 def mixture_logpdf_grad(z: np.ndarray, latent: GmmLatent) -> tuple[np.ndarray, np.ndarray]:
     """``mixture_logpdf`` of an (N, d) array and its z-gradient.
 
     The gradient is softmax(comp) @ mu - z: the responsibility-weighted pull
     toward the component means.
     """
-    comp = z @ latent.means.T + (z * z).sum(axis=1, keepdims=True) * (-0.5) \
-        + _row_const(latent)
-    m = comp.max(axis=1, keepdims=True)
-    ll = m[:, 0] + np.log(np.exp(comp - m).sum(axis=1))
+    comp, ll = _mixture_comp_ll(z, latent)
     return ll, softmax(comp) @ latent.means - z
 
 
@@ -152,3 +162,22 @@ def marginal_loglik(v, flow_model, latent: GmmLatent) -> dc.Tensor:
 
     z, logdet = flow_forward(v, flow_model)
     return mixture_logpdf(z, latent) + logdet
+
+
+def marginal_logpdf(v: np.ndarray, flow_model, latent: GmmLatent) -> np.ndarray:
+    """log p(v) of an (N, d) array, forward only, ``BLOCK_ROWS`` rows at a time.
+
+    Runs the analytic kernel instead of the tape, so no activations outlive
+    their block: memory stays flat in N. Inside one block the values equal
+    ``marginal_loglik`` bit for bit; across blocks they can differ in the
+    last digits, since the matrix products are blocked differently.
+    """
+    from .flow import kernel_forward
+
+    x = np.asarray(v, dtype=np.float64)
+    out = np.empty(x.shape[0])
+    for start in range(0, x.shape[0], BLOCK_ROWS):
+        # drop the saved activations now, not when the next block's arrive
+        z, logdet = kernel_forward(x[start:start + BLOCK_ROWS], flow_model)[:2]
+        out[start:start + BLOCK_ROWS] = _mixture_comp_ll(z, latent)[1] + logdet
+    return out

@@ -17,8 +17,12 @@ class Adam:
         self.beta1, self.beta2 = betas
         self.eps = float(eps)
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        # both moments of every parameter live in one flat buffer each, so a
+        # step is one set of vector ops instead of a loop over small arrays
+        ends = np.cumsum([0] + [p.data.size for p in self.params]).tolist()
+        self._spans = list(zip(ends[:-1], ends[1:]))
+        self.m = np.zeros(ends[-1])
+        self.v = np.zeros(ends[-1])
 
     def step(self, grads: list[np.ndarray]) -> None:
         if len(grads) != len(self.params):
@@ -27,12 +31,15 @@ class Adam:
         b1, b2 = self.beta1, self.beta2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * (g * g)
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        g = np.concatenate([np.ravel(gi) for gi in grads])
+        m, v = self.m, self.v
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        update = self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        for p, (a, b) in zip(self.params, self._spans):
+            p.data -= update[a:b].reshape(p.data.shape)
 
 
 class MomentumSGD:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NumericError
 from .flow import FlowModel, flow_forward
-from .latent import GmmLatent, marginal_loglik
+from .latent import GmmLatent, marginal_logpdf
 
 Bounds = tuple[tuple[float, float], tuple[float, float]]
 
@@ -110,7 +110,7 @@ def mc_normalization(model: FlowModel, latent: GmmLatent, bounds: Bounds,
         pts = np.empty((m, 2))
         pts[:, 0] = rng.uniform(x_lo, x_hi, size=m)
         pts[:, 1] = rng.uniform(y_lo, y_hi, size=m)
-        dens = np.exp(marginal_loglik(pts, model, latent).data)
+        dens = np.exp(marginal_logpdf(pts, model, latent))
         total += float(dens.sum())
         total_sq += float((dens * dens).sum())
         done += m
@@ -120,7 +120,7 @@ def mc_normalization(model: FlowModel, latent: GmmLatent, bounds: Bounds,
     stderr = area * np.sqrt(var / n_samples)
 
     edge = _boundary_points(bounds, per_side=100)
-    edge_max = float(np.exp(marginal_loglik(edge, model, latent).data).max())
+    edge_max = float(np.exp(marginal_logpdf(edge, model, latent)).max())
     perimeter = 2.0 * ((x_hi - x_lo) + (y_hi - y_lo))
     warn = edge_max * perimeter > 0.01
     return mass, float(stderr), warn
@@ -176,7 +176,7 @@ def grid_density_dump(model: FlowModel, latent: GmmLatent, bounds: Bounds,
     cy = y_lo + (np.arange(resolution) + 0.5) * (y_hi - y_lo) / resolution
     gx, gy = np.meshgrid(cx, cy)               # gy varies by row, gx by column
     pts = np.column_stack([gx.ravel(), gy.ravel()])
-    logp = marginal_loglik(pts, model, latent).data
+    logp = marginal_logpdf(pts, model, latent)
     labels = None
     header = ["x", "y", "logp"]
     if classifier is not None:

@@ -14,7 +14,7 @@ from .data import DataSpec
 from .errors import ConfigError
 from .estimator import FlowTrainConfig
 from .perturb import PerturbConfig
-from .semisup import SslConfig
+from .semisup import SslConfig, SweepSpec
 
 SCHEMA: dict = {
     "seed": 0,
@@ -109,12 +109,22 @@ class FlowArch:
     s_max: float = 2.0
     components: int | None = None
 
+    def __post_init__(self):
+        if self.components is not None and self.components < 1:
+            raise ConfigError("flow.components must be >= 1 or null")
+
 
 @dataclass
 class VerifySpec:
     checkpoint: str | None = None
     dims: tuple[int, ...] = (2, 8)
     mc_samples: int = 200_000
+
+    def __post_init__(self):
+        if not self.dims:
+            raise ConfigError("verify.dims must list at least one dimension")
+        if self.mc_samples < 1:
+            raise ConfigError("verify.mc_samples must be >= 1")
 
 
 @dataclass
@@ -183,6 +193,10 @@ def _check_value(path: str, default, value):
             elif kind is int:
                 if isinstance(item, bool) or not isinstance(item, int):
                     raise ConfigError(f"{path}[{i}]: expected int, got {item!r}")
+                out.append(item)
+            elif kind is str:
+                if not isinstance(item, str):
+                    raise ConfigError(f"{path}[{i}]: expected string, got {item!r}")
                 out.append(item)
             else:
                 raise ConfigError(f"{path}: unsupported list element type")
@@ -270,15 +284,9 @@ def echo_config(cfg: RunConfig, path) -> None:
         fh.write("\n")
 
 
-@dataclass
-class SweepDoc:
-    kinds: list[str] | None = None
-    eps: list[float] | None = None
-    lambda_ft: list[float] | None = None
-    seeds: list[int] = field(default_factory=lambda: [0])
-
-
-def load_sweep(path) -> SweepDoc:
+def load_sweep(path) -> SweepSpec:
+    """Parse a sweep file, type-checking every entry; ``ablate`` checks the
+    values themselves when it builds the cells, before the first one trains."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -294,13 +302,13 @@ def load_sweep(path) -> SweepDoc:
             raise ConfigError(f"unknown sweep key {key!r}")
         if not isinstance(doc[key], list) or not doc[key]:
             raise ConfigError(f"sweep key {key!r} must be a non-empty list")
-    out = SweepDoc()
+    out = SweepSpec()
     if "kinds" in doc:
-        out.kinds = [str(k) for k in doc["kinds"]]
+        out.kinds = _check_value("kinds", [""], doc["kinds"])
     if "eps" in doc:
-        out.eps = [float(e) for e in doc["eps"]]
+        out.eps = _check_value("eps", [0.0], doc["eps"])
     if "lambda_ft" in doc:
-        out.lambda_ft = [float(w) for w in doc["lambda_ft"]]
+        out.lambda_ft = _check_value("lambda_ft", [0.0], doc["lambda_ft"])
     if "seeds" in doc:
-        out.seeds = [int(s) for s in doc["seeds"]]
+        out.seeds = _check_value("seeds", [0], doc["seeds"])
     return out

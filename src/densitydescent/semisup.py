@@ -409,26 +409,26 @@ class SweepSpec:
 def ablate(cfg: SslConfig, spec: DataSpec, sweep: SweepSpec) -> list[dict]:
     """Train every sweep cell with shared seeds; one row per run.
 
-    Axes left unset fall back to the base config's value. Datasets are
-    cached per seed so all cells see identical data at a given seed.
+    Axes left unset fall back to the base config's value. Every cell's
+    config is built (and so validated) before the first one trains. Datasets
+    are cached per seed so all cells see identical data at a given seed.
     """
     kinds = sweep.kinds if sweep.kinds else [cfg.perturb.kind]
     eps_values = sweep.eps if sweep.eps else [cfg.perturb.eps]
     lambdas = sweep.lambda_ft if sweep.lambda_ft else [cfg.lambda_ft]
+    cells = [replace(cfg, seed=s, lambda_ft=lam,
+                     perturb=replace(cfg.perturb, kind=kind, eps=eps))
+             for kind in kinds for eps in eps_values for lam in lambdas
+             for s in sweep.seeds]
     cache: dict[int, Dataset] = {}
     rows = []
-    for kind in kinds:
-        for eps in eps_values:
-            for lam in lambdas:
-                for s in sweep.seeds:
-                    if s not in cache:
-                        cache[s] = dataset_for_run(spec, s)
-                    cell = replace(
-                        cfg, seed=s, lambda_ft=lam,
-                        perturb=replace(cfg.perturb, kind=kind, eps=eps))
-                    res = train_ssl(cell, cache[s])
-                    rows.append({"kind": kind, "eps": eps, "lambda_ft": lam,
-                                 "seed": s, "test_acc": res.final_test_acc})
+    for cell in cells:
+        if cell.seed not in cache:
+            cache[cell.seed] = dataset_for_run(spec, cell.seed)
+        res = train_ssl(cell, cache[cell.seed])
+        rows.append({"kind": cell.perturb.kind, "eps": cell.perturb.eps,
+                     "lambda_ft": cell.lambda_ft, "seed": cell.seed,
+                     "test_acc": res.final_test_acc})
     return rows
 
 

@@ -191,6 +191,7 @@ class TestConfigRejectedBeforeWork:
         ("fit", "batch", 63),
         ("fit", "grid_resolution", 0),
         ("flow", "components", "3"),
+        ("flow", "components", 0),
     ])
     def test_bad_value_is_config_error(self, section, key, value, tmp_path, capsys):
         doc = {
@@ -216,3 +217,58 @@ class TestConfigRejectedBeforeWork:
         err = captured.err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("config error:")
         assert "PASS" not in captured.out
+
+    @staticmethod
+    def one_config_error(capsys):
+        """The single ``config error:`` line on stderr, and stdout."""
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        return err[0], captured.out
+
+    @pytest.mark.parametrize("key,value", [("mc_samples", 0), ("dims", [])])
+    def test_bad_verify_value_fails_before_any_check(self, key, value, tmp_path,
+                                                     capsys):
+        cfg = write_json(tmp_path / "v.json", {
+            "flow": {"hidden": 16}, "verify": {key: value}})
+        assert main(["verify", "--config", cfg]) == 2
+        err, out = self.one_config_error(capsys)
+        assert f"verify.{key}" in err
+        assert "PASS" not in out and "FAIL" not in out
+
+    @pytest.mark.parametrize("sweep", [
+        {"eps": ["x"]},
+        {"lambda_ft": [0.5, None]},
+        {"seeds": [0, 1.5]},
+        {"kinds": ["density-descending", 3]},
+        {"kinds": ["density-descending", "bogus"]},
+        {"eps": [0.5, -1.0]},
+    ], ids=["eps-text", "lambda-null", "seed-float", "kind-number", "kind-unknown",
+            "eps-negative"])
+    def test_bad_sweep_fails_before_any_cell_trains(self, sweep, small_ssl_config,
+                                                    tmp_path, capsys, monkeypatch):
+        trained = []
+        monkeypatch.setattr("densitydescent.semisup.train_ssl",
+                            lambda *a, **k: trained.append(a))
+        path = write_json(tmp_path / "sweep.json", sweep)
+        out = tmp_path / "run"
+        assert main(["ablate", "--config", small_ssl_config, "--sweep", path,
+                     "--out", str(out)]) == 2
+        self.one_config_error(capsys)
+        assert not trained
+        assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("command", ["train-ssl", "ablate"])
+    def test_components_other_than_class_count_rejected(self, command, tmp_path,
+                                                        capsys):
+        cfg = write_json(tmp_path / "c.json", {
+            "dataset": {"n": 120, "noise": 0.1}, "flow": {"components": 3}})
+        sweep = write_json(tmp_path / "sweep.json", {"seeds": [0]})
+        out = tmp_path / "run"
+        argv = [command, "--config", cfg, "--out", str(out)]
+        if command == "ablate":
+            argv += ["--sweep", sweep]
+        assert main(argv) == 2
+        err, _ = self.one_config_error(capsys)
+        assert "flow.components" in err
+        assert not out.exists()

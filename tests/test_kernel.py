@@ -1,10 +1,12 @@
 """Parity of the analytic flow kernel with the tape.
 
-The flow step and the density gradient run on hand-derived numpy forward
-and VJP code; the tape route (``flow_loss``, ``flow_forward``,
+The flow step, the density gradient and forward-only log-density evaluation
+run on hand-derived numpy forward and VJP code; the tape route (``flow_loss``, ``flow_forward``,
 ``marginal_loglik`` with ``dc.grad``) is the reference. Both run in
 float64, so the tolerance is 1e-10 relative to the largest reference entry.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,8 +16,10 @@ from densitydescent.errors import NumericError
 from densitydescent.estimator import FeaturePool, flow_loss, flow_train_step
 from densitydescent.flow import (flow_forward, init_flow, kernel_backward,
                                  kernel_forward, randomize_conditioners)
-from densitydescent.latent import init_latent, marginal_loglik
+from densitydescent.latent import (BLOCK_ROWS, init_latent, marginal_logpdf,
+                                   marginal_loglik)
 from densitydescent.optim import Adam
+from densitydescent.oracle import mc_normalization
 from densitydescent.perturb import density_gradient
 
 RTOL = 1e-10
@@ -145,3 +149,75 @@ def test_density_gradient_overflow_raises_numeric_error():
         density_gradient(v, flow, latent)
     with pytest.raises(NumericError):
         density_gradient(v[0], flow, latent)
+
+
+def test_marginal_logpdf_bitwise_inside_one_block():
+    flow = random_flow(2, 64, 2, seed=41)
+    latent = init_latent(3, 2, seed=42)
+    v = np.random.default_rng(43).standard_normal((BLOCK_ROWS, 2)) * 3.0
+    np.testing.assert_array_equal(marginal_logpdf(v, flow, latent),
+                                  marginal_loglik(v, flow, latent).data)
+
+
+@pytest.mark.parametrize("rows", [2 * BLOCK_ROWS + 1, 0])
+@pytest.mark.parametrize("d", [2, 8])
+def test_marginal_logpdf_across_blocks(rows, d):
+    flow = random_flow(2, 32, d, seed=44 + d)
+    latent = init_latent(2, d, seed=45)
+    v = np.random.default_rng(46).standard_normal((rows, d)) * 2.0
+    out = marginal_logpdf(v, flow, latent)
+    reference = marginal_loglik(v, flow, latent).data
+    assert out.shape == (rows,)
+    if rows:
+        scale = float(np.abs(reference).max())
+        assert float(np.abs(out - reference).max()) <= 1e-12 * scale
+
+
+def test_mc_normalization_memory_is_flat_in_samples():
+    # on the tape, each 100k-row chunk kept every hidden-256 activation alive
+    # (about 1.2 GB at its peak); the row-blocked kernel needs a few blocks
+    flow = random_flow(2, 256, 2, seed=47)
+    latent = init_latent(2, 2, seed=48)
+    tracemalloc.start()
+    try:
+        mc_normalization(flow, latent, ((-8, 8), (-8, 8)), 200_000, seed=49)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
+class LoopAdam:
+    """The per-array Adam loop that the flat-buffer ``Adam`` replaced."""
+
+    def __init__(self, params, lr, betas=(0.9, 0.999), eps=1e-8):
+        self.params, self.lr, self.eps = list(params), lr, eps
+        self.beta1, self.beta2 = betas
+        self.t = 0
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
+
+    def step(self, grads):
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        c1 = 1.0 - b1 ** self.t
+        c2 = 1.0 - b2 ** self.t
+        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * (g * g)
+            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+
+
+def test_flat_adam_matches_per_array_loop_bitwise():
+    flow, twin = random_flow(2, 64, 2, seed=51), random_flow(2, 64, 2, seed=51)
+    latent = init_latent(2, 2, seed=52)
+    opt, ref = Adam(flow.params(), lr=1e-2), LoopAdam(twin.params(), lr=1e-2)
+    rng = np.random.default_rng(53)
+    for _ in range(50):
+        pool = make_pool("mixed", 40, 2, 2, rng)
+        flow_train_step(pool, flow, latent, opt)
+        flow_train_step(pool, twin, latent, ref)
+    for p, q in zip(flow.params(), twin.params()):
+        np.testing.assert_array_equal(p.data, q.data)
