@@ -47,6 +47,14 @@ def _log(out_dir: str, message: str) -> None:
     print(message)
 
 
+def _latent_components(cfg, ds=None) -> int:
+    """``flow.components``, or one latent component per dataset class when it
+    is null; ``ds`` is the run's dataset if the caller has already built it."""
+    if cfg.flow.components is not None:
+        return cfg.flow.components
+    return (make_dataset(cfg.dataset) if ds is None else ds).n_classes
+
+
 def _derived_seeds(seed: int, n: int) -> list[int]:
     return [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(n)]
 
@@ -61,7 +69,7 @@ def cmd_fit_density(args) -> int:
     echo_config(cfg, os.path.join(out, "config.json"))
     ds = make_dataset(cfg.dataset)
     dim = ds.x.shape[1]
-    k = ds.n_classes if cfg.flow.components is None else cfg.flow.components
+    k = _latent_components(cfg, ds)
     s_flow, s_latent, s_fit = _derived_seeds(cfg.seed, 3)
     model = init_flow(dim, cfg.flow.blocks, cfg.flow.hidden, cfg.flow.s_max, s_flow)
     latent = init_latent(k, dim, s_latent)
@@ -105,21 +113,29 @@ def cmd_fit_density(args) -> int:
 def _ssl_config(cfg):
     """The SSL config of a run; its latent has one component per class, so
     any other ``flow.components`` is rejected rather than ignored."""
-    n_classes = make_dataset(cfg.dataset).n_classes
-    if cfg.flow.components not in (None, n_classes):
+    ds = make_dataset(cfg.dataset)
+    if _latent_components(cfg, ds) != ds.n_classes:
         raise ConfigError(f"flow.components: the SSL latent has one component per "
-                          f"class, so it must be null or {n_classes}, got "
+                          f"class, so it must be null or {ds.n_classes}, got "
                           f"{cfg.flow.components}")
     return cfg.ssl_config()
 
 
+def _parse_seeds(text: str | None, default: int) -> list[int]:
+    if not text:
+        return [default]
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"--seeds: expected comma-separated ints, got {text!r}")
+
+
 def cmd_train_ssl(args) -> int:
     cfg = load_config(args.config)
+    seeds = _parse_seeds(args.seeds, cfg.seed)
     ssl_cfg = _ssl_config(cfg)
     out = _resolve_out(args.out)
     echo_config(cfg, os.path.join(out, "config.json"))
-    seeds = ([int(s) for s in args.seeds.split(",")] if args.seeds
-             else [cfg.seed])
     accs = {}
     for s in seeds:
         ds = dataset_for_run(cfg.dataset, s)
@@ -181,11 +197,11 @@ def cmd_verify(args) -> int:
         pairs = [load_checkpoint(cfg.verify.checkpoint)]
     else:
         pairs = []
+        k = _latent_components(cfg)
         for d in cfg.verify.dims:
             model = init_flow(d, cfg.flow.blocks, cfg.flow.hidden,
                               cfg.flow.s_max, cfg.seed)
-            latent = init_latent(2 if cfg.flow.components is None
-                                 else cfg.flow.components, d, cfg.seed + 1)
+            latent = init_latent(k, d, cfg.seed + 1)
             pairs.append((model, latent))
             rand = init_flow(d, cfg.flow.blocks, cfg.flow.hidden,
                              cfg.flow.s_max, cfg.seed)

@@ -30,11 +30,11 @@ class Dataset:
 class DataSpec:
     """Declarative dataset recipe; the default is the two-moons benchmark."""
     kind: str = "moons"
-    n: int = 1000
-    noise: float = 0.1
+    n: int = 1016
+    noise: float = 0.07
     n_classes: int = 2
     labeled_per_class: int = 4
-    test_fraction: float = 0.3
+    test_fraction: float = 0.5
     seed: int = 0
 
 

@@ -75,11 +75,6 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, as_tensor(other))
 
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("tensor/tensor division unsupported; divide by a scalar")
-        return mul(self, as_tensor(1.0 / float(other)))
-
 
 def tensor(data) -> Tensor:
     """Create a leaf tensor (copies nothing if already float64)."""

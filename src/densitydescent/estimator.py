@@ -33,6 +33,8 @@ class FlowTrainConfig:
     updates_per_iteration: int = 1   # flow steps per main-model iteration
 
     def __post_init__(self):
+        if len(self.decay_fractions) > 8:
+            raise ConfigError("flow_train.decay_fractions: too many milestones")
         if self.sample_budget < 2 or self.sample_budget % 2 != 0:
             raise ConfigError("sample_budget must be even and >= 2 (split across pools)")
         if self.warm_start_epoch < 1:

@@ -26,6 +26,7 @@ them.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -300,25 +301,49 @@ def save_checkpoint(path, model: FlowModel, latent: GmmLatent) -> None:
 
 
 def load_checkpoint(path) -> tuple[FlowModel, GmmLatent]:
+    """Read a ``save_checkpoint`` file. A file that is not one, lacks an
+    entry, or holds arrays whose shapes disagree with its stored ``d``,
+    ``hidden`` and ``n_blocks`` is a ConfigError."""
     try:
         archive = np.load(path, allow_pickle=False)
     except FileNotFoundError:
         raise ConfigError(f"checkpoint not found: {path}")
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile):
+        archive = None
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise ConfigError(f"{path}: not a .npz checkpoint")
     with archive as z:
-        meta = json.loads(str(z["__meta__"]))
-        if meta.get("format") != CHECKPOINT_FORMAT:
-            raise ConfigError(f"unsupported checkpoint format {meta.get('format')!r}")
+        def entry(key: str, shape: tuple | None = None) -> np.ndarray:
+            if key not in z.files:
+                raise ConfigError(f"{path}: checkpoint has no {key!r} entry")
+            value = z[key]
+            if shape is not None and value.shape != shape:
+                raise ConfigError(f"{path}: {key!r} has shape {value.shape}, but the "
+                                  f"stored sizes call for {shape}")
+            return value
+
+        meta_text = str(entry("__meta__"))
+        try:
+            meta = json.loads(meta_text)
+            fmt = meta["format"]
+            d, hidden, n_blocks = int(meta["d"]), int(meta["hidden"]), int(meta["n_blocks"])
+            s_max, seed, latent_seed = (float(meta["s_max"]), int(meta["seed"]),
+                                        int(meta["latent_seed"]))
+        except (ValueError, KeyError, TypeError) as e:
+            raise ConfigError(f"{path}: unreadable checkpoint metadata ({e!r})")
+        if fmt != CHECKPOINT_FORMAT:
+            raise ConfigError(f"unsupported checkpoint format {fmt!r}")
         blocks = []
-        for i in range(meta["n_blocks"]):
+        for i in range(n_blocks):
             blocks.append(CouplingBlock(
-                w1=dc.tensor(z[f"block{i}_w1"]),
-                b1=dc.tensor(z[f"block{i}_b1"]),
-                w2=dc.tensor(z[f"block{i}_w2"]),
-                b2=dc.tensor(z[f"block{i}_b2"]),
-                s_max=float(meta["s_max"]),
+                w1=dc.tensor(entry(f"block{i}_w1", (d // 2, hidden))),
+                b1=dc.tensor(entry(f"block{i}_b1", (hidden,))),
+                w2=dc.tensor(entry(f"block{i}_w2", (hidden, d))),
+                b2=dc.tensor(entry(f"block{i}_b2", (d,))),
+                s_max=s_max,
             ))
-        model = FlowModel(blocks=blocks, d=int(meta["d"]), hidden=int(meta["hidden"]),
-                          s_max=float(meta["s_max"]), seed=int(meta["seed"]))
-        latent = GmmLatent(means=z["latent_means"], log_weights=z["latent_log_weights"],
-                           seed=int(meta["latent_seed"]))
+        model = FlowModel(blocks=blocks, d=d, hidden=hidden, s_max=s_max, seed=seed)
+        k = entry("latent_log_weights").size
+        latent = GmmLatent(means=entry("latent_means", (k, d)),
+                           log_weights=entry("latent_log_weights", (k,)), seed=latent_seed)
     return model, latent

@@ -26,8 +26,8 @@ GRAD_FLOOR = 1e-12
 @dataclass
 class PerturbConfig:
     kind: str = "density-descending"
-    eps: float = 4.0                 # full-scale default step size
-    eps_relative: bool = False       # if True, eps is in units of feature std
+    eps: float = 0.25
+    eps_relative: bool = True        # if True, eps is in units of feature std
     dropout_rate: float = 0.5
     vat_xi: float = 1e-2
     vat_power_iters: int = 1

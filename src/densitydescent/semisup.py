@@ -76,23 +76,23 @@ def init_model(input_dim: int, hidden: int, feature_dim: int, n_classes: int,
 
 @dataclass
 class SslConfig:
-    """Field defaults follow the full-scale recipe (tau 0.95, lambda 0.5,
-    EMA momentum 0.999, feature dim 8); desk-scale runs override via config
-    (see ``two_moons_benchmark`` and the CLI schema)."""
-    epochs: int = 60
+    """Student, teacher and estimator settings of one training run. The
+    defaults are the desk-scale two-moons recipe (``two_moons_benchmark``)
+    and those of a run config's ``ssl`` section."""
+    epochs: int = 100
     batch_labeled: int = 8
     batch_unlabeled: int = 64
     lr: float = 0.05
     sgd_momentum: float = 0.9
     poly_power: float = 0.9
     tau: float = 0.95
-    lambda_ft: float = 0.5
-    ema_momentum: float = 0.999
-    sigma_weak: float = 0.05
-    sigma_strong: float = 0.25
+    lambda_ft: float = 1.0
+    ema_momentum: float = 0.99
+    sigma_weak: float = 0.0
+    sigma_strong: float = 0.15
     drop_prob: float = 0.1
     hidden: int = 64
-    feature_dim: int = 8
+    feature_dim: int = 2
     flow_blocks: int = 2
     flow_hidden: int = 256
     flow_s_max: float = 2.0
@@ -114,6 +114,10 @@ class SslConfig:
             raise ConfigError("drop_prob must lie in [0, 1)")
         if self.epochs < 1 or self.batch_unlabeled < 1 or self.batch_labeled < 1:
             raise ConfigError("epochs and batch sizes must be positive")
+        if self.hidden < 1:
+            raise ConfigError("ssl.hidden must be >= 1")
+        if self.feature_dim < 1:
+            raise ConfigError("ssl.feature_dim must be >= 1")
 
 
 @dataclass
@@ -438,26 +442,12 @@ def two_moons_benchmark() -> tuple[SslConfig, DataSpec]:
     Calibrated so the supervised+image-consistency baseline neither collapses
     nor saturates: clean teacher views (no weak jitter), mild strong jitter,
     2-D features so the estimated density is full-rank over the feature
-    manifold, and an estimator that warms up from the first epoch.
+    manifold, and an estimator that warms up from the first epoch. The
+    ``DataSpec`` and ``SslConfig`` defaults are this recipe; only the seed,
+    the feature-loss start and the estimator schedule differ.
     """
-    spec = DataSpec(kind="moons", n=1016, noise=0.07, n_classes=2,
-                    labeled_per_class=4, test_fraction=0.5, seed=7)
-    cfg = SslConfig(
-        epochs=100,
-        batch_labeled=8,
-        batch_unlabeled=64,
-        lr=0.05,
-        tau=0.95,
-        lambda_ft=1.0,
-        ema_momentum=0.99,
-        sigma_weak=0.0,
-        sigma_strong=0.15,
-        drop_prob=0.1,
-        hidden=64,
-        feature_dim=2,
-        ft_start_epoch=2,
-        perturb=PerturbConfig(kind="density-descending", eps=0.25, eps_relative=True),
-        flow_train=FlowTrainConfig(sample_budget=256, warm_start_epoch=1,
-                                   updates_per_iteration=2),
-    )
+    spec = DataSpec(seed=7)
+    cfg = SslConfig(ft_start_epoch=2,
+                    flow_train=FlowTrainConfig(sample_budget=256, warm_start_epoch=1,
+                                               updates_per_iteration=2))
     return cfg, spec

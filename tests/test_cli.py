@@ -272,3 +272,104 @@ class TestConfigRejectedBeforeWork:
         err, _ = self.one_config_error(capsys)
         assert "flow.components" in err
         assert not out.exists()
+
+
+def _checkpoint_arrays(tmp_path):
+    """The entries of a small, valid checkpoint file."""
+    from densitydescent.flow import init_flow, save_checkpoint
+    from densitydescent.latent import init_latent
+    path = tmp_path / "good.npz"
+    save_checkpoint(path, init_flow(2, 2, 8, seed=0), init_latent(2, 2, seed=1))
+    with np.load(path) as z:
+        return {key: z[key] for key in z.files}
+
+
+def _without(key):
+    def corrupt(arrays):
+        del arrays[key]
+        return arrays
+    return corrupt
+
+
+def _reshaped(key, shape):
+    def corrupt(arrays):
+        arrays[key] = np.zeros(shape)
+        return arrays
+    return corrupt
+
+
+class TestBadRunInputsRejected:
+    """More inputs that exit 2 with one ``config error:`` line before any work."""
+
+    one_config_error = staticmethod(TestConfigRejectedBeforeWork.one_config_error)
+
+    @pytest.mark.parametrize("key", ["hidden", "feature_dim"])
+    def test_zero_ssl_width(self, key, small_ssl_config, tmp_path, capsys):
+        with open(small_ssl_config) as fh:
+            doc = json.load(fh)
+        doc["ssl"][key] = 0
+        cfg = write_json(tmp_path / "c.json", doc)
+        out = tmp_path / "run"
+        assert main(["train-ssl", "--config", cfg, "--out", str(out)]) == 2
+        err, _ = self.one_config_error(capsys)
+        assert f"ssl.{key}" in err
+        assert not out.exists()
+
+    def test_bad_seeds_option(self, small_ssl_config, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["train-ssl", "--config", small_ssl_config, "--out", str(out),
+                     "--seeds", "1,x"]) == 2
+        err, _ = self.one_config_error(capsys)
+        assert "--seeds" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("corrupt", [
+        _without("__meta__"),
+        _without("block1_w2"),
+        _without("latent_log_weights"),
+        _reshaped("block0_w1", (2, 8)),
+        _reshaped("block1_b2", (3,)),
+        _reshaped("latent_means", (2, 4)),
+    ], ids=["no-meta", "no-block-key", "no-latent-key", "w1-shape", "b2-shape",
+            "latent-shape"])
+    def test_bad_checkpoint_archive(self, corrupt, tmp_path, capsys):
+        path = tmp_path / "bad.npz"
+        np.savez(path, **corrupt(_checkpoint_arrays(tmp_path)))
+        self.assert_verify_rejects(path, tmp_path, capsys)
+
+    @pytest.mark.parametrize("kind", ["text", "npy", "empty"])
+    def test_checkpoint_not_an_npz_file(self, kind, tmp_path, capsys):
+        path = tmp_path / "bad.npz"
+        if kind == "text":
+            path.write_text("not a checkpoint\n")
+        elif kind == "npy":
+            with open(path, "wb") as fh:
+                np.save(fh, np.zeros(3))
+        else:
+            path.write_bytes(b"")
+        self.assert_verify_rejects(path, tmp_path, capsys)
+
+    def assert_verify_rejects(self, checkpoint, tmp_path, capsys):
+        cfg = write_json(tmp_path / "v.json", {"verify": {"checkpoint": str(checkpoint)}})
+        assert main(["verify", "--config", cfg]) == 2
+        err, out = self.one_config_error(capsys)
+        assert str(checkpoint) in err
+        assert "PASS" not in out and "FAIL" not in out
+
+    def test_valid_checkpoint_round_trips(self, tmp_path):
+        path = tmp_path / "ok.npz"
+        np.savez(path, **_checkpoint_arrays(tmp_path))
+        model, latent = load_checkpoint(path)
+        assert model.d == 2 and model.hidden == 8 and len(model.blocks) == 2
+        assert latent.means.shape == (2, 2)
+
+
+@pytest.mark.parametrize("doc,expected", [
+    ({}, 2),
+    ({"dataset": {"kind": "blobs", "classes": 3}}, 3),
+    ({"dataset": {"kind": "blobs", "classes": 3}, "flow": {"components": 5}}, 5),
+])
+def test_latent_components_resolve_in_one_place(doc, expected):
+    from densitydescent.cli import _latent_components
+    from densitydescent.runconfig import parse_config
+    assert _latent_components(parse_config(doc)) == expected
