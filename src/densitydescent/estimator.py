@@ -111,11 +111,10 @@ def subsample_pool(labeled: np.ndarray, labels: np.ndarray, unlabeled: np.ndarra
 def sample_feature_pool(teacher, x_labeled: np.ndarray, y_labeled: np.ndarray,
                         x_unlabeled: np.ndarray, budget: int,
                         rng: np.random.Generator) -> FeaturePool:
-    """Encode batches with the teacher and subsample a detached pool."""
-    feats_l = (teacher.encode(x_labeled).data if len(x_labeled)
-               else np.empty((0, 0)))
-    feats_u = (teacher.encode(x_unlabeled).data if len(x_unlabeled)
-               else np.empty((0, 0)))
+    """Encode batches with the teacher (numpy forward, no tape) and subsample
+    a detached pool."""
+    feats_l = teacher.features(x_labeled) if len(x_labeled) else np.empty((0, 0))
+    feats_u = teacher.features(x_unlabeled) if len(x_unlabeled) else np.empty((0, 0))
     return subsample_pool(feats_l, np.asarray(y_labeled, dtype=np.int64),
                           feats_u, budget, rng)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import typing
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -138,9 +139,13 @@ def _scalar(path: str, kind: type, value, expected: str):
         raise ConfigError(f"{path}: expected {expected}, got {value!r}")
     if kind is float:
         try:
-            return float(value)
+            number = float(value)
         except OverflowError:
             raise ConfigError(f"{path}: {value!r} is too large for a number")
+        # Python's json reads NaN and +-Infinity, which no key accepts
+        if not math.isfinite(number):
+            raise ConfigError(f"{path}: expected a finite number, got {json.dumps(value)}")
+        return number
     return value
 
 

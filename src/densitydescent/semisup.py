@@ -7,6 +7,12 @@ perturbed student features guided by the same pseudo labels. The teacher is
 an exponential moving average of the student and is never optimized
 directly. A flow density estimator trains alongside as an observer on
 detached teacher features and supplies the density-descending direction.
+
+The training loop runs in plain numpy: ``student_step`` computes the three
+losses and the parameter gradients with a hand-derived backward pass, and
+the teacher and evaluation use the numpy forward pass. The tape losses
+(``sup_loss``, ``masked_consistency_loss``, ``unified_loss``) are the
+differentiable reference that the tests check ``student_step`` against.
 """
 
 from __future__ import annotations
@@ -14,13 +20,14 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
 from . import diffcore as dc
 from .data import DataSpec, Dataset, make_dataset
 from .errors import ConfigError, NumericError
-from .estimator import FlowTrainConfig, flow_train_step, sample_feature_pool
+from .estimator import FlowTrainConfig, flow_train_step, subsample_pool
 from .flow import init_flow
 from .latent import init_latent, softmax
 from .optim import Adam, MomentumSGD, poly_decay, step_decay
@@ -29,7 +36,12 @@ from .perturb import PerturbConfig, generate_perturbation
 
 @dataclass
 class Model:
-    """f = g . h: two-layer tanh encoder h and affine softmax decoder g."""
+    """f = g . h: two-layer tanh encoder h and affine softmax decoder g.
+
+    ``features``, ``predict_proba`` and ``predict`` run the forward pass in
+    plain numpy; ``encode`` and ``decode`` build it on the tape, for the VAT
+    probe and as the reference for ``student_step``.
+    """
     enc_w1: dc.Tensor
     enc_b1: dc.Tensor
     enc_w2: dc.Tensor
@@ -48,17 +60,27 @@ class Model:
     def decode(self, v) -> dc.Tensor:
         return dc.matmul(dc.as_tensor(v), self.dec_w) + self.dec_b
 
-    def forward(self, x) -> dc.Tensor:
-        return self.decode(self.encode(x))
+    def features(self, x: np.ndarray) -> np.ndarray:
+        return _encode(self, x)[2]
+
+    def logits(self, x: np.ndarray) -> np.ndarray:
+        return self.features(x) @ self.dec_w.data + self.dec_b.data
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        return softmax(self.forward(x).data)
+        return softmax(self.logits(x))
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return np.argmax(self.forward(x).data, axis=1)
+        return np.argmax(self.logits(x), axis=1)
 
     def clone(self) -> "Model":
         return Model(*[dc.tensor(p.data.copy()) for p in self.params()])
+
+
+def _encode(model: Model, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Numpy encoder forward: the float64 input, hidden activations, features."""
+    x = np.asarray(x, dtype=np.float64)
+    h = np.tanh(x @ model.enc_w1.data + model.enc_b1.data)
+    return x, h, h @ model.enc_w2.data + model.enc_b2.data
 
 
 def init_model(input_dim: int, hidden: int, feature_dim: int, n_classes: int,
@@ -174,25 +196,6 @@ def masked_consistency_loss(logits: dc.Tensor, pseudo: PseudoLabelBatch) -> dc.T
 image_consistency_loss = masked_consistency_loss
 
 
-def feature_consistency_loss(features: dc.Tensor, pseudo: PseudoLabelBatch,
-                             flow_model, latent, cfg: PerturbConfig,
-                             decode_fn, rng: np.random.Generator,
-                             flow_ready: bool = True):
-    """Consistency on perturbed features, guided by the same pseudo labels.
-
-    Returns (loss, info). Before the estimator has taken a step the loss is
-    zero and info carries a warming flag.
-    """
-    if not flow_ready:
-        return dc.as_tensor(0.0), {"warming": True, "fallbacks": 0, "eps": 0.0}
-    delta, stats = generate_perturbation(
-        features.data, cfg, rng, flow_model=flow_model, latent=latent,
-        logits_fn=decode_fn)
-    perturbed = features + dc.tensor(delta)
-    loss = masked_consistency_loss(decode_fn(perturbed), pseudo)
-    return loss, {"warming": False, "fallbacks": stats.fallbacks, "eps": stats.eps}
-
-
 def unified_loss(l_sup: dc.Tensor, l_im: dc.Tensor | None,
                  l_ft: dc.Tensor | None, lambda_ft: float) -> dc.Tensor:
     """L = L_sup + L_im + lambda_ft * L_ft, skipping absent terms."""
@@ -202,6 +205,89 @@ def unified_loss(l_sup: dc.Tensor, l_im: dc.Tensor | None,
     if l_ft is not None and lambda_ft > 0:
         total = total + lambda_ft * l_ft
     return total
+
+
+@dataclass
+class StudentStep:
+    """Loss values of one student step and the gradient of their sum."""
+    l_sup: float
+    l_im: float | None       # None without an unlabeled batch
+    l_ft: float | None       # None without a feature term
+    loss: float              # L_sup + L_im + lambda_ft * L_ft
+    grads: list[np.ndarray]  # in ``Model.params()`` order
+
+
+def _cross_entropy(logits: np.ndarray, labels: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row softmax cross-entropy and its logit gradient softmax - onehot."""
+    n = len(labels)
+    m = logits.max(axis=1, keepdims=True)
+    e = np.exp(logits - m)
+    ce = m[:, 0] + np.log(e.sum(axis=1)) - logits[np.arange(n), labels]
+    soft = e / e.sum(axis=1, keepdims=True)
+    soft[np.arange(n), labels] -= 1.0
+    return ce, soft
+
+
+def _encoder_grads(model: Model, x: np.ndarray, h: np.ndarray,
+                   g_v: np.ndarray) -> list[np.ndarray]:
+    """Encoder parameter gradients given the gradient at its features."""
+    g_p = (g_v @ model.enc_w2.data.T) * (1.0 - h * h)
+    return [x.T @ g_p, g_p.sum(axis=0), h.T @ g_v, g_v.sum(axis=0)]
+
+
+def student_step(model: Model, x_l: np.ndarray, y_l: np.ndarray,
+                 x_s: np.ndarray | None = None,
+                 pseudo: PseudoLabelBatch | None = None,
+                 perturb: Callable[[np.ndarray], np.ndarray] | None = None,
+                 lambda_ft: float = 0.0) -> StudentStep:
+    """Losses and parameter gradients of the unified objective, by hand.
+
+    The supervised term uses the labeled batch; with a strong batch ``x_s``
+    the image term scores its features against ``pseudo``, and with
+    ``perturb`` (called once on those features, returning a constant
+    delta) and ``lambda_ft > 0`` the feature term scores the perturbed
+    features. Values and gradients equal those of ``dc.grad`` on
+    ``unified_loss`` bit for bit: every sum is taken in the order the tape
+    accumulates it (feature, image, supervised at the decoder; perturbed,
+    image at the strong features; strong, labeled at the encoder).
+    """
+    dec_w, dec_b = model.dec_w.data, model.dec_b.data
+    x_l, h_l, v_l = _encode(model, x_l)
+    ce, soft = _cross_entropy(v_l @ dec_w + dec_b, np.asarray(y_l, dtype=np.int64))
+    l_sup = ce.sum() * (1.0 / len(ce))
+    loss, l_im, l_ft = l_sup, None, None
+    heads = [(v_l, soft * (1.0 / len(ce)))]   # (features, logit gradient)
+    if x_s is not None:
+        x_s, h_s, v_s = _encode(model, x_s)
+        scale = 1.0 / len(v_s)
+        ce, soft = _cross_entropy(v_s @ dec_w + dec_b, pseudo.labels)
+        l_im = (ce * pseudo.mask).sum() * scale
+        loss = loss + l_im
+        heads.append((v_s, soft * (scale * pseudo.mask)[:, None]))
+        if perturb is not None and lambda_ft > 0:
+            v_p = v_s + np.asarray(perturb(v_s), dtype=np.float64)
+            ce, soft = _cross_entropy(v_p @ dec_w + dec_b, pseudo.labels)
+            l_ft = (ce * pseudo.mask).sum() * scale
+            loss = loss + l_ft * lambda_ft
+            heads.append((v_p, soft * (lambda_ft * scale * pseudo.mask)[:, None]))
+
+    g_dec_w = g_dec_b = None
+    for v, g in reversed(heads):
+        gw, gb = v.T @ g, g.sum(axis=0)
+        g_dec_w = gw if g_dec_w is None else g_dec_w + gw
+        g_dec_b = gb if g_dec_b is None else g_dec_b + gb
+    g_v = [g @ dec_w.T for _, g in heads]
+    grads = _encoder_grads(model, x_l, h_l, g_v[0])
+    if x_s is not None:
+        # the strong features feed the image head and the perturbed head
+        g_vs = g_v[1] if len(g_v) == 2 else g_v[2] + g_v[1]
+        grads = [gs + gl for gs, gl in
+                 zip(_encoder_grads(model, x_s, h_s, g_vs), grads)]
+    return StudentStep(l_sup=float(l_sup), loss=float(loss),
+                       l_im=None if l_im is None else float(l_im),
+                       l_ft=None if l_ft is None else float(l_ft),
+                       grads=grads + [g_dec_w, g_dec_b])
 
 
 def ema_update(teacher: Model, student: Model, momentum: float) -> None:
@@ -257,11 +343,11 @@ def write_metrics_csv(result: TrainResult, path) -> None:
 def train_ssl(cfg: SslConfig, ds: Dataset, check_isolation: bool = False) -> TrainResult:
     """Run the full interleaved loop and return per-epoch metrics.
 
-    Each iteration: student step on the unified objective, EMA teacher
-    update, then (past the warm-start epoch) one flow step on a freshly
-    sampled detached feature pool. Epochs are 1-indexed. With an empty
-    unlabeled split the loop degenerates to supervised training and the
-    estimator never runs.
+    Each iteration: student step on the unified objective (``student_step``),
+    EMA teacher update, then (past the warm-start epoch) flow steps on
+    freshly sampled detached teacher feature pools. Epochs are 1-indexed.
+    With an empty unlabeled split the loop degenerates to supervised
+    training and the estimator never runs.
     """
     x, y = ds.x, ds.y
     xl, yl = x[ds.labeled_idx], y[ds.labeled_idx]
@@ -293,6 +379,14 @@ def train_ssl(cfg: SslConfig, ds: Dataset, check_isolation: bool = False) -> Tra
                 else cfg.flow_train.warm_start_epoch + 1)
 
     result = TrainResult()
+
+    def feature_delta(v_s: np.ndarray) -> np.ndarray:
+        delta, stats = generate_perturbation(
+            v_s, cfg.perturb, prng, flow_model=flow_model, latent=latent,
+            logits_fn=student.decode)
+        result.perturb_fallbacks += stats.fallbacks
+        return delta
+
     it_global = 0
     for epoch in range(1, cfg.epochs + 1):
         fopt.lr = step_decay(cfg.flow_train.lr, (epoch - 1) / cfg.epochs,
@@ -306,33 +400,27 @@ def train_ssl(cfg: SslConfig, ds: Dataset, check_isolation: bool = False) -> Tra
             opt.lr = poly_decay(cfg.lr, it_global, total_iters, cfg.poly_power)
             li = _batch_indices(order_l, it, cfg.batch_labeled)
             xb_l = augment_weak(xl[li], cfg.sigma_weak, rng)
-            l_sup = sup_loss(student.forward(xb_l), yl[li])
-            l_im = l_ft = None
-            xw = None
-            pinfo = None
+            xs = xw = pseudo = perturb = None
             if semi:
                 ui = order_u[it * cfg.batch_unlabeled:(it + 1) * cfg.batch_unlabeled]
                 xw = augment_weak(xu[ui], cfg.sigma_weak, rng)
                 xs = augment_strong(xu[ui], cfg.sigma_strong, cfg.drop_prob, rng)
                 pseudo = pseudo_labels(teacher.predict_proba(xw), cfg.tau)
-                v_s = student.encode(xs)
-                l_im = image_consistency_loss(student.decode(v_s), pseudo)
                 if cfg.lambda_ft > 0 and epoch >= ft_start:
-                    l_ft, pinfo = feature_consistency_loss(
-                        v_s, pseudo, flow_model, latent, cfg.perturb,
-                        student.decode, prng, flow_ready=result.flow_steps > 0)
-                    result.warming_iterations += int(pinfo["warming"])
-                    result.perturb_fallbacks += pinfo["fallbacks"]
+                    if result.flow_steps > 0:
+                        perturb = feature_delta
+                    else:
+                        result.warming_iterations += 1
                 retained += pseudo.mask.sum()
                 seen_u += len(ui)
-            loss = unified_loss(l_sup, l_im, l_ft, cfg.lambda_ft)
-            if not np.isfinite(float(loss.data)):
+            step = student_step(student, xb_l, yl[li], xs, pseudo, perturb, cfg.lambda_ft)
+            if not np.isfinite(step.loss):
                 raise NumericError(
                     f"non-finite training loss at epoch {epoch} iter {it} "
-                    f"(lr={opt.lr:g}, L_sup={float(l_sup.data):g})")
+                    f"(lr={opt.lr:g}, L_sup={step.l_sup:g})")
 
             flow_digest = params_digest(flow_model.params()) if check_isolation else None
-            opt.step(dc.grad(loss, student.params()))
+            opt.step(step.grads)
             ema_update(teacher, student, cfg.ema_momentum)
             if check_isolation and params_digest(flow_model.params()) != flow_digest:
                 result.isolation_violations += 1
@@ -340,10 +428,12 @@ def train_ssl(cfg: SslConfig, ds: Dataset, check_isolation: bool = False) -> Tra
             if semi and epoch >= cfg.flow_train.warm_start_epoch:
                 model_digest = (params_digest(student.params() + teacher.params())
                                 if check_isolation else None)
+                # the teacher is fixed across the updates: encode its pools once
+                feats_l, feats_u = teacher.features(xb_l), teacher.features(xw)
                 fl = 0.0
                 for _ in range(cfg.flow_train.updates_per_iteration):
-                    pool = sample_feature_pool(teacher, xb_l, yl[li], xw,
-                                               cfg.flow_train.sample_budget, rng)
+                    pool = subsample_pool(feats_l, yl[li], feats_u,
+                                          cfg.flow_train.sample_budget, rng)
                     result.pool_warnings += pool.empty_side_warnings
                     fl = flow_train_step(pool, flow_model, latent, fopt)
                     result.flow_steps += 1
@@ -352,9 +442,9 @@ def train_ssl(cfg: SslConfig, ds: Dataset, check_isolation: bool = False) -> Tra
                     result.isolation_violations += 1
                 sums["L_flow"] += fl
 
-            sums["L_sup"] += float(l_sup.data)
-            sums["L_im"] += float(l_im.data) if l_im is not None else 0.0
-            sums["L_ft"] += float(l_ft.data) if l_ft is not None else 0.0
+            sums["L_sup"] += step.l_sup
+            sums["L_im"] += step.l_im if step.l_im is not None else 0.0
+            sums["L_ft"] += step.l_ft if step.l_ft is not None else 0.0
             it_global += 1
 
         row = {

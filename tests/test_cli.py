@@ -323,6 +323,38 @@ class TestBadRunInputsRejected:
         assert "--seeds" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("section,key,text", [
+        ("ssl", "lambda_ft", "NaN"),
+        ("ssl", "lr", "NaN"),
+        ("perturb", "eps", "Infinity"),
+        ("flow_train", "lr", "Infinity"),
+        ("dataset", "noise", "-Infinity"),
+    ])
+    def test_non_finite_float(self, section, key, text, small_ssl_config,
+                              tmp_path, capsys):
+        # Python's json reads these words; a NaN lambda_ft would otherwise
+        # switch the feature loss off without a word
+        with open(small_ssl_config) as fh:
+            doc = json.load(fh)
+        doc.setdefault(section, {})[key] = "@"
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc).replace('"@"', text))
+        out = tmp_path / "run"
+        assert main(["train-ssl", "--config", str(path), "--out", str(out)]) == 2
+        err, _ = self.one_config_error(capsys)
+        assert f"{section}.{key}" in err and text in err
+        assert not out.exists()
+
+    def test_non_finite_sweep_value(self, small_ssl_config, tmp_path, capsys):
+        sweep = tmp_path / "s.json"
+        sweep.write_text('{"eps": [0.25, NaN]}')
+        out = tmp_path / "run"
+        assert main(["ablate", "--config", small_ssl_config, "--sweep", str(sweep),
+                     "--out", str(out)]) == 2
+        err, _ = self.one_config_error(capsys)
+        assert "eps" in err and "NaN" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("corrupt", [
         _without("__meta__"),
         _without("block1_w2"),
