@@ -11,6 +11,10 @@ from .errors import ConfigError
 
 KINDS = ("moons", "circles", "blobs", "anisotropic-gmm")
 
+# Upper bound on ``dataset.n``, about 500x the shipped configs: an absurd
+# size fails as a config error instead of when numpy allocates.
+MAX_SAMPLES = 1_000_000
+
 
 @dataclass
 class Dataset:
@@ -36,6 +40,10 @@ class DataSpec:
     labeled_per_class: int = 4
     test_fraction: float = 0.5
     seed: int = 0
+
+    def __post_init__(self):
+        if self.n > MAX_SAMPLES:
+            raise ConfigError(f"dataset.n must be <= {MAX_SAMPLES}, got {self.n}")
 
 
 def generate(kind: str, n: int, noise: float, seed: int, n_classes: int = 2) -> Dataset:

@@ -16,11 +16,12 @@ Conditioner output layers start at zero, making the freshly built flow an
 exact identity (up to the channel reversal).
 
 The map exists twice. ``flow_forward`` builds tape nodes, so any scalar
-built on it can be differentiated with ``diffcore.grad``; inference and the
+built on it can be differentiated with ``diffcore.grad``; ``verify`` and the
 tests use it. ``kernel_forward`` and ``kernel_backward`` run the same
 arithmetic in plain numpy with a hand-derived vector-Jacobian product; the
 two gradient hot paths (the online flow step and the density gradient) use
-them.
+them, and forward-only inference (``latent.marginal_logpdf``) runs the
+kernel's per-block step, ``_coupling_np``.
 """
 
 from __future__ import annotations
@@ -208,7 +209,10 @@ def flow_inverse(z, model: FlowModel) -> np.ndarray:
 def _conditioner_np(block: CouplingBlock, va: np.ndarray):
     """Numpy ``_conditioner``: hidden activations h, u = tanh(s_raw / s_max)
     (so the clamped log-scale is s = s_max * u) and the shift t."""
-    h = va @ block.w1.data
+    w1 = block.w1.data
+    # with one input channel (d = 2) the first layer is an outer product:
+    # broadcasting gives the matmul's bits, as there is nothing to sum
+    h = va * w1 if va.shape[1] == 1 else va @ w1
     h += block.b1.data
     np.tanh(h, out=h)
     raw = h @ block.w2.data + block.b2.data
@@ -217,29 +221,44 @@ def _conditioner_np(block: CouplingBlock, va: np.ndarray):
     return h, u, raw[:, half:]
 
 
+def _coupling_np(block: CouplingBlock, x: np.ndarray):
+    """One block of ``kernel_forward`` on an (N, d) array: the output, the
+    per-row log-determinant and the activations ``kernel_backward`` reads,
+    (v_a, v_b, h, u, exp(s))."""
+    half = x.shape[1] // 2
+    va, vb = x[:, :half], x[:, half:]
+    h, u, t = _conditioner_np(block, va)
+    s = u * block.s_max
+    es = np.exp(s)
+    return np.concatenate([va, vb * es + t], axis=1), s.sum(axis=1), (va, vb, h, u, es)
+
+
+def _rows_np(v, model: FlowModel) -> np.ndarray:
+    """``v`` as a float64 (N, d) array; any other shape is a ValueError."""
+    x = np.asarray(v, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != model.d:
+        raise ValueError(f"expected an (N, {model.d}) batch, got shape {x.shape}")
+    return x
+
+
 def kernel_forward(v: np.ndarray, model: FlowModel):
     """``flow_forward`` on an (N, d) array without graph nodes.
 
     Returns z, the per-row log-determinant and, per block, the activations
-    ``kernel_backward`` reads: (v_a, v_b, h, u, exp(s)).
+    ``kernel_backward`` reads: (v_a, v_b, h, u, exp(s)), one (N, hidden)
+    array among them. Forward-only callers step through ``_coupling_np``
+    themselves (``latent.marginal_logpdf``), so they hold one block's
+    activations at a time rather than all of them.
     """
-    x = np.asarray(v, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.d:
-        raise ValueError(f"expected an (N, {model.d}) batch, got shape {x.shape}")
-    half = model.d // 2
+    x = _rows_np(v, model)
     saved = []
     logdet = None
     for i, block in enumerate(model.blocks):
         if i:
             x = x[:, model.perm]
-        va, vb = x[:, :half], x[:, half:]
-        h, u, t = _conditioner_np(block, va)
-        s = u * block.s_max
-        es = np.exp(s)
-        x = np.concatenate([va, vb * es + t], axis=1)
-        ld = s.sum(axis=1)
+        x, ld, acts = _coupling_np(block, x)
         logdet = ld if logdet is None else logdet + ld
-        saved.append((va, vb, h, u, es))
+        saved.append(acts)
     return x, logdet, saved
 
 

@@ -22,7 +22,11 @@ from .data import DataSpec
 from .errors import ConfigError
 from .estimator import FlowTrainConfig
 from .perturb import PerturbConfig
-from .semisup import SslConfig, SweepSpec
+from .semisup import MAX_FEATURE_DIM, MAX_WIDTH, SslConfig, SweepSpec
+
+# Upper bound on ``fit.grid_resolution`` (the shipped configs use 64): the
+# grid has resolution^2 points and grid.csv one line per point.
+MAX_GRID_RESOLUTION = 1024
 
 
 @dataclass
@@ -40,8 +44,9 @@ class FitSpec:
             raise ConfigError("fit.batch must be even and >= 2 (split across pools)")
         if len(self.grid_bounds) != 2 or self.grid_bounds[0] >= self.grid_bounds[1]:
             raise ConfigError("fit.grid_bounds must be [low, high] with low < high")
-        if self.grid_resolution < 1:
-            raise ConfigError("fit.grid_resolution must be >= 1")
+        if not 1 <= self.grid_resolution <= MAX_GRID_RESOLUTION:
+            raise ConfigError(f"fit.grid_resolution must lie in [1, {MAX_GRID_RESOLUTION}], "
+                              f"got {self.grid_resolution}")
 
 
 @dataclass
@@ -52,6 +57,8 @@ class FlowArch:
     components: int | None = None    # null -> one per dataset class
 
     def __post_init__(self):
+        if self.hidden > MAX_WIDTH:
+            raise ConfigError(f"flow.hidden must be <= {MAX_WIDTH}, got {self.hidden}")
         if self.components is not None and self.components < 1:
             raise ConfigError("flow.components must be >= 1 or null")
 
@@ -65,6 +72,9 @@ class VerifySpec:
     def __post_init__(self):
         if not self.dims:
             raise ConfigError("verify.dims must list at least one dimension")
+        if max(self.dims) > MAX_FEATURE_DIM:
+            raise ConfigError(f"verify.dims entries must be <= {MAX_FEATURE_DIM}, "
+                              f"got {max(self.dims)}")
         if self.mc_samples < 1:
             raise ConfigError("verify.mc_samples must be >= 1")
 

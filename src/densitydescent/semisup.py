@@ -96,6 +96,14 @@ def init_model(input_dim: int, hidden: int, feature_dim: int, n_classes: int,
     )
 
 
+# Upper bounds on the size keys, far above every shipped value (hidden 256,
+# feature dimension 8): an absurd width or dimension fails as a config error
+# instead of when numpy allocates. ``runconfig`` applies the same caps to
+# ``flow.hidden`` and the ``verify.dims`` entries.
+MAX_WIDTH = 4096
+MAX_FEATURE_DIM = 1024
+
+
 @dataclass
 class SslConfig:
     """Student, teacher and estimator settings of one training run. The
@@ -136,10 +144,11 @@ class SslConfig:
             raise ConfigError("drop_prob must lie in [0, 1)")
         if self.epochs < 1 or self.batch_unlabeled < 1 or self.batch_labeled < 1:
             raise ConfigError("epochs and batch sizes must be positive")
-        if self.hidden < 1:
-            raise ConfigError("ssl.hidden must be >= 1")
-        if self.feature_dim < 1:
-            raise ConfigError("ssl.feature_dim must be >= 1")
+        if not 1 <= self.hidden <= MAX_WIDTH:
+            raise ConfigError(f"ssl.hidden must lie in [1, {MAX_WIDTH}], got {self.hidden}")
+        if not 1 <= self.feature_dim <= MAX_FEATURE_DIM:
+            raise ConfigError(f"ssl.feature_dim must lie in [1, {MAX_FEATURE_DIM}], "
+                              f"got {self.feature_dim}")
 
 
 @dataclass

@@ -315,6 +315,31 @@ class TestBadRunInputsRejected:
         assert f"ssl.{key}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,section,key,value", [
+        ("fit-density", "flow", "hidden", 10**15),
+        ("train-ssl", "ssl", "hidden", 10**15),
+        ("train-ssl", "ssl", "feature_dim", 10**15),
+        ("verify", "verify", "dims", [2, 10**15]),
+        ("fit-density", "fit", "grid_resolution", 10**15),
+        ("fit-density", "dataset", "n", 10**15),
+    ])
+    def test_size_above_its_cap(self, command, section, key, value, small_ssl_config,
+                                tmp_path, capsys):
+        # without a cap these parse, and numpy fails with a traceback only
+        # when it allocates, after config.json is written
+        with open(small_ssl_config) as fh:
+            doc = json.load(fh)
+        doc.setdefault(section, {})[key] = value
+        cfg = write_json(tmp_path / "c.json", doc)
+        out = tmp_path / "run"
+        argv = [command, "--config", cfg]
+        if command != "verify":
+            argv += ["--out", str(out)]
+        assert main(argv) == 2
+        err, stdout = self.one_config_error(capsys)
+        assert f"{section}.{key}" in err
+        assert "PASS" not in stdout and not out.exists()
+
     def test_bad_seeds_option(self, small_ssl_config, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["train-ssl", "--config", small_ssl_config, "--out", str(out),

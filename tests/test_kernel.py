@@ -187,6 +187,24 @@ def test_mc_normalization_memory_is_flat_in_samples():
     assert peak < 64 * 2**20
 
 
+@pytest.mark.parametrize("d", [2, 8])
+def test_marginal_logpdf_keeps_one_block_of_activations(d):
+    # a forward-only pass needs one coupling block's (rows, hidden)
+    # activations at a time, not every block's until the row block ends
+    hidden = 256
+    flow = random_flow(2, hidden, d, seed=50 + d)
+    latent = init_latent(2, d, seed=51)
+    v = np.random.default_rng(52).standard_normal((BLOCK_ROWS, d))
+    marginal_logpdf(v, flow, latent)    # first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        marginal_logpdf(v, flow, latent)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * BLOCK_ROWS * hidden * 8
+
+
 class LoopAdam:
     """The per-array Adam loop that the flat-buffer ``Adam`` replaced."""
 
