@@ -21,9 +21,9 @@ import numpy as np
 from .data import make_dataset
 from .errors import ConfigError, NumericError
 from .estimator import fit_density
-from .flow import (flow_forward, flow_inverse, init_flow, load_checkpoint,
+from .flow import (flow_inverse, init_flow, kernel_forward, load_checkpoint,
                    randomize_conditioners, save_checkpoint)
-from .latent import init_latent, marginal_logpdf, marginal_loglik
+from .latent import init_latent, marginal_logpdf
 from .oracle import (finite_diff_grad, grid_density_dump, mc_normalization,
                      numeric_jacobian_logdet)
 from .perturb import density_gradient
@@ -211,18 +211,18 @@ def cmd_verify(args) -> int:
     for model, latent in pairs:
         d = model.d
         v = rng.standard_normal((1000, d))
-        z, _ = flow_forward(v, model)
-        err = float(np.abs(flow_inverse(z.data, model) - v).max())
+        z = kernel_forward(v, model)[0]
+        err = float(np.abs(flow_inverse(z, model) - v).max())
         _check(f"invertibility(d={d})", err < 1e-9, f"max roundtrip err {err:.3e}")
 
         if d <= 8:
             worst = 0.0
             for _ in range(10):
                 point = rng.standard_normal(d)
-                _, logdet = flow_forward(point, model)
+                logdet = float(kernel_forward(point[None], model)[1][0])
                 numeric = numeric_jacobian_logdet(model, point)
                 # identity flows have logdet 0; floor the denominator
-                worst = max(worst, abs(float(logdet.data) - numeric)
+                worst = max(worst, abs(logdet - numeric)
                             / max(1e-6, abs(numeric)))
             _check(f"logdet(d={d})", worst < 1e-4, f"max rel err {worst:.3e}")
 
@@ -231,7 +231,7 @@ def cmd_verify(args) -> int:
             point = rng.standard_normal(d)
             g = density_gradient(point, model, latent)
             fd = finite_diff_grad(
-                lambda w: -float(marginal_loglik(w, model, latent).data), point)
+                lambda w: -float(marginal_logpdf(w[None], model, latent)[0]), point)
             worst = max(worst, float(np.abs(g - fd).max() / max(1.0, np.abs(fd).max())))
         _check(f"gradient(d={d})", worst < 1e-3, f"max rel err {worst:.3e}")
 

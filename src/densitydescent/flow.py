@@ -15,13 +15,13 @@ each scale factor inside (e^-s_max, e^s_max) so the inverse stays stable.
 Conditioner output layers start at zero, making the freshly built flow an
 exact identity (up to the channel reversal).
 
-The map exists twice. ``flow_forward`` builds tape nodes, so any scalar
-built on it can be differentiated with ``diffcore.grad``; ``verify`` and the
-tests use it. ``kernel_forward`` and ``kernel_backward`` run the same
-arithmetic in plain numpy with a hand-derived vector-Jacobian product; the
-two gradient hot paths (the online flow step and the density gradient) use
-them, and forward-only inference (``latent.marginal_logpdf``) runs the
-kernel's per-block step, ``_coupling_np``.
+The map exists twice. ``kernel_forward`` and ``kernel_backward`` run it in
+plain numpy with a hand-derived vector-Jacobian product; the online flow
+step, the density gradient and ``verify`` use them, and forward-only
+inference (``latent.marginal_logpdf``) runs the kernel's per-block step,
+``_coupling_np``. ``flow_forward`` builds the same arithmetic as tape nodes,
+so any scalar built on it can be differentiated with ``diffcore.grad``; it
+is the reference the tests check the kernel against.
 """
 
 from __future__ import annotations

@@ -1,22 +1,23 @@
 """Brute-force numerical verifiers, independent of the analytic paths.
 
-These functions deliberately avoid the autodiff backward pass and the
-analytic log-determinant: Jacobians come from central differences of the
-forward map, determinants from a locally implemented pivoted elimination,
-and normalization from plain Monte Carlo. They exist so that every analytic
-quantity in the package has a second, dumber route to the same number.
+These functions deliberately avoid every backward pass and the analytic
+log-determinant: Jacobians come from central differences of the forward map
+(the analytic kernel's, for a flow), determinants from a locally implemented
+pivoted elimination, and normalization from plain Monte Carlo. They exist so
+that every analytic quantity in the package has a second, dumber route to
+the same number.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import NumericError
-from .flow import FlowModel, flow_forward
+from .flow import FlowModel, kernel_forward
 from .latent import GmmLatent, marginal_logpdf
 
 Bounds = tuple[tuple[float, float], tuple[float, float]]
@@ -45,9 +46,9 @@ def lu_logabsdet(matrix: np.ndarray) -> float:
 def numeric_jacobian_logdet(map_or_model, v: np.ndarray, h: float = 1e-4) -> float:
     """log|det J| of a map at v from a central-difference Jacobian.
 
-    Accepts a FlowModel (evaluated through its forward pass, ignoring the
-    analytic log-det) or any vector-to-vector callable. Costs 2d forward
-    passes; restricted to d <= 16.
+    Accepts a FlowModel (evaluated through ``kernel_forward``, ignoring the
+    analytic log-det it also returns) or any vector-to-vector callable.
+    Costs 2d forward passes; restricted to d <= 16.
     """
     v = np.asarray(v, dtype=np.float64)
     d = v.shape[0]
@@ -55,8 +56,7 @@ def numeric_jacobian_logdet(map_or_model, v: np.ndarray, h: float = 1e-4) -> flo
         raise ValueError("numeric Jacobian limited to d <= 16")
     if isinstance(map_or_model, FlowModel):
         def fn(w):
-            z, _ = flow_forward(w, map_or_model)
-            return z.data
+            return kernel_forward(w[None], map_or_model)[0][0]
     else:
         fn = map_or_model
     jac = np.empty((d, d))
@@ -140,32 +140,21 @@ def _boundary_points(bounds: Bounds, per_side: int) -> np.ndarray:
 
 @dataclass
 class GridDump:
-    """Log-density (and optional classifier argmax) on a 2-D cell grid."""
+    """Log-density on a 2-D cell grid."""
     bounds: Bounds
     resolution: int
     x: np.ndarray
     y: np.ndarray
     logp: np.ndarray
-    labels: np.ndarray | None = None
-    header: list[str] = field(default_factory=list)
-
-    def rows(self):
-        for i in range(self.x.size):
-            row = [float(self.x[i]), float(self.y[i]), float(self.logp[i])]
-            if self.labels is not None:
-                row.append(int(self.labels[i]))
-            yield row
 
 
 def grid_density_dump(model: FlowModel, latent: GmmLatent, bounds: Bounds,
-                      resolution: int,
-                      classifier: Callable[[np.ndarray], np.ndarray] | None = None,
-                      path=None) -> GridDump:
+                      resolution: int, path=None) -> GridDump:
     """Evaluate the marginal log-density at cell centers of a 2-D grid.
 
     Cells are visited row-major with x varying fastest inside each y row;
     centers sit at lo + (i + 0.5) * (hi - lo) / resolution. Writes CSV with
-    header ``x,y,logp[,class]`` when a path is given.
+    header ``x,y,logp`` when a path is given.
     """
     if model.d != 2:
         raise ValueError("grid dump is restricted to d = 2")
@@ -176,18 +165,12 @@ def grid_density_dump(model: FlowModel, latent: GmmLatent, bounds: Bounds,
     cy = y_lo + (np.arange(resolution) + 0.5) * (y_hi - y_lo) / resolution
     gx, gy = np.meshgrid(cx, cy)               # gy varies by row, gx by column
     pts = np.column_stack([gx.ravel(), gy.ravel()])
-    logp = marginal_logpdf(pts, model, latent)
-    labels = None
-    header = ["x", "y", "logp"]
-    if classifier is not None:
-        labels = np.asarray(classifier(pts))
-        header.append("class")
     dump = GridDump(bounds=bounds, resolution=resolution, x=pts[:, 0], y=pts[:, 1],
-                    logp=logp, labels=labels, header=header)
+                    logp=marginal_logpdf(pts, model, latent))
     if path is not None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in dump.rows():
-                writer.writerow([repr(c) if isinstance(c, float) else c for c in row])
+            writer.writerow(["x", "y", "logp"])
+            for row in zip(dump.x.tolist(), dump.y.tolist(), dump.logp.tolist()):
+                writer.writerow([repr(c) for c in row])
     return dump

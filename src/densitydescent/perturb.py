@@ -10,11 +10,9 @@ built on an injected perturbation never reach the flow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from . import diffcore as dc
 from .errors import ConfigError, NumericError
 from .flow import FlowModel, kernel_backward, kernel_forward
 from .latent import GmmLatent, mixture_logpdf_grad, softmax
@@ -62,7 +60,9 @@ def density_gradient(v, model: FlowModel, latent: GmmLatent) -> np.ndarray:
 
     Works on a single vector or a batch (rows are independent samples, so
     each row's gradient is that of its own log-density). Computed with the
-    analytic flow kernel; ``marginal_loglik`` on the tape is the reference.
+    analytic flow kernel; the tests compare it with a tape gradient of the
+    same log-density, and ``verify`` with central differences of
+    ``marginal_logpdf``.
     """
     arr = np.array(v, dtype=np.float64)
     single = arr.ndim == 1
@@ -145,28 +145,30 @@ def channel_dropout_perturbation(v: np.ndarray, rate: float,
     return delta if two_d else delta[0]
 
 
-def vat_perturbation(v: np.ndarray, eps: float,
-                     logits_fn: Callable[[dc.Tensor], dc.Tensor],
-                     rng: np.random.Generator, xi: float = 1e-2,
-                     power_iters: int = 1) -> np.ndarray:
+def vat_perturbation(v: np.ndarray, eps: float, dec_w: np.ndarray,
+                     dec_b: np.ndarray, rng: np.random.Generator,
+                     xi: float = 1e-2, power_iters: int = 1) -> np.ndarray:
     """Single-head adversarial direction via power iteration.
 
-    Starts from a random unit direction, probes the classifier at v + xi*d,
-    and replaces d with the normalized gradient of the cross-entropy against
-    the unperturbed prediction. The returned step has length eps.
+    Starts from a random unit direction, probes the affine softmax decoder
+    (``dec_w``, ``dec_b``) at v + xi*d, and replaces d with the normalized
+    gradient of the cross-entropy against the unperturbed prediction p. With
+    q = softmax((v + r) @ W + b), that gradient with respect to r is
+    (q * sum(p) - p) @ W.T row-wise, each term formed in the order the tape
+    reference forms it, so the bits equal a tape gradient of the same
+    objective. The returned step has length eps.
     """
     arr = np.asarray(v, dtype=np.float64)
     two_d = arr.ndim == 2
     mat = arr if two_d else arr[None, :]
-    base_logits = logits_fn(dc.tensor(mat)).data
-    p = softmax(base_logits)
+    p = softmax(mat @ dec_w + dec_b)
+    p_mass = p.sum(axis=1, keepdims=True)
     direction, _ = _normalize_rows(rng.standard_normal(mat.shape))
     for _ in range(power_iters):
-        r = dc.tensor(xi * direction)
-        logits = logits_fn(dc.tensor(mat) + r)
-        log_q = logits - dc.logsumexp(logits, axis=1, keepdims=True)
-        objective = -dc.sum(dc.as_tensor(p) * log_q)
-        g, = dc.grad(objective, [r])
+        q = softmax((mat + xi * direction) @ dec_w + dec_b)
+        g = (q * p_mass - p) @ dec_w.T
+        if not np.isfinite(g).all():
+            raise NumericError("non-finite VAT probe gradient")
         direction, _ = _normalize_rows(g)
     delta = eps * direction
     return delta if two_d else delta[0]
@@ -175,9 +177,10 @@ def vat_perturbation(v: np.ndarray, eps: float,
 def generate_perturbation(v: np.ndarray, cfg: PerturbConfig, rng: np.random.Generator,
                           flow_model: FlowModel | None = None,
                           latent: GmmLatent | None = None,
-                          logits_fn: Callable | None = None,
+                          decoder: tuple[np.ndarray, np.ndarray] | None = None,
                           ) -> tuple[np.ndarray, PerturbStats]:
-    """Dispatch over the configured kind; returns (delta, stats)."""
+    """Dispatch over the configured kind; returns (delta, stats). ``decoder``
+    is the student's (dec_w, dec_b), which the ``vat-lite`` probe reads."""
     eps = resolve_eps(cfg, v)
     stats = PerturbStats(eps=eps)
     if cfg.kind == "density-descending":
@@ -189,9 +192,9 @@ def generate_perturbation(v: np.ndarray, cfg: PerturbConfig, rng: np.random.Gene
     elif cfg.kind == "channel-dropout":
         delta = channel_dropout_perturbation(v, cfg.dropout_rate, rng)
     elif cfg.kind == "vat-lite":
-        if logits_fn is None:
-            raise ValueError("vat-lite perturbation needs the student classifier")
-        delta = vat_perturbation(v, eps, logits_fn, rng, cfg.vat_xi, cfg.vat_power_iters)
+        if decoder is None:
+            raise ValueError("vat-lite perturbation needs the student decoder")
+        delta = vat_perturbation(v, eps, *decoder, rng, cfg.vat_xi, cfg.vat_power_iters)
     else:  # pragma: no cover - kinds validated at config time
         raise ConfigError(f"unknown perturbation kind {cfg.kind!r}")
     return delta, stats

@@ -9,7 +9,8 @@ directly. A flow density estimator trains alongside as an observer on
 detached teacher features and supplies the density-descending direction.
 
 The training loop runs in plain numpy: ``student_step`` computes the three
-losses and the parameter gradients with a hand-derived backward pass, and
+losses and the parameter gradients with a hand-derived backward pass, every
+perturbation kind (the ``vat-lite`` probe included) is hand-derived too, and
 the teacher and evaluation use the numpy forward pass. The tape losses
 (``sup_loss``, ``masked_consistency_loss``, ``unified_loss``) are the
 differentiable reference that the tests check ``student_step`` against.
@@ -39,8 +40,8 @@ class Model:
     """f = g . h: two-layer tanh encoder h and affine softmax decoder g.
 
     ``features``, ``predict_proba`` and ``predict`` run the forward pass in
-    plain numpy; ``encode`` and ``decode`` build it on the tape, for the VAT
-    probe and as the reference for ``student_step``.
+    plain numpy; ``encode`` and ``decode`` build it on the tape, as the
+    reference for ``student_step`` and the ``vat-lite`` probe.
     """
     enc_w1: dc.Tensor
     enc_b1: dc.Tensor
@@ -392,7 +393,7 @@ def train_ssl(cfg: SslConfig, ds: Dataset, check_isolation: bool = False) -> Tra
     def feature_delta(v_s: np.ndarray) -> np.ndarray:
         delta, stats = generate_perturbation(
             v_s, cfg.perturb, prng, flow_model=flow_model, latent=latent,
-            logits_fn=student.decode)
+            decoder=(student.dec_w.data, student.dec_b.data))
         result.perturb_fallbacks += stats.fallbacks
         return delta
 

@@ -135,6 +135,23 @@ class TestVerify:
         })
         assert main(["verify", "--config", cfg]) == 0
 
+    def test_checks_the_kernel_not_the_tape(self, tmp_path, capsys, monkeypatch):
+        # verify checks the code that training and inference run
+        def tape(*args, **kwargs):
+            raise AssertionError("tape forward called")
+
+        for module in ("flow", "latent", "cli", "oracle"):
+            for name in ("flow_forward", "marginal_loglik"):
+                monkeypatch.setattr(f"densitydescent.{module}.{name}", tape,
+                                    raising=False)
+        monkeypatch.setattr("densitydescent.diffcore.grad", tape)
+        cfg = write_json(tmp_path / "v.json", {
+            "flow": {"hidden": 16},
+            "verify": {"dims": [2, 4], "mc_samples": 20_000},
+        })
+        assert main(["verify", "--config", cfg]) == 0
+        assert "verify: 14/14 checks passed" in capsys.readouterr().out
+
     def test_verify_loaded_checkpoint(self, small_fit_config, tmp_path):
         out = tmp_path / "fitrun"
         main(["fit-density", "--config", small_fit_config, "--out", str(out)])

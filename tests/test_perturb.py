@@ -4,12 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from densitydescent import diffcore as dc
-from densitydescent.errors import ConfigError
+from densitydescent.errors import ConfigError, NumericError
 from densitydescent.estimator import FlowTrainConfig, fit_density
 from densitydescent.flow import init_flow
-from densitydescent.latent import init_latent, marginal_loglik
+from densitydescent.latent import init_latent, marginal_loglik, softmax
 from densitydescent.oracle import finite_diff_grad
-from densitydescent.perturb import (PerturbConfig, channel_dropout_perturbation,
+from densitydescent.perturb import (PerturbConfig, _normalize_rows,
+                                    channel_dropout_perturbation,
                                     density_descent_perturbation, density_gradient,
                                     generate_perturbation, inject, resolve_eps,
                                     uniform_noise_perturbation, vat_perturbation)
@@ -145,8 +146,8 @@ class TestBaselinePerturbations:
     def test_vat_determinism(self):
         model = init_model(2, 8, 4, 2, seed=20)
         v = np.random.default_rng(21).standard_normal((8, 4))
-        d1 = vat_perturbation(v, 0.5, model.decode, np.random.default_rng(79))
-        d2 = vat_perturbation(v, 0.5, model.decode, np.random.default_rng(79))
+        d1 = vat_perturbation(v, 0.5, *_decoder(model), np.random.default_rng(79))
+        d2 = vat_perturbation(v, 0.5, *_decoder(model), np.random.default_rng(79))
         np.testing.assert_array_equal(d1, d2)
 
     def test_vat_direction_beats_random_direction(self):
@@ -156,7 +157,7 @@ class TestBaselinePerturbations:
         rng = np.random.default_rng(7)
         v = rng.standard_normal((100, 4))
         eps = 0.5
-        delta = vat_perturbation(v, eps, model.decode, np.random.default_rng(8))
+        delta = vat_perturbation(v, eps, *_decoder(model), np.random.default_rng(8))
 
         def kl(base, pert):
             p = _soft(model.decode(dc.tensor(base)).data)
@@ -171,8 +172,58 @@ class TestBaselinePerturbations:
     def test_vat_norm_contract(self):
         model = init_model(2, 16, 4, 2, seed=9)
         v = np.random.default_rng(10).standard_normal((20, 4))
-        delta = vat_perturbation(v, 0.9, model.decode, np.random.default_rng(11))
+        delta = vat_perturbation(v, 0.9, *_decoder(model), np.random.default_rng(11))
         np.testing.assert_allclose(np.linalg.norm(delta, axis=1), 0.9, atol=1e-12)
+
+
+def _decoder(model):
+    return model.dec_w.data, model.dec_b.data
+
+
+def tape_vat_perturbation(v, eps, logits_fn, rng, xi=1e-2, power_iters=1):
+    """The VAT probe as a tape gradient: the reference ``vat_perturbation``
+    must match bit for bit."""
+    arr = np.asarray(v, dtype=np.float64)
+    two_d = arr.ndim == 2
+    mat = arr if two_d else arr[None, :]
+    p = softmax(logits_fn(dc.tensor(mat)).data)
+    direction, _ = _normalize_rows(rng.standard_normal(mat.shape))
+    for _ in range(power_iters):
+        r = dc.tensor(xi * direction)
+        logits = logits_fn(dc.tensor(mat) + r)
+        log_q = logits - dc.logsumexp(logits, axis=1, keepdims=True)
+        objective = -dc.sum(dc.as_tensor(p) * log_q)
+        g, = dc.grad(objective, [r])
+        direction, _ = _normalize_rows(g)
+    delta = eps * direction
+    return delta if two_d else delta[0]
+
+
+class TestVatMatchesTape:
+    @pytest.mark.parametrize("dim,classes,rows", [
+        (1, 2, 1), (2, 2, 7), (4, 3, 64), (5, 5, 129), (8, 4, 33), (3, 2, None)])
+    @pytest.mark.parametrize("power_iters", [1, 2, 3])
+    def test_bitwise_equal_to_tape(self, dim, classes, rows, power_iters):
+        model = init_model(2, 8, dim, classes, seed=dim * 10 + classes)
+        data = np.random.default_rng(rows or 0)
+        # uneven weights and non-zero biases, as after training
+        model.dec_w.data[...] *= 3.0
+        model.dec_b.data[...] = data.standard_normal(classes)
+        v = data.standard_normal(dim if rows is None else (rows, dim)) * 2.0
+        for xi in (1e-2, 0.5):
+            ref = tape_vat_perturbation(v, 0.7, model.decode, np.random.default_rng(3),
+                                        xi, power_iters)
+            out = vat_perturbation(v, 0.7, *_decoder(model), np.random.default_rng(3),
+                                   xi, power_iters)
+            assert out.shape == np.shape(v)
+            assert np.array_equal(out, ref)
+
+    def test_non_finite_feature_is_numeric_error(self):
+        model = init_model(2, 8, 4, 2, seed=1)
+        v = np.zeros((3, 4))
+        v[1, 2] = np.nan
+        with pytest.raises(NumericError):
+            vat_perturbation(v, 0.5, *_decoder(model), np.random.default_rng(0))
 
 
 def _soft(logits):

@@ -13,6 +13,7 @@ import pytest
 
 from densitydescent import diffcore as dc
 from densitydescent.data import make_dataset
+from densitydescent.perturb import KINDS
 from densitydescent.semisup import (PseudoLabelBatch, init_model,
                                     masked_consistency_loss, student_step,
                                     sup_loss, train_ssl, two_moons_benchmark,
@@ -121,13 +122,17 @@ def test_zero_mask_gives_supervised_gradient():
         assert np.array_equal(a, b)
 
 
-def test_train_ssl_needs_no_tape_gradient(monkeypatch):
-    # the density-descending loop takes every gradient by hand
+@pytest.mark.parametrize("kind", KINDS)
+def test_train_ssl_needs_no_tape_gradient(kind, monkeypatch):
+    # every perturbation kind, vat-lite's classifier probe included, and the
+    # student step take their gradients by hand: no tape is replayed
     def no_tape(*args, **kwargs):
-        raise AssertionError("diffcore.grad called")
+        raise AssertionError("tape gradient taken")
 
     monkeypatch.setattr(dc, "grad", no_tape)
+    monkeypatch.setattr(dc.Tape, "record", no_tape)
     cfg, spec = two_moons_benchmark()
+    cfg = replace(cfg, epochs=3, tau=0.6, perturb=replace(cfg.perturb, kind=kind))
     ds = make_dataset(replace(spec, n=200), seed=1)
-    result = train_ssl(replace(cfg, epochs=3, tau=0.6), ds)
+    result = train_ssl(cfg, ds)
     assert result.flow_steps > 0 and result.rows[-1]["L_ft"] > 0
