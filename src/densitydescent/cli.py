@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .oracle import (finite_diff_grad, grid_density_dump, mc_normalization,
                      numeric_jacobian_logdet)
 from .perturb import density_gradient
 from .runconfig import echo_config, load_config, load_sweep
-from .semisup import ablate, dataset_for_run, train_ssl, write_metrics_csv
+from .semisup import ablate, run_seeds, write_metrics_csv
 
 OUT_ROOT_ENV = "DENSITYDESCENT_OUT_ROOT"
 
@@ -65,9 +64,9 @@ def _derived_seeds(seed: int, n: int) -> list[int]:
 
 def cmd_fit_density(args) -> int:
     cfg = load_config(args.config)
+    ds = make_dataset(cfg.dataset)
     out = _resolve_out(args.out)
     echo_config(cfg, os.path.join(out, "config.json"))
-    ds = make_dataset(cfg.dataset)
     dim = ds.x.shape[1]
     k = _latent_components(cfg, ds)
     s_flow, s_latent, s_fit = _derived_seeds(cfg.seed, 3)
@@ -137,9 +136,7 @@ def cmd_train_ssl(args) -> int:
     out = _resolve_out(args.out)
     echo_config(cfg, os.path.join(out, "config.json"))
     accs = {}
-    for s in seeds:
-        ds = dataset_for_run(cfg.dataset, s)
-        result = train_ssl(replace(ssl_cfg, seed=s), ds)
+    for s, result in zip(seeds, run_seeds(ssl_cfg, cfg.dataset, seeds)):
         write_metrics_csv(result, os.path.join(out, f"metrics_seed{s}.csv"))
         accs[s] = result.final_test_acc
         _log(out, f"train-ssl seed={s}: test_acc={result.final_test_acc:.4f} "

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -47,25 +46,27 @@ class DataSpec:
 
 
 def generate(kind: str, n: int, noise: float, seed: int, n_classes: int = 2) -> Dataset:
-    """Sample one of the parametric generators (splits left empty)."""
+    """Sample one of the parametric generators (splits left empty).
+
+    Moons and circles have two classes by construction, so for them any
+    other ``n_classes`` is rejected rather than ignored.
+    """
+    if kind not in KINDS:
+        raise ConfigError(f"dataset.kind: unknown kind {kind!r}; one of {KINDS}")
     if n < 10:
-        raise ConfigError("need n >= 10 samples")
+        raise ConfigError(f"dataset.n must be >= 10, got {n}")
+    if kind in ("moons", "circles") and n_classes != 2:
+        raise ConfigError(f"dataset.classes: {kind} has 2 classes, got {n_classes}")
     rng = np.random.default_rng(seed)
     if kind == "moons":
         x, y = _moons(n, noise, rng)
-        k = 2
     elif kind == "circles":
         x, y = _circles(n, noise, rng)
-        k = 2
     elif kind == "blobs":
         x, y = _blobs(n, noise, rng, n_classes)
-        k = n_classes
-    elif kind == "anisotropic-gmm":
-        x, y = _aniso(n, noise, rng, n_classes)
-        k = n_classes
     else:
-        raise ConfigError(f"unknown dataset kind {kind!r}; one of {KINDS}")
-    return Dataset(x=x, y=y, n_classes=k)
+        x, y = _aniso(n, noise, rng, n_classes)
+    return Dataset(x=x, y=y, n_classes=n_classes)
 
 
 def _moons(n: int, noise: float, rng: np.random.Generator):
@@ -101,12 +102,13 @@ def _spread_centers(k: int, rng: np.random.Generator, min_sep: float = 4.0):
             centers.append(c)
             if len(centers) == k:
                 return np.array(centers)
-    raise ConfigError(f"could not place {k} separated centers; reduce the class count")
+    raise ConfigError(f"dataset.classes: could not place {k} separated centers; "
+                      f"reduce the class count")
 
 
 def _blobs(n: int, noise: float, rng: np.random.Generator, k: int):
     if k < 2:
-        raise ConfigError("blobs need n_classes >= 2")
+        raise ConfigError(f"dataset.classes: blobs need >= 2 classes, got {k}")
     centers = _spread_centers(k, rng)
     std = max(noise, 1e-6) * 5.0     # noise=0.1 -> comfortably separated blobs
     counts = [n // k + (1 if i < n % k else 0) for i in range(k)]
@@ -119,7 +121,7 @@ def _blobs(n: int, noise: float, rng: np.random.Generator, k: int):
 
 def _aniso(n: int, noise: float, rng: np.random.Generator, k: int):
     if k < 2:
-        raise ConfigError("anisotropic-gmm needs n_classes >= 2")
+        raise ConfigError(f"dataset.classes: anisotropic-gmm needs >= 2 classes, got {k}")
     centers = _spread_centers(k, rng)
     scale = max(noise, 1e-6) * 5.0
     counts = [n // k + (1 if i < n % k else 0) for i in range(k)]
@@ -141,15 +143,16 @@ def partition(ds: Dataset, labeled_per_class: int, test_fraction: float,
     (supervised-only mode with an empty unlabeled set).
     """
     if not 0.0 <= test_fraction < 1.0:
-        raise ConfigError("test_fraction must lie in [0, 1)")
+        raise ConfigError(f"dataset.test_fraction must lie in [0, 1), got {test_fraction}")
     if labeled_per_class != -1 and labeled_per_class < 1:
-        raise ConfigError("labeled_per_class must be >= 1 (or -1 for all)")
+        raise ConfigError(f"dataset.labeled_per_class must be >= 1 (or -1 for all), "
+                          f"got {labeled_per_class}")
     rng = np.random.default_rng(seed)
     test, labeled, unlabeled = [], [], []
     for cls in range(ds.n_classes):
         members = np.flatnonzero(ds.y == cls)
         if len(members) == 0:
-            raise ConfigError(f"class {cls} has no samples")
+            raise ConfigError(f"dataset: class {cls} has no samples; raise dataset.n")
         members = rng.permutation(members)
         n_test = int(round(test_fraction * len(members)))
         test.append(members[:n_test])
@@ -157,8 +160,8 @@ def partition(ds: Dataset, labeled_per_class: int, test_fraction: float,
         per_class = len(pool) if labeled_per_class == -1 else labeled_per_class
         if per_class > len(pool):
             raise ConfigError(
-                f"infeasible split: class {cls} has {len(pool)} train samples, "
-                f"requested {per_class} labeled")
+                f"dataset.labeled_per_class: class {cls} has {len(pool)} train "
+                f"samples, requested {per_class} labeled")
         labeled.append(pool[:per_class])
         unlabeled.append(pool[per_class:])
     return replace(
@@ -174,17 +177,3 @@ def make_dataset(spec: DataSpec, seed: int | None = None) -> Dataset:
     s = spec.seed if seed is None else seed
     ds = generate(spec.kind, spec.n, spec.noise, s, spec.n_classes)
     return partition(ds, spec.labeled_per_class, spec.test_fraction, s + 1)
-
-
-def export_csv(ds: Dataset, path) -> None:
-    """Write points, labels and split membership as CSV."""
-    split = np.full(ds.n, "train", dtype=object)
-    split[ds.labeled_idx] = "labeled"
-    split[ds.unlabeled_idx] = "unlabeled"
-    split[ds.test_idx] = "test"
-    dim = ds.x.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i + 1}" for i in range(dim)] + ["label", "split"])
-        for i in range(ds.n):
-            writer.writerow([repr(float(v)) for v in ds.x[i]] + [int(ds.y[i]), split[i]])

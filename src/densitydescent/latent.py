@@ -2,8 +2,8 @@
 
 Component means are drawn once from a standard normal and then frozen;
 covariances are identity matrices (stored implicitly, so every Gaussian
-evaluation reduces to a squared distance) and the mixture weights default
-to uniform and are never trained. All mixture math stays in the log domain.
+evaluation reduces to a squared distance) and the mixture weights are
+uniform and never trained. All mixture math stays in the log domain.
 """
 
 from __future__ import annotations
@@ -34,26 +34,15 @@ class GmmLatent:
     def n_components(self) -> int:
         return self.means.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.means.shape[1]
 
-
-def init_latent(n_components: int, dim: int, seed: int = 0,
-                weights: np.ndarray | None = None) -> GmmLatent:
-    """Draw component means from N(0, I); weights default to uniform."""
+def init_latent(n_components: int, dim: int, seed: int = 0) -> GmmLatent:
+    """Draw component means from N(0, I); the weights are uniform."""
     if n_components < 1 or dim < 1:
         raise ConfigError(
             f"need n_components >= 1 and dim >= 1, got K={n_components}, d={dim}")
     rng = np.random.default_rng(seed)
     means = rng.standard_normal((n_components, dim))
-    if weights is None:
-        log_w = np.full(n_components, -np.log(n_components))
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (n_components,) or np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-9:
-            raise ConfigError("weights must be positive and sum to 1")
-        log_w = np.log(w)
+    log_w = np.full(n_components, -np.log(n_components))
     return GmmLatent(means=means, log_weights=log_w, seed=seed)
 
 

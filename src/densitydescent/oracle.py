@@ -140,9 +140,7 @@ def _boundary_points(bounds: Bounds, per_side: int) -> np.ndarray:
 
 @dataclass
 class GridDump:
-    """Log-density on a 2-D cell grid."""
-    bounds: Bounds
-    resolution: int
+    """Log-density at the cell centers of a 2-D grid."""
     x: np.ndarray
     y: np.ndarray
     logp: np.ndarray
@@ -165,8 +163,7 @@ def grid_density_dump(model: FlowModel, latent: GmmLatent, bounds: Bounds,
     cy = y_lo + (np.arange(resolution) + 0.5) * (y_hi - y_lo) / resolution
     gx, gy = np.meshgrid(cx, cy)               # gy varies by row, gx by column
     pts = np.column_stack([gx.ravel(), gy.ravel()])
-    dump = GridDump(bounds=bounds, resolution=resolution, x=pts[:, 0], y=pts[:, 1],
-                    logp=marginal_logpdf(pts, model, latent))
+    dump = GridDump(x=pts[:, 0], y=pts[:, 1], logp=marginal_logpdf(pts, model, latent))
     if path is not None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)

@@ -41,12 +41,6 @@ class PerturbConfig:
             raise ConfigError("vat_xi must be positive and vat_power_iters >= 1")
 
 
-@dataclass
-class PerturbStats:
-    eps: float = 0.0
-    fallbacks: int = 0
-
-
 def resolve_eps(cfg: PerturbConfig, feats: np.ndarray) -> float:
     """Absolute step size: cfg.eps, or cfg.eps times the feature std."""
     if not cfg.eps_relative:
@@ -109,15 +103,6 @@ def density_descent_perturbation(v, eps: float, model: FlowModel,
     return eps * unit, int(small.sum())
 
 
-def inject(v: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """Perturbation injection: plain addition after a shape check."""
-    v = np.asarray(v, dtype=np.float64)
-    delta = np.asarray(delta, dtype=np.float64)
-    if v.shape != delta.shape:
-        raise ValueError(f"shape mismatch: {v.shape} vs {delta.shape}")
-    return v + delta
-
-
 def uniform_noise_perturbation(shape, eps: float, rng: np.random.Generator) -> np.ndarray:
     """Uniform[-1,1] direction, L2-normalized per feature, scaled to eps."""
     noise = rng.uniform(-1.0, 1.0, size=shape)
@@ -178,15 +163,17 @@ def generate_perturbation(v: np.ndarray, cfg: PerturbConfig, rng: np.random.Gene
                           flow_model: FlowModel | None = None,
                           latent: GmmLatent | None = None,
                           decoder: tuple[np.ndarray, np.ndarray] | None = None,
-                          ) -> tuple[np.ndarray, PerturbStats]:
-    """Dispatch over the configured kind; returns (delta, stats). ``decoder``
-    is the student's (dec_w, dec_b), which the ``vat-lite`` probe reads."""
+                          ) -> tuple[np.ndarray, int]:
+    """Dispatch over the configured kind; returns (delta, fallbacks), the
+    count of zero-gradient fallbacks (only density-descending has any).
+    ``decoder`` is the student's (dec_w, dec_b), which the ``vat-lite`` probe
+    reads."""
     eps = resolve_eps(cfg, v)
-    stats = PerturbStats(eps=eps)
+    fallbacks = 0
     if cfg.kind == "density-descending":
         if flow_model is None or latent is None:
             raise ValueError("density-descending perturbation needs flow and latent")
-        delta, stats.fallbacks = density_descent_perturbation(v, eps, flow_model, latent)
+        delta, fallbacks = density_descent_perturbation(v, eps, flow_model, latent)
     elif cfg.kind == "uniform-noise":
         delta = uniform_noise_perturbation(np.shape(v), eps, rng)
     elif cfg.kind == "channel-dropout":
@@ -197,4 +184,4 @@ def generate_perturbation(v: np.ndarray, cfg: PerturbConfig, rng: np.random.Gene
         delta = vat_perturbation(v, eps, *decoder, rng, cfg.vat_xi, cfg.vat_power_iters)
     else:  # pragma: no cover - kinds validated at config time
         raise ConfigError(f"unknown perturbation kind {cfg.kind!r}")
-    return delta, stats
+    return delta, fallbacks

@@ -57,8 +57,12 @@ class FlowArch:
     components: int | None = None    # null -> one per dataset class
 
     def __post_init__(self):
-        if self.hidden > MAX_WIDTH:
-            raise ConfigError(f"flow.hidden must be <= {MAX_WIDTH}, got {self.hidden}")
+        if self.blocks < 1:
+            raise ConfigError(f"flow.blocks must be >= 1, got {self.blocks}")
+        if not 1 <= self.hidden <= MAX_WIDTH:
+            raise ConfigError(f"flow.hidden must lie in [1, {MAX_WIDTH}], got {self.hidden}")
+        if self.s_max <= 0:
+            raise ConfigError(f"flow.s_max must be > 0, got {self.s_max}")
         if self.components is not None and self.components < 1:
             raise ConfigError("flow.components must be >= 1 or null")
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -150,16 +150,15 @@ class SslConfig:
         if not 1 <= self.feature_dim <= MAX_FEATURE_DIM:
             raise ConfigError(f"ssl.feature_dim must lie in [1, {MAX_FEATURE_DIM}], "
                               f"got {self.feature_dim}")
+        if self.feature_dim % 2:
+            # the flow over the features couples one half on the other
+            raise ConfigError(f"ssl.feature_dim must be even, got {self.feature_dim}")
 
 
 @dataclass
 class PseudoLabelBatch:
     labels: np.ndarray   # (N,) argmax of teacher probabilities
     mask: np.ndarray     # (N,) float 0/1, confidence above tau
-
-    @property
-    def retained(self) -> float:
-        return float(self.mask.mean()) if self.mask.size else 0.0
 
 
 def augment_weak(x: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
@@ -194,16 +193,13 @@ def sup_loss(logits: dc.Tensor, labels: np.ndarray) -> dc.Tensor:
 
 
 def masked_consistency_loss(logits: dc.Tensor, pseudo: PseudoLabelBatch) -> dc.Tensor:
-    """Cross-entropy vs pseudo labels, masked entries zeroed, mean over batch."""
+    """Cross-entropy vs pseudo labels, masked entries zeroed, mean over batch.
+
+    The image-level term applies it to predictions on the strong view, the
+    feature-level term to predictions on the perturbed features."""
     ce = dc.softmax_cross_entropy(logits, pseudo.labels)
     n = ce.shape[0]
     return dc.sum(ce * dc.as_tensor(pseudo.mask)) * (1.0 / n)
-
-
-# the image-level loss is the masked consistency applied to predictions on
-# the strong view; the feature-level loss applies the same reduction to
-# predictions on perturbed features
-image_consistency_loss = masked_consistency_loss
 
 
 def unified_loss(l_sup: dc.Tensor, l_im: dc.Tensor | None,
@@ -391,10 +387,10 @@ def train_ssl(cfg: SslConfig, ds: Dataset, check_isolation: bool = False) -> Tra
     result = TrainResult()
 
     def feature_delta(v_s: np.ndarray) -> np.ndarray:
-        delta, stats = generate_perturbation(
+        delta, fallbacks = generate_perturbation(
             v_s, cfg.perturb, prng, flow_model=flow_model, latent=latent,
             decoder=(student.dec_w.data, student.dec_b.data))
-        result.perturb_fallbacks += stats.fallbacks
+        result.perturb_fallbacks += fallbacks
         return delta
 
     it_global = 0
@@ -493,13 +489,12 @@ def dataset_for_run(spec: DataSpec, run_seed: int) -> Dataset:
     return make_dataset(spec, seed=mixed)
 
 
-def run_seeds(cfg: SslConfig, spec: DataSpec, seeds: list[int],
-              check_isolation: bool = False) -> list[TrainResult]:
-    out = []
+def run_seeds(cfg: SslConfig, spec: DataSpec,
+              seeds: list[int]) -> Iterator[TrainResult]:
+    """Train one run per seed, each on its own dataset draw; yields the
+    results in seed order, each as soon as its run finishes."""
     for s in seeds:
-        ds = dataset_for_run(spec, s)
-        out.append(train_ssl(replace(cfg, seed=s), ds, check_isolation=check_isolation))
-    return out
+        yield train_ssl(replace(cfg, seed=s), dataset_for_run(spec, s))
 
 
 @dataclass

@@ -81,6 +81,12 @@ class TestTrainSsl:
         assert summary["config"]["ssl"]["epochs"] == 3
         header = (out / "metrics_seed0.csv").read_text().splitlines()[0]
         assert header == "epoch,L_sup,L_im,L_ft,L_flow,pseudo_retention,test_acc"
+        # a seed's run does not depend on the seeds run before it
+        alone = tmp_path / "alone"
+        assert main(["train-ssl", "--config", small_ssl_config,
+                     "--out", str(alone), "--seeds", "1"]) == 0
+        assert ((out / "metrics_seed1.csv").read_bytes()
+                == (alone / "metrics_seed1.csv").read_bytes())
 
     def test_metrics_reproducible(self, small_ssl_config, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -209,6 +215,15 @@ class TestConfigRejectedBeforeWork:
         ("fit", "grid_resolution", 0),
         ("flow", "components", "3"),
         ("flow", "components", 0),
+        ("flow", "blocks", 0),
+        ("flow", "hidden", 0),
+        ("flow", "s_max", 0),
+        ("ssl", "feature_dim", 3),
+        ("dataset", "kind", "foo"),
+        ("dataset", "n", 5),
+        ("dataset", "test_fraction", 1.0),
+        ("dataset", "labeled_per_class", 0),
+        ("dataset", "classes", 5),
     ])
     def test_bad_value_is_config_error(self, section, key, value, tmp_path, capsys):
         doc = {
@@ -216,7 +231,7 @@ class TestConfigRejectedBeforeWork:
             "flow": {"hidden": 16},
             "fit": {"steps": 5, "batch": 64, "grid": True},
         }
-        doc[section][key] = value
+        doc.setdefault(section, {})[key] = value
         cfg = write_json(tmp_path / "c.json", doc)
         out = tmp_path / "run"
         assert main(["fit-density", "--config", cfg, "--out", str(out)]) == 2
@@ -322,14 +337,32 @@ class TestBadRunInputsRejected:
 
     @pytest.mark.parametrize("key", ["hidden", "feature_dim"])
     def test_zero_ssl_width(self, key, small_ssl_config, tmp_path, capsys):
+        self.assert_train_ssl_rejects("ssl", key, 0, small_ssl_config, tmp_path, capsys)
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("flow", "blocks", 0),
+        ("flow", "hidden", 0),
+        ("flow", "s_max", 0),
+        ("ssl", "feature_dim", 3),
+        ("dataset", "classes", 5),
+    ])
+    def test_bad_flow_shape_or_class_count(self, section, key, value, small_ssl_config,
+                                           tmp_path, capsys):
+        # these used to fail in init_flow, or to train 2 classes, after
+        # config.json was written
+        self.assert_train_ssl_rejects(section, key, value, small_ssl_config, tmp_path,
+                                      capsys)
+
+    def assert_train_ssl_rejects(self, section, key, value, small_ssl_config,
+                                 tmp_path, capsys):
         with open(small_ssl_config) as fh:
             doc = json.load(fh)
-        doc["ssl"][key] = 0
+        doc.setdefault(section, {})[key] = value
         cfg = write_json(tmp_path / "c.json", doc)
         out = tmp_path / "run"
         assert main(["train-ssl", "--config", cfg, "--out", str(out)]) == 2
         err, _ = self.one_config_error(capsys)
-        assert f"ssl.{key}" in err
+        assert f"{section}.{key}" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command,section,key,value", [

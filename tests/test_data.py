@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from densitydescent.data import (DataSpec, export_csv, generate, make_dataset,
-                                 partition)
+from densitydescent.data import DataSpec, generate, make_dataset, partition
 from densitydescent.errors import ConfigError
 
 
@@ -91,13 +90,3 @@ def test_make_dataset_spec_roundtrip():
     assert len(ds.unlabeled_idx) == 500
     assert len(ds.labeled_idx) == 8
     assert len(ds.test_idx) == 508
-
-
-def test_export_csv(tmp_path):
-    ds = make_dataset(DataSpec(n=50, labeled_per_class=2, test_fraction=0.2, seed=0))
-    path = tmp_path / "data.csv"
-    export_csv(ds, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x1,x2,label,split"
-    assert len(lines) == 51
-    assert sum(",labeled" in ln for ln in lines) == 4

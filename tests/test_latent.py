@@ -33,14 +33,6 @@ class TestInitLatent:
         with pytest.raises(ConfigError):
             init_latent(k, d)
 
-    def test_custom_weights_validated(self):
-        with pytest.raises(ConfigError):
-            init_latent(2, 2, weights=np.array([0.7, 0.7]))
-        with pytest.raises(ConfigError):
-            init_latent(2, 2, weights=np.array([1.0, 0.0]))
-        latent = init_latent(2, 2, weights=np.array([0.25, 0.75]))
-        np.testing.assert_allclose(np.exp(latent.log_weights), [0.25, 0.75])
-
 
 class TestGaussianLogpdf:
     def test_at_mode_2d(self):

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from densitydescent import diffcore as dc
 from densitydescent.errors import ConfigError, NumericError
@@ -12,7 +10,7 @@ from densitydescent.oracle import finite_diff_grad
 from densitydescent.perturb import (PerturbConfig, _normalize_rows,
                                     channel_dropout_perturbation,
                                     density_descent_perturbation, density_gradient,
-                                    generate_perturbation, inject, resolve_eps,
+                                    generate_perturbation, resolve_eps,
                                     uniform_noise_perturbation, vat_perturbation)
 from densitydescent.semisup import init_model
 
@@ -95,28 +93,6 @@ class TestDdfpPerturbation:
             density_descent_perturbation(np.ones(2), 0.0, flow, latent)
 
 
-class TestInject:
-    def test_zero_delta_is_identity(self):
-        v = np.random.default_rng(0).standard_normal(5)
-        np.testing.assert_array_equal(inject(v, np.zeros(5)), v)
-
-    def test_difference_recovers_delta(self):
-        rng = np.random.default_rng(1)
-        v, d = rng.standard_normal(4), rng.standard_normal(4)
-        np.testing.assert_allclose(inject(v, d) - v, d, atol=1e-15)
-
-    @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 10_000))
-    def test_composition(self, seed):
-        rng = np.random.default_rng(seed)
-        v, d1, d2 = rng.standard_normal((3, 6))
-        np.testing.assert_allclose(inject(inject(v, d1), d2), v + d1 + d2, atol=1e-15)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            inject(np.zeros(3), np.zeros(4))
-
-
 class TestBaselinePerturbations:
     def test_uniform_noise_norm_equals_eps(self):
         rng = np.random.default_rng(2)
@@ -127,7 +103,7 @@ class TestBaselinePerturbations:
         rng = np.random.default_rng(3)
         v = np.random.default_rng(4).standard_normal((40, 8)) + 5.0
         delta = channel_dropout_perturbation(v, 0.5, rng)
-        out = inject(v, delta)
+        out = v + delta
         assert np.all((out == 0).sum(axis=1) == 4)
         kept = out != 0
         np.testing.assert_array_equal(out[kept], v[kept])

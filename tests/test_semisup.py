@@ -10,7 +10,7 @@ from densitydescent.estimator import FlowTrainConfig
 from densitydescent.perturb import PerturbConfig
 from densitydescent.semisup import (SslConfig, SweepSpec, ablate,
                                     augment_strong, augment_weak, ema_update,
-                                    evaluate, image_consistency_loss, init_model,
+                                    evaluate, init_model,
                                     masked_consistency_loss, pseudo_labels,
                                     run_seeds, sup_loss, train_ssl, unified_loss,
                                     write_metrics_csv, METRIC_COLUMNS,
@@ -101,13 +101,13 @@ class TestLosses:
     def test_all_masked_batch_gives_zero(self):
         logits = dc.tensor(np.random.default_rng(0).standard_normal((6, 3)))
         pseudo = PseudoLabelBatch(labels=np.zeros(6, dtype=int), mask=np.zeros(6))
-        assert float(image_consistency_loss(logits, pseudo).data) == 0.0
+        assert float(masked_consistency_loss(logits, pseudo).data) == 0.0
 
     def test_full_mask_equals_plain_cross_entropy(self):
         logits = dc.tensor(np.random.default_rng(1).standard_normal((6, 3)))
         labels = np.random.default_rng(2).integers(0, 3, 6)
         pseudo = PseudoLabelBatch(labels=labels, mask=np.ones(6))
-        a = float(image_consistency_loss(logits, pseudo).data)
+        a = float(masked_consistency_loss(logits, pseudo).data)
         b = float(sup_loss(logits, labels).data)
         assert a == pytest.approx(b, rel=1e-12)
 
