@@ -43,6 +43,9 @@ class DataSpec:
     def __post_init__(self):
         if self.n > MAX_SAMPLES:
             raise ConfigError(f"dataset.n must be <= {MAX_SAMPLES}, got {self.n}")
+        if self.noise < 0:
+            # moons and circles would use |noise|, blobs a 5e-6 std
+            raise ConfigError(f"dataset.noise must be >= 0, got {self.noise:g}")
 
 
 def generate(kind: str, n: int, noise: float, seed: int, n_classes: int = 2) -> Dataset:

@@ -29,7 +29,7 @@ from . import diffcore as dc
 from .data import DataSpec, Dataset, make_dataset
 from .errors import ConfigError, NumericError
 from .estimator import FlowTrainConfig, flow_train_step, subsample_pool
-from .flow import init_flow
+from .flow import Workspace, init_flow
 from .latent import init_latent, softmax
 from .optim import Adam, MomentumSGD, poly_decay, step_decay
 from .perturb import PerturbConfig, generate_perturbation
@@ -139,8 +139,11 @@ class SslConfig:
             raise ConfigError("lambda_ft must be >= 0")
         if not 0.0 <= self.ema_momentum <= 1.0:
             raise ConfigError("ema_momentum must lie in [0, 1]")
-        if self.sigma_weak >= self.sigma_strong:
-            raise ConfigError("weak jitter must be smaller than strong jitter")
+        if not 0.0 <= self.sigma_weak < self.sigma_strong:
+            # a negative std would still jitter, by |sigma_weak|, and could
+            # make the weak view noisier than the strong one
+            raise ConfigError(f"ssl.sigma_weak must lie in [0, ssl.sigma_strong = "
+                              f"{self.sigma_strong:g}), got {self.sigma_weak:g}")
         if not 0.0 <= self.drop_prob < 1.0:
             raise ConfigError("drop_prob must lie in [0, 1)")
         if self.epochs < 1 or self.batch_unlabeled < 1 or self.batch_labeled < 1:
@@ -376,6 +379,9 @@ def train_ssl(cfg: SslConfig, ds: Dataset, check_isolation: bool = False) -> Tra
     opt = MomentumSGD(student.params(), cfg.lr, cfg.sgd_momentum)
     fopt = Adam(flow_model.params(), cfg.flow_train.lr,
                 (cfg.flow_train.beta1, cfg.flow_train.beta2), cfg.flow_train.adam_eps)
+    # one set of flow buffers for the run: each kernel pass (perturbation
+    # or flow step) finishes its backward before the next forward starts
+    ws = Workspace(flow_model.hidden)
 
     semi = len(xu) > 0
     per_epoch = (math.ceil(len(xu) / cfg.batch_unlabeled) if semi
@@ -389,7 +395,7 @@ def train_ssl(cfg: SslConfig, ds: Dataset, check_isolation: bool = False) -> Tra
     def feature_delta(v_s: np.ndarray) -> np.ndarray:
         delta, fallbacks = generate_perturbation(
             v_s, cfg.perturb, prng, flow_model=flow_model, latent=latent,
-            decoder=(student.dec_w.data, student.dec_b.data))
+            decoder=(student.dec_w.data, student.dec_b.data), ws=ws)
         result.perturb_fallbacks += fallbacks
         return delta
 
@@ -441,7 +447,7 @@ def train_ssl(cfg: SslConfig, ds: Dataset, check_isolation: bool = False) -> Tra
                     pool = subsample_pool(feats_l, yl[li], feats_u,
                                           cfg.flow_train.sample_budget, rng)
                     result.pool_warnings += pool.empty_side_warnings
-                    fl = flow_train_step(pool, flow_model, latent, fopt)
+                    fl = flow_train_step(pool, flow_model, latent, fopt, ws=ws)
                     result.flow_steps += 1
                 if check_isolation and params_digest(
                         student.params() + teacher.params()) != model_digest:

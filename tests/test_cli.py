@@ -219,11 +219,13 @@ class TestConfigRejectedBeforeWork:
         ("flow", "hidden", 0),
         ("flow", "s_max", 0),
         ("ssl", "feature_dim", 3),
+        ("ssl", "sigma_weak", -1.0),
         ("dataset", "kind", "foo"),
         ("dataset", "n", 5),
         ("dataset", "test_fraction", 1.0),
         ("dataset", "labeled_per_class", 0),
         ("dataset", "classes", 5),
+        ("dataset", "noise", -0.1),
     ])
     def test_bad_value_is_config_error(self, section, key, value, tmp_path, capsys):
         doc = {
