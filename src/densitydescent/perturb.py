@@ -111,6 +111,11 @@ def uniform_noise_perturbation(shape, eps: float, rng: np.random.Generator) -> n
     return eps * unit
 
 
+def dropped_channels(rate: float, d: int) -> int:
+    """Number of channels that channel dropout zeroes in a d-channel feature."""
+    return int(round(rate * d))
+
+
 def channel_dropout_perturbation(v: np.ndarray, rate: float,
                                  rng: np.random.Generator) -> np.ndarray:
     """Zero out a fixed fraction of the channels of each feature.
@@ -118,16 +123,29 @@ def channel_dropout_perturbation(v: np.ndarray, rate: float,
     Returned as a delta (``-v`` on the dropped channels) so injection via
     addition reproduces the masked feature. Exactly round(rate*d) channels
     are dropped per row.
+
+    Every row's channels are drawn in one call, from the stream that one
+    ``rng.choice(d, size=k, replace=False)`` per row consumes (for d <= 10000;
+    ``ssl.feature_dim`` is capped at 1024). ``choice`` runs Floyd's algorithm,
+    k bounded draws with draw t in [0, d-k+t], keeping d-k+t instead when the
+    draw is already taken, then a Fisher-Yates shuffle of k-1 draws in [0, i]
+    for i = k-1..1. The shuffle only reorders a row's set, so its draws are
+    consumed and not applied.
     """
     arr = np.asarray(v, dtype=np.float64)
     two_d = arr.ndim == 2
     mat = arr if two_d else arr[None, :]
     n, d = mat.shape
-    k = int(round(rate * d))
+    k = dropped_channels(rate, d)
+    highs = np.concatenate([np.arange(d - k, d), np.arange(k - 1, 0, -1)])
+    draws = rng.integers(0, np.tile(highs, n), endpoint=True).reshape(n, highs.size)
+    rows = np.arange(n)
+    taken = np.zeros((n, d), dtype=bool)
+    for t in range(k):
+        pick = np.where(taken[rows, draws[:, t]], d - k + t, draws[:, t])
+        taken[rows, pick] = True
     delta = np.zeros_like(mat)
-    for i in range(n):
-        drop = rng.choice(d, size=k, replace=False)
-        delta[i, drop] = -mat[i, drop]
+    delta[taken] = -mat[taken]
     return delta if two_d else delta[0]
 
 

@@ -32,7 +32,7 @@ from .estimator import FlowTrainConfig, flow_train_step, subsample_pool
 from .flow import Workspace, init_flow
 from .latent import init_latent, softmax
 from .optim import Adam, MomentumSGD, poly_decay, step_decay
-from .perturb import PerturbConfig, generate_perturbation
+from .perturb import PerturbConfig, dropped_channels, generate_perturbation
 
 
 @dataclass
@@ -80,7 +80,11 @@ class Model:
 def _encode(model: Model, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Numpy encoder forward: the float64 input, hidden activations, features."""
     x = np.asarray(x, dtype=np.float64)
-    h = np.tanh(x @ model.enc_w1.data + model.enc_b1.data)
+    # one (rows, hidden) array instead of three: on the test split, three
+    # fresh ones were page-faulted in anew every epoch
+    h = x @ model.enc_w1.data
+    h += model.enc_b1.data
+    np.tanh(h, out=h)
     return x, h, h @ model.enc_w2.data + model.enc_b2.data
 
 
@@ -156,6 +160,14 @@ class SslConfig:
         if self.feature_dim % 2:
             # the flow over the features couples one half on the other
             raise ConfigError(f"ssl.feature_dim must be even, got {self.feature_dim}")
+        rate = self.perturb.dropout_rate
+        k = dropped_channels(rate, self.feature_dim)
+        if self.perturb.kind == "channel-dropout" and not 1 <= k < self.feature_dim:
+            # k = 0 leaves the feature as it is; k = feature_dim zeroes all of it
+            raise ConfigError(
+                f"perturb.dropout_rate {rate:g} drops round({rate:g} * ssl.feature_dim "
+                f"{self.feature_dim}) = {k} channels; channel-dropout must drop "
+                f"1 to {self.feature_dim - 1}")
 
 
 @dataclass

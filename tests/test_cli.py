@@ -355,6 +355,44 @@ class TestBadRunInputsRejected:
         self.assert_train_ssl_rejects(section, key, value, small_ssl_config, tmp_path,
                                       capsys)
 
+    @pytest.mark.parametrize("rate,channels", [(0.2, 0), (0.75, 2)])
+    def test_channel_dropout_rate_dropping_none_or_all(self, rate, channels,
+                                                       small_ssl_config, tmp_path,
+                                                       capsys):
+        # at feature_dim 2 these drop no channel or both, and used to train
+        with open(small_ssl_config) as fh:
+            doc = json.load(fh)
+        doc["perturb"] = {"kind": "channel-dropout", "dropout_rate": rate}
+        cfg = write_json(tmp_path / "c.json", doc)
+        out = tmp_path / "run"
+        assert main(["train-ssl", "--config", cfg, "--out", str(out)]) == 2
+        err, _ = self.one_config_error(capsys)
+        assert "perturb.dropout_rate" in err and "ssl.feature_dim" in err
+        assert f"= {channels} channels" in err
+        assert not out.exists()
+
+    def test_sweep_to_channel_dropout_with_degenerate_rate(self, small_ssl_config,
+                                                          tmp_path, capsys,
+                                                          monkeypatch):
+        # the base kind ignores the rate; the sweep's channel-dropout cell
+        # must fail before the first cell trains
+        trained = []
+        monkeypatch.setattr("densitydescent.semisup.train_ssl",
+                            lambda *a, **k: trained.append(a))
+        with open(small_ssl_config) as fh:
+            doc = json.load(fh)
+        doc["perturb"] = {"dropout_rate": 0.2}
+        cfg = write_json(tmp_path / "c.json", doc)
+        sweep = write_json(tmp_path / "sweep.json",
+                           {"kinds": ["density-descending", "channel-dropout"]})
+        out = tmp_path / "run"
+        assert main(["ablate", "--config", cfg, "--sweep", sweep,
+                     "--out", str(out)]) == 2
+        err, _ = self.one_config_error(capsys)
+        assert "perturb.dropout_rate" in err and "= 0 channels" in err
+        assert not trained
+        assert not (out / "sweep.csv").exists()
+
     def assert_train_ssl_rejects(self, section, key, value, small_ssl_config,
                                  tmp_path, capsys):
         with open(small_ssl_config) as fh:

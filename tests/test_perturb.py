@@ -202,6 +202,40 @@ class TestVatMatchesTape:
             vat_perturbation(v, 0.5, *_decoder(model), np.random.default_rng(0))
 
 
+def per_row_channel_dropout(v, rate, rng):
+    """Channel dropout with one ``rng.choice`` per row: the reference
+    ``channel_dropout_perturbation`` must match bit for bit, generator
+    state included."""
+    arr = np.asarray(v, dtype=np.float64)
+    two_d = arr.ndim == 2
+    mat = arr if two_d else arr[None, :]
+    n, d = mat.shape
+    k = int(round(rate * d))
+    delta = np.zeros_like(mat)
+    for i in range(n):
+        drop = rng.choice(d, size=k, replace=False)
+        delta[i, drop] = -mat[i, drop]
+    return delta if two_d else delta[0]
+
+
+class TestChannelDropoutMatchesPerRowChoice:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8, 16, 1024])
+    def test_bitwise_equal_with_same_stream(self, dim):
+        data = np.random.default_rng(dim)
+        for rate in (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
+            for rows in (None, 1, 7, 64):
+                shape = dim if rows is None else (rows, dim)
+                ref_rng, rng = np.random.default_rng(9), np.random.default_rng(9)
+                # two calls in a row: the second starts where the first left off
+                for v in (data.standard_normal(shape), data.standard_normal(shape)):
+                    ref = per_row_channel_dropout(v, rate, ref_rng)
+                    out = channel_dropout_perturbation(v, rate, rng)
+                    case = f"rate={rate} shape={shape}"
+                    assert out.shape == np.shape(v), case
+                    assert np.array_equal(out, ref), case
+                    assert rng.bit_generator.state == ref_rng.bit_generator.state, case
+
+
 def _soft(logits):
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
