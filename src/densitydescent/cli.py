@@ -27,7 +27,7 @@ from .oracle import (finite_diff_grad, grid_density_dump, mc_normalization,
                      numeric_jacobian_logdet)
 from .perturb import density_gradient
 from .runconfig import echo_config, load_config, load_sweep
-from .semisup import ablate, run_seeds, write_metrics_csv
+from .semisup import ablate, check_seeds, derived_seeds, run_seeds, write_metrics_csv
 
 OUT_ROOT_ENV = "DENSITYDESCENT_OUT_ROOT"
 
@@ -54,10 +54,6 @@ def _latent_components(cfg, ds=None) -> int:
     return (make_dataset(cfg.dataset) if ds is None else ds).n_classes
 
 
-def _derived_seeds(seed: int, n: int) -> list[int]:
-    return [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(n)]
-
-
 # ---------------------------------------------------------------------------
 # fit-density
 
@@ -69,7 +65,7 @@ def cmd_fit_density(args) -> int:
     echo_config(cfg, os.path.join(out, "config.json"))
     dim = ds.x.shape[1]
     k = _latent_components(cfg, ds)
-    s_flow, s_latent, s_fit = _derived_seeds(cfg.seed, 3)
+    s_flow, s_latent, s_fit = derived_seeds(cfg.seed, 3)
     model = init_flow(dim, cfg.flow.blocks, cfg.flow.hidden, cfg.flow.s_max, s_flow)
     latent = init_latent(k, dim, s_latent)
     _log(out, f"fit-density: kind={cfg.dataset.kind} n={ds.n} dim={dim} "
@@ -124,9 +120,11 @@ def _parse_seeds(text: str | None, default: int) -> list[int]:
     if not text:
         return [default]
     try:
-        return [int(s) for s in text.split(",")]
+        seeds = [int(s) for s in text.split(",")]
     except ValueError:
         raise ConfigError(f"--seeds: expected comma-separated ints, got {text!r}")
+    check_seeds("--seeds entries", seeds)
+    return seeds
 
 
 def cmd_train_ssl(args) -> int:

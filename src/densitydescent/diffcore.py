@@ -323,8 +323,13 @@ def grad(objective: Tensor, wrt: Sequence[Tensor]) -> list[np.ndarray]:
     """Gradients of a scalar objective with respect to each leaf in ``wrt``.
 
     Returns one array per entry, matching its shape; unreachable leaves get
-    zeros. Raises on non-scalar objectives and on non-finite forward values.
+    zeros. Raises on non-scalar objectives, on non-finite forward values and
+    on an entry of ``wrt`` that is not a Tensor: a plain array is never a
+    node of the graph, so its gradient would read as zeros.
     """
+    for w in wrt:
+        if not isinstance(w, Tensor):
+            raise TypeError(f"grad: wrt entries must be Tensors, got {type(w).__name__}")
     if objective.size != 1:
         raise ValueError(f"objective must be scalar, got shape {objective.shape}")
     if not np.isfinite(objective.data).all():

@@ -171,7 +171,7 @@ def fit_density(labeled: np.ndarray, labels: np.ndarray, unlabeled: np.ndarray,
 
     The learning rate follows the step-decay schedule over the run.
     """
-    opt = Adam(model.params(), lr=cfg.lr, betas=(cfg.beta1, cfg.beta2), eps=cfg.adam_eps)
+    opt = Adam(model.flat, lr=cfg.lr, betas=(cfg.beta1, cfg.beta2), eps=cfg.adam_eps)
     ws = Workspace(model.hidden)
     result = FitResult()
     for step in range(steps):

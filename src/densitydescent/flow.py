@@ -21,9 +21,9 @@ step, the density gradient and ``verify`` use them, and forward-only
 inference (``latent.marginal_logpdf``) runs the kernel's per-block step,
 ``_coupling_np``. Training loops hand the kernel a ``Workspace``, so its
 (rows, hidden) arrays are reused from step to step. ``flow_forward`` builds
-the same arithmetic as tape nodes, so any scalar built on it can be
-differentiated with ``diffcore.grad``; it is the reference the tests check
-the kernel against.
+the same arithmetic as tape nodes, the reference the tests check the kernel
+against; it wraps the parameter arrays in tensors, so tape gradients with
+respect to them need a copy of the model whose arrays are leaf tensors.
 """
 
 from __future__ import annotations
@@ -37,24 +37,28 @@ import numpy as np
 from . import diffcore as dc
 from .errors import ConfigError
 from .latent import GmmLatent
+from .optim import pack
 
 CHECKPOINT_FORMAT = 1
+PARAM_NAMES = ("w1", "b1", "w2", "b2")   # a block's parameters, in ``params()`` order
 
 
 @dataclass
 class CouplingBlock:
-    w1: dc.Tensor  # (d/2, hidden)
-    b1: dc.Tensor  # (hidden,)
-    w2: dc.Tensor  # (hidden, d) -> first d/2 raw scales, last d/2 shifts
-    b2: dc.Tensor  # (d,)
+    w1: np.ndarray  # (d/2, hidden)
+    b1: np.ndarray  # (hidden,)
+    w2: np.ndarray  # (hidden, d) -> first d/2 raw scales, last d/2 shifts
+    b2: np.ndarray  # (d,)
     s_max: float
 
-    def params(self) -> list[dc.Tensor]:
+    def params(self) -> list[np.ndarray]:
         return [self.w1, self.b1, self.w2, self.b2]
 
 
 @dataclass
 class FlowModel:
+    """Coupling blocks whose parameters are views into ``flat``, in ``params()`` order."""
+    flat: np.ndarray
     blocks: list[CouplingBlock]
     d: int
     hidden: int
@@ -66,11 +70,8 @@ class FlowModel:
         """Fixed channel permutation applied between blocks: index reversal."""
         return np.arange(self.d)[::-1]
 
-    def params(self) -> list[dc.Tensor]:
-        out: list[dc.Tensor] = []
-        for b in self.blocks:
-            out.extend(b.params())
-        return out
+    def params(self) -> list[np.ndarray]:
+        return [p for b in self.blocks for p in b.params()]
 
 
 def init_flow(d: int, n_blocks: int = 2, hidden: int = 256, s_max: float = 2.0,
@@ -80,21 +81,19 @@ def init_flow(d: int, n_blocks: int = 2, hidden: int = 256, s_max: float = 2.0,
         raise ConfigError(f"feature dimension must be even and >= 2, got {d}")
     if n_blocks < 1:
         raise ConfigError("need at least one coupling block")
-    if hidden < 1 or s_max <= 0:
-        raise ConfigError("hidden width must be >= 1 and s_max > 0")
+    if hidden < 1 or not s_max > 0 or seed < 0:
+        raise ConfigError(f"need hidden width >= 1, s_max > 0 and seed >= 0, got "
+                          f"{hidden}, {s_max:g} and {seed}")
     rng = np.random.default_rng(seed)
     half = d // 2
-    blocks = []
+    arrays = []
     for _ in range(n_blocks):
-        w1 = rng.standard_normal((half, hidden)) * np.sqrt(1.0 / half)
-        blocks.append(CouplingBlock(
-            w1=dc.tensor(w1),
-            b1=dc.tensor(np.zeros(hidden)),
-            w2=dc.tensor(np.zeros((hidden, d))),
-            b2=dc.tensor(np.zeros(d)),
-            s_max=float(s_max),
-        ))
-    return FlowModel(blocks=blocks, d=d, hidden=hidden, s_max=float(s_max), seed=seed)
+        arrays += [rng.standard_normal((half, hidden)) * np.sqrt(1.0 / half),
+                   np.zeros(hidden), np.zeros((hidden, d)), np.zeros(d)]
+    flat, *views = pack(arrays)
+    blocks = [CouplingBlock(*views[i:i + 4], s_max=float(s_max))
+              for i in range(0, len(views), 4)]
+    return FlowModel(flat, blocks, d=d, hidden=hidden, s_max=float(s_max), seed=seed)
 
 
 def randomize_conditioners(model: FlowModel, scale: float = 0.5, seed: int = 0) -> FlowModel:
@@ -106,17 +105,17 @@ def randomize_conditioners(model: FlowModel, scale: float = 0.5, seed: int = 0) 
     rng = np.random.default_rng(seed)
     half = model.d // 2
     for b in model.blocks:
-        b.w1.data[...] = rng.standard_normal(b.w1.shape) * np.sqrt(1.0 / half)
-        b.b1.data[...] = rng.standard_normal(b.b1.shape) * 0.1
-        b.w2.data[...] = rng.standard_normal(b.w2.shape) * (scale / np.sqrt(model.hidden))
-        b.b2.data[...] = rng.standard_normal(b.b2.shape) * (0.1 * scale)
+        b.w1[...] = rng.standard_normal(b.w1.shape) * np.sqrt(1.0 / half)
+        b.b1[...] = rng.standard_normal(b.b1.shape) * 0.1
+        b.w2[...] = rng.standard_normal(b.w2.shape) * (scale / np.sqrt(model.hidden))
+        b.b2[...] = rng.standard_normal(b.b2.shape) * (0.1 * scale)
     return model
 
 
 def _conditioner(block: CouplingBlock, va: dc.Tensor) -> tuple[dc.Tensor, dc.Tensor]:
     """Map the pass-through half to (clamped log-scale, shift)."""
-    h = dc.tanh(dc.matmul(va, block.w1) + block.b1)
-    raw = dc.matmul(h, block.w2) + block.b2
+    h = dc.tanh(dc.matmul(va, dc.as_tensor(block.w1)) + block.b1)
+    raw = dc.matmul(h, dc.as_tensor(block.w2)) + block.b2
     d = raw.shape[-1]
     half = d // 2
     s_raw = dc.take_cols(raw, np.arange(half))
@@ -242,14 +241,13 @@ def _conditioner_np(block: CouplingBlock, va: np.ndarray, h_out=None):
     """Numpy ``_conditioner``: hidden activations h, u = tanh(s_raw / s_max)
     (so the clamped log-scale is s = s_max * u) and the shift t. ``h`` is
     written into ``h_out`` when one is given, else into a fresh array."""
-    w1 = block.w1.data
     # with one input channel (d = 2) the first layer is an outer product:
     # broadcasting gives the matmul's bits, as there is nothing to sum
     first = np.multiply if va.shape[1] == 1 else np.matmul
-    h = first(va, w1, out=h_out)
-    h += block.b1.data
+    h = first(va, block.w1, out=h_out)
+    h += block.b1
     np.tanh(h, out=h)
-    raw = h @ block.w2.data + block.b2.data
+    raw = h @ block.w2 + block.b2
     half = raw.shape[1] // 2
     u = np.tanh(raw[:, :half] * (1.0 / block.s_max))
     return h, u, raw[:, half:]
@@ -326,11 +324,11 @@ def kernel_backward(model: FlowModel, saved, gz: np.ndarray, glogdet,
         n = len(h)
         dh = np.multiply(h, h, out=_take(ws, "dh", n))  # tanh' = 1 - h^2, in place
         np.subtract(1.0, dh, out=dh)
-        gpre = np.matmul(graw, block.w2.data.T, out=_take(ws, "gpre", n))
+        gpre = np.matmul(graw, block.w2.T, out=_take(ws, "gpre", n))
         gpre *= dh
         if params:
             grads[:0] = [va.T @ gpre, gpre.sum(axis=0), h.T @ graw, graw.sum(axis=0)]
-        g = np.concatenate([g[:, :half] + gpre @ block.w1.data.T, gy_b * es], axis=1)
+        g = np.concatenate([g[:, :half] + gpre @ block.w1.T, gy_b * es], axis=1)
         if i:
             g = g[:, model.perm]   # the reversal is its own inverse
     return g, (grads if params else None)
@@ -353,17 +351,15 @@ def save_checkpoint(path, model: FlowModel, latent: GmmLatent) -> None:
     }
     arrays = {"latent_means": latent.means, "latent_log_weights": latent.log_weights}
     for i, b in enumerate(model.blocks):
-        arrays[f"block{i}_w1"] = b.w1.data
-        arrays[f"block{i}_b1"] = b.b1.data
-        arrays[f"block{i}_w2"] = b.w2.data
-        arrays[f"block{i}_b2"] = b.b2.data
+        arrays.update({f"block{i}_{name}": getattr(b, name) for name in PARAM_NAMES})
     np.savez(path, __meta__=np.array(json.dumps(meta, sort_keys=True)), **arrays)
 
 
 def load_checkpoint(path) -> tuple[FlowModel, GmmLatent]:
     """Read a ``save_checkpoint`` file. A file that is not one, lacks an
-    entry, or holds arrays whose shapes disagree with its stored ``d``,
-    ``hidden`` and ``n_blocks`` is a ConfigError."""
+    entry, holds arrays whose shapes disagree with its stored ``d``,
+    ``hidden`` and ``n_blocks``, or stores sizes ``init_flow`` rejects is a
+    ConfigError."""
     try:
         archive = np.load(path, allow_pickle=False)
     except FileNotFoundError:
@@ -393,16 +389,16 @@ def load_checkpoint(path) -> tuple[FlowModel, GmmLatent]:
             raise ConfigError(f"{path}: unreadable checkpoint metadata ({e!r})")
         if fmt != CHECKPOINT_FORMAT:
             raise ConfigError(f"unsupported checkpoint format {fmt!r}")
-        blocks = []
-        for i in range(n_blocks):
-            blocks.append(CouplingBlock(
-                w1=dc.tensor(entry(f"block{i}_w1", (d // 2, hidden))),
-                b1=dc.tensor(entry(f"block{i}_b1", (hidden,))),
-                w2=dc.tensor(entry(f"block{i}_w2", (hidden, d))),
-                b2=dc.tensor(entry(f"block{i}_b2", (d,))),
-                s_max=s_max,
-            ))
-        model = FlowModel(blocks=blocks, d=d, hidden=hidden, s_max=s_max, seed=seed)
+        shapes = dict(zip(PARAM_NAMES, [(d // 2, hidden), (hidden,), (hidden, d), (d,)]))
+        # shape-check every entry first: init_flow allocates whatever the sizes say
+        stored = [entry(f"block{i}_{name}", shapes[name])
+                  for i in range(n_blocks) for name in PARAM_NAMES]
+        try:
+            model = init_flow(d, n_blocks, hidden, s_max, seed)
+        except ConfigError as e:
+            raise ConfigError(f"{path}: {e}")
+        for view, value in zip(model.params(), stored):
+            view[...] = value
         k = entry("latent_log_weights").size
         latent = GmmLatent(means=entry("latent_means", (k, d)),
                            log_weights=entry("latent_log_weights", (k,)), seed=latent_seed)

@@ -31,7 +31,7 @@ from .errors import ConfigError, NumericError
 from .estimator import FlowTrainConfig, flow_train_step, subsample_pool
 from .flow import Workspace, init_flow
 from .latent import init_latent, softmax
-from .optim import Adam, MomentumSGD, poly_decay, step_decay
+from .optim import Adam, MomentumSGD, pack, poly_decay, step_decay
 from .perturb import PerturbConfig, dropped_channels, generate_perturbation
 
 
@@ -39,33 +39,36 @@ from .perturb import PerturbConfig, dropped_channels, generate_perturbation
 class Model:
     """f = g . h: two-layer tanh encoder h and affine softmax decoder g.
 
+    The parameters are views into one vector ``flat``, in ``params()`` order.
     ``features``, ``predict_proba`` and ``predict`` run the forward pass in
     plain numpy; ``encode`` and ``decode`` build it on the tape, as the
-    reference for ``student_step`` and the ``vat-lite`` probe.
+    reference for ``student_step`` and the ``vat-lite`` probe (tape gradients
+    with respect to the parameters need a copy whose arrays are leaf tensors).
     """
-    enc_w1: dc.Tensor
-    enc_b1: dc.Tensor
-    enc_w2: dc.Tensor
-    enc_b2: dc.Tensor
-    dec_w: dc.Tensor
-    dec_b: dc.Tensor
+    flat: np.ndarray
+    enc_w1: np.ndarray
+    enc_b1: np.ndarray
+    enc_w2: np.ndarray
+    enc_b2: np.ndarray
+    dec_w: np.ndarray
+    dec_b: np.ndarray
 
-    def params(self) -> list[dc.Tensor]:
+    def params(self) -> list[np.ndarray]:
         return [self.enc_w1, self.enc_b1, self.enc_w2, self.enc_b2,
                 self.dec_w, self.dec_b]
 
     def encode(self, x) -> dc.Tensor:
-        h = dc.tanh(dc.matmul(dc.as_tensor(x), self.enc_w1) + self.enc_b1)
-        return dc.matmul(h, self.enc_w2) + self.enc_b2
+        h = dc.tanh(dc.matmul(dc.as_tensor(x), dc.as_tensor(self.enc_w1)) + self.enc_b1)
+        return dc.matmul(h, dc.as_tensor(self.enc_w2)) + self.enc_b2
 
     def decode(self, v) -> dc.Tensor:
-        return dc.matmul(dc.as_tensor(v), self.dec_w) + self.dec_b
+        return dc.matmul(dc.as_tensor(v), dc.as_tensor(self.dec_w)) + self.dec_b
 
     def features(self, x: np.ndarray) -> np.ndarray:
         return _encode(self, x)[2]
 
     def logits(self, x: np.ndarray) -> np.ndarray:
-        return self.features(x) @ self.dec_w.data + self.dec_b.data
+        return self.features(x) @ self.dec_w + self.dec_b
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         return softmax(self.logits(x))
@@ -74,7 +77,7 @@ class Model:
         return np.argmax(self.logits(x), axis=1)
 
     def clone(self) -> "Model":
-        return Model(*[dc.tensor(p.data.copy()) for p in self.params()])
+        return Model(*pack(self.params()))
 
 
 def _encode(model: Model, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -82,23 +85,22 @@ def _encode(model: Model, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=np.float64)
     # one (rows, hidden) array instead of three: on the test split, three
     # fresh ones were page-faulted in anew every epoch
-    h = x @ model.enc_w1.data
-    h += model.enc_b1.data
+    h = x @ model.enc_w1
+    h += model.enc_b1
     np.tanh(h, out=h)
-    return x, h, h @ model.enc_w2.data + model.enc_b2.data
+    return x, h, h @ model.enc_w2 + model.enc_b2
 
 
 def init_model(input_dim: int, hidden: int, feature_dim: int, n_classes: int,
                seed: int = 0) -> Model:
     rng = np.random.default_rng(seed)
-    return Model(
-        enc_w1=dc.tensor(rng.standard_normal((input_dim, hidden)) * np.sqrt(1.0 / input_dim)),
-        enc_b1=dc.tensor(np.zeros(hidden)),
-        enc_w2=dc.tensor(rng.standard_normal((hidden, feature_dim)) * np.sqrt(1.0 / hidden)),
-        enc_b2=dc.tensor(np.zeros(feature_dim)),
-        dec_w=dc.tensor(rng.standard_normal((feature_dim, n_classes)) * np.sqrt(1.0 / feature_dim)),
-        dec_b=dc.tensor(np.zeros(n_classes)),
-    )
+    return Model(*pack([
+        rng.standard_normal((input_dim, hidden)) * np.sqrt(1.0 / input_dim),
+        np.zeros(hidden),
+        rng.standard_normal((hidden, feature_dim)) * np.sqrt(1.0 / hidden),
+        np.zeros(feature_dim),
+        rng.standard_normal((feature_dim, n_classes)) * np.sqrt(1.0 / feature_dim),
+        np.zeros(n_classes)]))
 
 
 # Upper bounds on the size keys, far above every shipped value (hidden 256,
@@ -137,6 +139,7 @@ class SslConfig:
     flow_train: FlowTrainConfig = field(default_factory=FlowTrainConfig)
 
     def __post_init__(self):
+        check_seeds("seed", [self.seed])
         if not 0.0 < self.tau < 1.0:
             raise ConfigError("tau must lie in (0, 1)")
         if self.lambda_ft < 0:
@@ -168,6 +171,19 @@ class SslConfig:
                 f"perturb.dropout_rate {rate:g} drops round({rate:g} * ssl.feature_dim "
                 f"{self.feature_dim}) = {k} channels; channel-dropout must drop "
                 f"1 to {self.feature_dim - 1}")
+
+
+def derived_seeds(seed: int, n: int) -> list[int]:
+    """``n`` independent seeds spawned from one run seed, one per random
+    stream of the run (model, flow, latent, ...)."""
+    return [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(n)]
+
+
+def check_seeds(what: str, seeds) -> None:
+    """Run seeds feed ``np.random.SeedSequence``, which rejects negatives."""
+    bad = [s for s in seeds if s < 0]
+    if bad:
+        raise ConfigError(f"{what} must be >= 0, got {bad[0]}")
 
 
 @dataclass
@@ -253,7 +269,7 @@ def _cross_entropy(logits: np.ndarray, labels: np.ndarray
 def _encoder_grads(model: Model, x: np.ndarray, h: np.ndarray,
                    g_v: np.ndarray) -> list[np.ndarray]:
     """Encoder parameter gradients given the gradient at its features."""
-    g_p = (g_v @ model.enc_w2.data.T) * (1.0 - h * h)
+    g_p = (g_v @ model.enc_w2.T) * (1.0 - h * h)
     return [x.T @ g_p, g_p.sum(axis=0), h.T @ g_v, g_v.sum(axis=0)]
 
 
@@ -273,7 +289,7 @@ def student_step(model: Model, x_l: np.ndarray, y_l: np.ndarray,
     accumulates it (feature, image, supervised at the decoder; perturbed,
     image at the strong features; strong, labeled at the encoder).
     """
-    dec_w, dec_b = model.dec_w.data, model.dec_b.data
+    dec_w, dec_b = model.dec_w, model.dec_b
     x_l, h_l, v_l = _encode(model, x_l)
     ce, soft = _cross_entropy(v_l @ dec_w + dec_b, np.asarray(y_l, dtype=np.int64))
     l_sup = ce.sum() * (1.0 / len(ce))
@@ -312,13 +328,13 @@ def student_step(model: Model, x_l: np.ndarray, y_l: np.ndarray,
 
 
 def ema_update(teacher: Model, student: Model, momentum: float) -> None:
-    """teacher <- m * teacher + (1 - m) * student, parameter-wise."""
+    """teacher <- m * teacher + (1 - m) * student, on the whole vectors."""
     if not 0.0 <= momentum <= 1.0:
         raise ValueError("momentum must lie in [0, 1]")
-    for tp, sp in zip(teacher.params(), student.params()):
-        if tp.data.shape != sp.data.shape:
-            raise ValueError("teacher/student parameter shapes do not match")
-        tp.data = momentum * tp.data + (1.0 - momentum) * sp.data
+    if teacher.flat.shape != student.flat.shape:
+        raise ValueError("teacher/student parameter shapes do not match")
+    teacher.flat *= momentum
+    teacher.flat += (1.0 - momentum) * student.flat
 
 
 def evaluate(model: Model, x: np.ndarray, y: np.ndarray) -> float:
@@ -327,10 +343,10 @@ def evaluate(model: Model, x: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(model.predict(x) == y))
 
 
-def params_digest(params: list[dc.Tensor]) -> str:
+def params_digest(arrays: list[np.ndarray]) -> str:
     h = hashlib.sha256()
-    for p in params:
-        h.update(p.data.tobytes())
+    for a in arrays:
+        h.update(a.tobytes())
     return h.hexdigest()
 
 
@@ -378,8 +394,7 @@ def train_ssl(cfg: SslConfig, ds: Dataset, check_isolation: bool = False) -> Tra
         raise ConfigError("training needs a labeled split")
     k = ds.n_classes
 
-    seeds = np.random.SeedSequence(cfg.seed).spawn(5)
-    s_model, s_flow, s_latent, s_loop, s_pert = [int(s.generate_state(1)[0]) for s in seeds]
+    s_model, s_flow, s_latent, s_loop, s_pert = derived_seeds(cfg.seed, 5)
     student = init_model(x.shape[1], cfg.hidden, cfg.feature_dim, k, s_model)
     teacher = student.clone()
     flow_model = init_flow(cfg.feature_dim, cfg.flow_blocks, cfg.flow_hidden,
@@ -388,8 +403,8 @@ def train_ssl(cfg: SslConfig, ds: Dataset, check_isolation: bool = False) -> Tra
     rng = np.random.default_rng(s_loop)
     prng = np.random.default_rng(s_pert)
 
-    opt = MomentumSGD(student.params(), cfg.lr, cfg.sgd_momentum)
-    fopt = Adam(flow_model.params(), cfg.flow_train.lr,
+    opt = MomentumSGD(student.flat, cfg.lr, cfg.sgd_momentum)
+    fopt = Adam(flow_model.flat, cfg.flow_train.lr,
                 (cfg.flow_train.beta1, cfg.flow_train.beta2), cfg.flow_train.adam_eps)
     # one set of flow buffers for the run: each kernel pass (perturbation
     # or flow step) finishes its backward before the next forward starts
@@ -407,7 +422,7 @@ def train_ssl(cfg: SslConfig, ds: Dataset, check_isolation: bool = False) -> Tra
     def feature_delta(v_s: np.ndarray) -> np.ndarray:
         delta, fallbacks = generate_perturbation(
             v_s, cfg.perturb, prng, flow_model=flow_model, latent=latent,
-            decoder=(student.dec_w.data, student.dec_b.data), ws=ws)
+            decoder=(student.dec_w, student.dec_b), ws=ws)
         result.perturb_fallbacks += fallbacks
         return delta
 
@@ -443,14 +458,14 @@ def train_ssl(cfg: SslConfig, ds: Dataset, check_isolation: bool = False) -> Tra
                     f"non-finite training loss at epoch {epoch} iter {it} "
                     f"(lr={opt.lr:g}, L_sup={step.l_sup:g})")
 
-            flow_digest = params_digest(flow_model.params()) if check_isolation else None
+            flow_digest = params_digest([flow_model.flat]) if check_isolation else None
             opt.step(step.grads)
             ema_update(teacher, student, cfg.ema_momentum)
-            if check_isolation and params_digest(flow_model.params()) != flow_digest:
+            if check_isolation and params_digest([flow_model.flat]) != flow_digest:
                 result.isolation_violations += 1
 
             if semi and epoch >= cfg.flow_train.warm_start_epoch:
-                model_digest = (params_digest(student.params() + teacher.params())
+                model_digest = (params_digest([student.flat, teacher.flat])
                                 if check_isolation else None)
                 # the teacher is fixed across the updates: encode its pools once
                 feats_l, feats_u = teacher.features(xb_l), teacher.features(xw)
@@ -462,7 +477,7 @@ def train_ssl(cfg: SslConfig, ds: Dataset, check_isolation: bool = False) -> Tra
                     fl = flow_train_step(pool, flow_model, latent, fopt, ws=ws)
                     result.flow_steps += 1
                 if check_isolation and params_digest(
-                        student.params() + teacher.params()) != model_digest:
+                        [student.flat, teacher.flat]) != model_digest:
                     result.isolation_violations += 1
                 sums["L_flow"] += fl
 
@@ -521,6 +536,9 @@ class SweepSpec:
     eps: list[float] | None = None
     lambda_ft: list[float] | None = None
     seeds: list[int] = field(default_factory=lambda: [0])
+
+    def __post_init__(self):
+        check_seeds("sweep key 'seeds' entries", self.seeds)
 
 
 def ablate(cfg: SslConfig, spec: DataSpec, sweep: SweepSpec) -> list[dict]:

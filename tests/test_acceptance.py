@@ -196,19 +196,19 @@ def test_criterion_7_norm_contract(moons_estimator):
 def test_criterion_8_ema_exactness():
     teacher = init_model(2, 16, 4, 3, seed=81)
     student = init_model(2, 16, 4, 3, seed=82)
-    old = [p.data.copy() for p in teacher.params()]
+    old = [p.copy() for p in teacher.params()]
     ema_update(teacher, student, 0.999)
-    worst = max(float(np.abs(tp.data - (0.999 * o + 0.001 * sp.data)).max())
+    worst = max(float(np.abs(tp - (0.999 * o + 0.001 * sp)).max())
                 for o, tp, sp in zip(old, teacher.params(), student.params()))
 
     t1 = init_model(2, 16, 4, 3, seed=83)
-    frozen = [p.data.copy() for p in t1.params()]
+    frozen = [p.copy() for p in t1.params()]
     ema_update(t1, student, 1.0)
-    keep_exact = all(np.array_equal(f, p.data) for f, p in zip(frozen, t1.params()))
+    keep_exact = all(np.array_equal(f, p) for f, p in zip(frozen, t1.params()))
 
     t0_model = init_model(2, 16, 4, 3, seed=84)
     ema_update(t0_model, student, 0.0)
-    copy_exact = all(np.array_equal(tp.data, sp.data)
+    copy_exact = all(np.array_equal(tp, sp)
                      for tp, sp in zip(t0_model.params(), student.params()))
     report(8, worst < 1e-12 and keep_exact and copy_exact,
            f"update error {worst:.2e}; m=1 bit-exact {keep_exact}; "

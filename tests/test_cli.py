@@ -332,6 +332,18 @@ def _reshaped(key, shape):
     return corrupt
 
 
+def _meta(reshaped=(), **changes):
+    """Changes to the stored sizes, with entries reshaped to match them."""
+    def corrupt(arrays):
+        meta = json.loads(str(arrays["__meta__"]))
+        meta.update(changes)
+        arrays["__meta__"] = np.array(json.dumps(meta))
+        for key, shape in reshaped:
+            arrays[key] = np.zeros(shape)
+        return arrays
+    return corrupt
+
+
 class TestBadRunInputsRejected:
     """More inputs that exit 2 with one ``config error:`` line before any work."""
 
@@ -430,6 +442,40 @@ class TestBadRunInputsRejected:
         assert f"{section}.{key}" in err
         assert "PASS" not in stdout and not out.exists()
 
+    @pytest.mark.parametrize("command", ["train-ssl", "fit-density", "verify"])
+    def test_negative_config_seed(self, command, small_ssl_config, tmp_path, capsys):
+        # np.random.SeedSequence rejects it with a traceback, after
+        # config.json was written
+        with open(small_ssl_config) as fh:
+            doc = json.load(fh)
+        doc["seed"] = -1
+        cfg = write_json(tmp_path / "c.json", doc)
+        out = tmp_path / "run"
+        argv = [command, "--config", cfg]
+        if command != "verify":
+            argv += ["--out", str(out)]
+        assert main(argv) == 2
+        err, stdout = self.one_config_error(capsys)
+        assert "seed must be >= 0" in err
+        assert "PASS" not in stdout and not out.exists()
+
+    def test_negative_seeds_option(self, small_ssl_config, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["train-ssl", "--config", small_ssl_config, "--out", str(out),
+                     "--seeds", "0,-1"]) == 2
+        err, _ = self.one_config_error(capsys)
+        assert "--seeds" in err and "-1" in err
+        assert not out.exists()
+
+    def test_negative_sweep_seed(self, small_ssl_config, tmp_path, capsys):
+        sweep = write_json(tmp_path / "s.json", {"seeds": [0, -2]})
+        out = tmp_path / "run"
+        assert main(["ablate", "--config", small_ssl_config, "--sweep", sweep,
+                     "--out", str(out)]) == 2
+        err, _ = self.one_config_error(capsys)
+        assert "seeds" in err and "-2" in err
+        assert not out.exists()
+
     def test_bad_seeds_option(self, small_ssl_config, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["train-ssl", "--config", small_ssl_config, "--out", str(out),
@@ -480,6 +526,21 @@ class TestBadRunInputsRejected:
     ], ids=["no-meta", "no-block-key", "no-latent-key", "w1-shape", "b2-shape",
             "latent-shape"])
     def test_bad_checkpoint_archive(self, corrupt, tmp_path, capsys):
+        path = tmp_path / "bad.npz"
+        np.savez(path, **corrupt(_checkpoint_arrays(tmp_path)))
+        self.assert_verify_rejects(path, tmp_path, capsys)
+
+    @pytest.mark.parametrize("corrupt", [
+        _meta(n_blocks=0),
+        _meta(d=3, reshaped=[("block0_w2", (8, 3)), ("block0_b2", (3,)),
+                             ("block1_w2", (8, 3)), ("block1_b2", (3,)),
+                             ("latent_means", (2, 3))]),
+        _meta(s_max=-1.0),
+        _meta(seed=-1),
+    ], ids=["no-blocks", "odd-d", "negative-s_max", "negative-seed"])
+    def test_checkpoint_sizes_init_flow_rejects(self, corrupt, tmp_path, capsys):
+        # each used to load: no blocks gave a TypeError traceback, an odd d a
+        # matmul ValueError after a PASS line, and s_max -1 passed verify
         path = tmp_path / "bad.npz"
         np.savez(path, **corrupt(_checkpoint_arrays(tmp_path)))
         self.assert_verify_rejects(path, tmp_path, capsys)

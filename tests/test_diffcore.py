@@ -49,6 +49,14 @@ class TestBasics:
         g, = dc.grad(dc.sum(x * x), [y])
         np.testing.assert_array_equal(g, np.zeros(3))
 
+    def test_plain_array_in_wrt_rejected(self):
+        # a plain array is never a graph node: its gradient would read as
+        # zeros however the objective depends on its values
+        w = rand(3, 2)
+        x = dc.tensor(w)
+        with pytest.raises(TypeError):
+            dc.grad(dc.sum(x * x), [x, w])
+
     def test_determinism(self):
         def run():
             x = dc.tensor(rand((6, 4), 7))

@@ -110,17 +110,17 @@ def _fit_setup(seed=0):
 class TestFlowTrainStep:
     def test_zero_learning_rate_keeps_params(self):
         flow, latent, pool = _fit_setup()
-        opt = Adam(flow.params(), lr=0.0)
-        before = [p.data.copy() for p in flow.params()]
+        opt = Adam(flow.flat, lr=0.0)
+        before = [p.copy() for p in flow.params()]
         flow_train_step(pool, flow, latent, opt)
         for b, p in zip(before, flow.params()):
-            np.testing.assert_array_equal(b, p.data)
+            np.testing.assert_array_equal(b, p)
 
     def test_latent_is_frozen_across_steps(self):
         flow, latent, pool = _fit_setup(3)
         means = latent.means.copy()
         logw = latent.log_weights.copy()
-        opt = Adam(flow.params(), lr=1e-3)
+        opt = Adam(flow.flat, lr=1e-3)
         for _ in range(20):
             flow_train_step(pool, flow, latent, opt)
         np.testing.assert_array_equal(latent.means, means)
@@ -130,7 +130,7 @@ class TestFlowTrainStep:
         wins = 0
         for seed in range(20):
             flow, latent, pool = _fit_setup(seed)
-            opt = Adam(flow.params(), lr=1e-4)
+            opt = Adam(flow.flat, lr=1e-4)
             before = float(flow_loss(pool.labeled, pool.labels, pool.unlabeled,
                                      flow, latent).data)
             flow_train_step(pool, flow, latent, opt)
@@ -142,14 +142,14 @@ class TestFlowTrainStep:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_loss_aborts_with_diagnostics(self):
         flow, latent, pool = _fit_setup(5)
-        flow.blocks[0].b2.data[:] = 1e308   # forces an overflow in the forward pass
-        opt = Adam(flow.params(), lr=1e-3)
+        flow.blocks[0].b2[:] = 1e308   # forces an overflow in the forward pass
+        opt = Adam(flow.flat, lr=1e-3)
         with pytest.raises(NumericError):
             flow_train_step(pool, flow, latent, opt)
 
     def test_returns_loss_value(self):
         flow, latent, pool = _fit_setup(6)
-        opt = Adam(flow.params(), lr=1e-3)
+        opt = Adam(flow.flat, lr=1e-3)
         value = flow_train_step(pool, flow, latent, opt)
         assert np.isfinite(value)
 

@@ -136,7 +136,7 @@ class TestCheckpoint:
         assert flow2.hidden == flow.hidden and flow2.seed == flow.seed
         for b1, b2 in zip(flow.blocks, flow2.blocks):
             for p, q in zip(b1.params(), b2.params()):
-                np.testing.assert_array_equal(p.data, q.data)
+                np.testing.assert_array_equal(p, q)
         np.testing.assert_array_equal(latent.means, latent2.means)
         np.testing.assert_array_equal(latent.log_weights, latent2.log_weights)
         assert latent2.seed == latent.seed

@@ -21,6 +21,7 @@ from densitydescent.latent import (BLOCK_ROWS, init_latent, marginal_logpdf,
 from densitydescent.optim import Adam
 from densitydescent.oracle import mc_normalization
 from densitydescent.perturb import density_gradient
+from leaf_twin import leaf_twin
 
 RTOL = 1e-10
 
@@ -68,8 +69,9 @@ def test_flow_step_matches_tape(blocks, hidden, rows, d, pool_kind):
     flow = random_flow(blocks, hidden, d, seed=blocks + hidden + d)
     latent = init_latent(3, d, seed=5)
     pool = make_pool(pool_kind, rows, d, 3, np.random.default_rng(rows))
-    loss = flow_loss(pool.labeled, pool.labels, pool.unlabeled, flow, latent)
-    reference = dc.grad(loss, flow.params())
+    twin = leaf_twin(flow)
+    loss = flow_loss(pool.labeled, pool.labels, pool.unlabeled, twin, latent)
+    reference = dc.grad(loss, twin.params())
 
     opt = RecordingOptimizer()
     value = flow_train_step(pool, flow, latent, opt)
@@ -103,9 +105,10 @@ def test_backward_matches_tape_for_any_cotangent(blocks, d):
     v = rng.standard_normal((10, d))
     gz, gld = rng.standard_normal((10, d)), rng.standard_normal(10)
     leaf = dc.tensor(v.copy())
-    z_t, ld_t = flow_forward(leaf, flow)
+    twin = leaf_twin(flow)
+    z_t, ld_t = flow_forward(leaf, twin)
     objective = dc.sum(z_t * dc.tensor(gz)) + dc.sum(ld_t * dc.tensor(gld))
-    reference = dc.grad(objective, [leaf] + flow.params())
+    reference = dc.grad(objective, [leaf] + twin.params())
 
     z, logdet, saved = kernel_forward(v, flow)
     assert_close(z, z_t.data)
@@ -124,11 +127,12 @@ def test_flow_step_updates_like_tape_adam():
     flow_t = random_flow(2, 64, 2, seed=21)
     latent = init_latent(2, 2, seed=22)
     pool = make_pool("mixed", 40, 2, 2, np.random.default_rng(23))
-    flow_train_step(pool, flow_k, latent, Adam(flow_k.params(), lr=1e-2))
-    loss = flow_loss(pool.labeled, pool.labels, pool.unlabeled, flow_t, latent)
-    Adam(flow_t.params(), lr=1e-2).step(dc.grad(loss, flow_t.params()))
+    flow_train_step(pool, flow_k, latent, Adam(flow_k.flat, lr=1e-2))
+    twin_t = leaf_twin(flow_t)
+    loss = flow_loss(pool.labeled, pool.labels, pool.unlabeled, twin_t, latent)
+    Adam(flow_t.flat, lr=1e-2).step(dc.grad(loss, twin_t.params()))
     for pk, pt in zip(flow_k.params(), flow_t.params()):
-        assert_close(pk.data, pt.data)
+        assert_close(pk, pt)
 
 
 def test_kernel_rejects_wrong_dimension():
@@ -142,7 +146,7 @@ def test_kernel_rejects_wrong_dimension():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_density_gradient_overflow_raises_numeric_error():
     flow = random_flow(2, 16, 2, seed=31)
-    flow.blocks[0].b2.data[:] = 1e308   # forces an overflow in the forward pass
+    flow.blocks[0].b2[:] = 1e308   # forces an overflow in the forward pass
     latent = init_latent(2, 2, seed=32)
     v = np.random.default_rng(33).standard_normal((8, 2))
     with pytest.raises(NumericError):
@@ -212,8 +216,8 @@ class LoopAdam:
         self.params, self.lr, self.eps = list(params), lr, eps
         self.beta1, self.beta2 = betas
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.m = [np.zeros_like(p) for p in self.params]
+        self.v = [np.zeros_like(p) for p in self.params]
 
     def step(self, grads):
         self.t += 1
@@ -225,20 +229,20 @@ class LoopAdam:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * (g * g)
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
 def test_flat_adam_matches_per_array_loop_bitwise():
     flow, twin = random_flow(2, 64, 2, seed=51), random_flow(2, 64, 2, seed=51)
     latent = init_latent(2, 2, seed=52)
-    opt, ref = Adam(flow.params(), lr=1e-2), LoopAdam(twin.params(), lr=1e-2)
+    opt, ref = Adam(flow.flat, lr=1e-2), LoopAdam(twin.params(), lr=1e-2)
     rng = np.random.default_rng(53)
     for _ in range(50):
         pool = make_pool("mixed", 40, 2, 2, rng)
         flow_train_step(pool, flow, latent, opt)
         flow_train_step(pool, twin, latent, ref)
     for p, q in zip(flow.params(), twin.params()):
-        np.testing.assert_array_equal(p.data, q.data)
+        np.testing.assert_array_equal(p, q)
 
 
 @pytest.mark.parametrize("d", [2, 8])
@@ -272,7 +276,7 @@ def test_training_loop_with_shared_workspace_is_bitwise():
     # workspace, each backward done before the next forward
     flow, twin = random_flow(2, 256, 2, seed=62), random_flow(2, 256, 2, seed=62)
     latent = init_latent(2, 2, seed=63)
-    opt, twin_opt = Adam(flow.params(), lr=1e-2), Adam(twin.params(), lr=1e-2)
+    opt, twin_opt = Adam(flow.flat, lr=1e-2), Adam(twin.flat, lr=1e-2)
     ws = Workspace(256)
     rng = np.random.default_rng(64)
     for _ in range(20):
@@ -283,7 +287,7 @@ def test_training_loop_with_shared_workspace_is_bitwise():
         assert (flow_train_step(pool, flow, latent, opt, ws=ws)
                 == flow_train_step(pool, twin, latent, twin_opt))
     for p, q in zip(flow.params(), twin.params()):
-        np.testing.assert_array_equal(p.data, q.data)
+        np.testing.assert_array_equal(p, q)
 
 
 def test_flow_step_with_workspace_allocates_no_hidden_array():
@@ -294,7 +298,7 @@ def test_flow_step_with_workspace_allocates_no_hidden_array():
     flow = random_flow(2, hidden, 2, seed=65)
     latent = init_latent(2, 2, seed=66)
     pool = make_pool("mixed", rows, 2, 2, np.random.default_rng(67))
-    opt = Adam(flow.params(), lr=1e-3)
+    opt = Adam(flow.flat, lr=1e-3)
     ws = Workspace(hidden)
     flow_train_step(pool, flow, latent, opt, ws=ws)   # grows the buffers
     tracemalloc.start()

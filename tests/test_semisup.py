@@ -147,23 +147,23 @@ class TestLosses:
 class TestEma:
     def test_momentum_one_keeps_teacher(self):
         t, s = init_model(2, 4, 2, 2, seed=0), init_model(2, 4, 2, 2, seed=1)
-        before = [p.data.copy() for p in t.params()]
+        before = [p.copy() for p in t.params()]
         ema_update(t, s, 1.0)
         for b, p in zip(before, t.params()):
-            np.testing.assert_array_equal(b, p.data)
+            np.testing.assert_array_equal(b, p)
 
     def test_momentum_zero_copies_student(self):
         t, s = init_model(2, 4, 2, 2, seed=0), init_model(2, 4, 2, 2, seed=1)
         ema_update(t, s, 0.0)
         for tp, sp in zip(t.params(), s.params()):
-            np.testing.assert_array_equal(tp.data, sp.data)
+            np.testing.assert_array_equal(tp, sp)
 
     def test_update_formula_exact(self):
         t, s = init_model(2, 4, 2, 2, seed=2), init_model(2, 4, 2, 2, seed=3)
-        old = [p.data.copy() for p in t.params()]
+        old = [p.copy() for p in t.params()]
         ema_update(t, s, 0.999)
         for o, tp, sp in zip(old, t.params(), s.params()):
-            np.testing.assert_allclose(tp.data, 0.999 * o + 0.001 * sp.data,
+            np.testing.assert_allclose(tp, 0.999 * o + 0.001 * sp,
                                        atol=1e-12)
 
     def test_shape_mismatch_rejected(self):
