@@ -80,17 +80,19 @@ def cmd_fit_density(args) -> int:
             fh.write(f"{step},{loss!r},{lr!r}\n")
     save_checkpoint(os.path.join(out, "checkpoint.npz"), model, latent)
     if cfg.fit.grid:
-        if dim != 2:
-            raise ConfigError("grid dump needs a 2-D dataset")
         lo, hi = cfg.fit.grid_bounds
         # grid bounds should cover essentially all of the data mass
         q_lo, q_hi = np.quantile(ds.x, 0.005), np.quantile(ds.x, 0.995)
         if q_lo < lo or q_hi > hi:
             _log(out, f"warning: grid bounds [{lo}, {hi}] clip the data "
                       f"(0.5%..99.5% quantiles [{q_lo:.2f}, {q_hi:.2f}])")
-        grid_density_dump(model, latent, ((lo, hi), (lo, hi)),
-                          cfg.fit.grid_resolution,
-                          path=os.path.join(out, "grid.csv"))
+        dump = grid_density_dump(model, latent, ((lo, hi), (lo, hi)),
+                                 cfg.fit.grid_resolution)
+        # rows end in \r\n, csv.writer's terminator, which grid.csv has always had
+        with open(os.path.join(out, "grid.csv"), "w", newline="") as fh:
+            fh.write("x,y,logp\r\n")
+            for x, y, logp in zip(dump.x.tolist(), dump.y.tolist(), dump.logp.tolist()):
+                fh.write(f"{x!r},{y!r},{logp!r}\r\n")
     held = ds.x[ds.test_idx]
     if len(held):
         nll = -float(np.mean(marginal_logpdf(held, model, latent)))

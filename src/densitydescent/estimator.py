@@ -41,6 +41,15 @@ class FlowTrainConfig:
             raise ConfigError("warm_start_epoch must be >= 1")
         if self.lr <= 0:
             raise ConfigError("flow learning rate must be positive")
+        # a beta of 1 freezes Adam's moment estimate and zeroes its bias
+        # correction; a decay factor of zero or less stops or reverses the fit
+        for key, beta in (("beta1", self.beta1), ("beta2", self.beta2)):
+            if not 0.0 <= beta < 1.0:
+                raise ConfigError(f"flow_train.{key} must lie in [0, 1), got {beta:g}")
+        if not self.adam_eps > 0:
+            raise ConfigError(f"flow_train.adam_eps must be > 0, got {self.adam_eps:g}")
+        if not self.decay_gamma > 0:
+            raise ConfigError(f"flow_train.decay_gamma must be > 0, got {self.decay_gamma:g}")
         if self.updates_per_iteration < 1:
             raise ConfigError("updates_per_iteration must be >= 1")
 

@@ -42,6 +42,31 @@ from .optim import pack
 CHECKPOINT_FORMAT = 1
 PARAM_NAMES = ("w1", "b1", "w2", "b2")   # a block's parameters, in ``params()`` order
 
+# Upper bound on ``flow.hidden`` and ``ssl.hidden``, far above every shipped
+# width (256): an absurd width fails as a config error instead of when numpy
+# allocates.
+MAX_WIDTH = 4096
+
+
+@dataclass
+class FlowArch:
+    """The flow's shape: a run config's ``flow`` section, and the sizes
+    ``init_flow`` checks for every flow it builds, checkpoints included."""
+    blocks: int = 2
+    hidden: int = 256
+    s_max: float = 2.0
+    components: int | None = None    # null -> one per dataset class
+
+    def __post_init__(self):
+        if self.blocks < 1:
+            raise ConfigError(f"flow.blocks must be >= 1, got {self.blocks}")
+        if not 1 <= self.hidden <= MAX_WIDTH:
+            raise ConfigError(f"flow.hidden must lie in [1, {MAX_WIDTH}], got {self.hidden}")
+        if not self.s_max > 0:   # a NaN read from a checkpoint fails too
+            raise ConfigError(f"flow.s_max must be > 0, got {self.s_max}")
+        if self.components is not None and self.components < 1:
+            raise ConfigError("flow.components must be >= 1 or null")
+
 
 @dataclass
 class CouplingBlock:
@@ -74,16 +99,15 @@ class FlowModel:
         return [p for b in self.blocks for p in b.params()]
 
 
-def init_flow(d: int, n_blocks: int = 2, hidden: int = 256, s_max: float = 2.0,
-              seed: int = 0) -> FlowModel:
-    """Build an identity-initialized flow; rejects odd feature dimensions."""
+def init_flow(d: int, n_blocks: int = FlowArch.blocks, hidden: int = FlowArch.hidden,
+              s_max: float = FlowArch.s_max, seed: int = 0) -> FlowModel:
+    """Build an identity-initialized flow. The sizes are checked by building
+    a ``FlowArch``; an odd feature dimension or a negative seed is rejected."""
     if d < 2 or d % 2 != 0:
         raise ConfigError(f"feature dimension must be even and >= 2, got {d}")
-    if n_blocks < 1:
-        raise ConfigError("need at least one coupling block")
-    if hidden < 1 or not s_max > 0 or seed < 0:
-        raise ConfigError(f"need hidden width >= 1, s_max > 0 and seed >= 0, got "
-                          f"{hidden}, {s_max:g} and {seed}")
+    FlowArch(n_blocks, hidden, s_max)
+    if seed < 0:
+        raise ConfigError(f"need seed >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     half = d // 2
     arrays = []

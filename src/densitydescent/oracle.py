@@ -10,7 +10,6 @@ the same number.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable
 
@@ -21,6 +20,10 @@ from .flow import FlowModel, kernel_forward
 from .latent import GmmLatent, marginal_logpdf
 
 Bounds = tuple[tuple[float, float], tuple[float, float]]
+
+# Rows per Monte-Carlo draw in ``mc_normalization``: the samples are drawn
+# chunk by chunk, so the estimate for a seed depends on this size.
+MC_CHUNK = 100_000
 
 
 def lu_logabsdet(matrix: np.ndarray) -> float:
@@ -86,8 +89,7 @@ def finite_diff_grad(fn: Callable[[np.ndarray], float], v: np.ndarray,
 
 
 def mc_normalization(model: FlowModel, latent: GmmLatent, bounds: Bounds,
-                     n_samples: int, seed: int = 0,
-                     chunk: int = 100_000) -> tuple[float, float, bool]:
+                     n_samples: int, seed: int = 0) -> tuple[float, float, bool]:
     """Uniform Monte-Carlo estimate of the density mass inside a 2-D box.
 
     Returns (mass, standard_error, boundary_warning). The warning flags
@@ -106,7 +108,7 @@ def mc_normalization(model: FlowModel, latent: GmmLatent, bounds: Bounds,
     total_sq = 0.0
     done = 0
     while done < n_samples:
-        m = min(chunk, n_samples - done)
+        m = min(MC_CHUNK, n_samples - done)
         pts = np.empty((m, 2))
         pts[:, 0] = rng.uniform(x_lo, x_hi, size=m)
         pts[:, 1] = rng.uniform(y_lo, y_hi, size=m)
@@ -147,12 +149,11 @@ class GridDump:
 
 
 def grid_density_dump(model: FlowModel, latent: GmmLatent, bounds: Bounds,
-                      resolution: int, path=None) -> GridDump:
+                      resolution: int) -> GridDump:
     """Evaluate the marginal log-density at cell centers of a 2-D grid.
 
     Cells are visited row-major with x varying fastest inside each y row;
-    centers sit at lo + (i + 0.5) * (hi - lo) / resolution. Writes CSV with
-    header ``x,y,logp`` when a path is given.
+    centers sit at lo + (i + 0.5) * (hi - lo) / resolution.
     """
     if model.d != 2:
         raise ValueError("grid dump is restricted to d = 2")
@@ -163,11 +164,4 @@ def grid_density_dump(model: FlowModel, latent: GmmLatent, bounds: Bounds,
     cy = y_lo + (np.arange(resolution) + 0.5) * (y_hi - y_lo) / resolution
     gx, gy = np.meshgrid(cx, cy)               # gy varies by row, gx by column
     pts = np.column_stack([gx.ravel(), gy.ravel()])
-    dump = GridDump(x=pts[:, 0], y=pts[:, 1], logp=marginal_logpdf(pts, model, latent))
-    if path is not None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "y", "logp"])
-            for row in zip(dump.x.tolist(), dump.y.tolist(), dump.logp.tolist()):
-                writer.writerow([repr(c) for c in row])
-    return dump
+    return GridDump(x=pts[:, 0], y=pts[:, 1], logp=marginal_logpdf(pts, model, latent))

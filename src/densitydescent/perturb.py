@@ -197,10 +197,8 @@ def generate_perturbation(v: np.ndarray, cfg: PerturbConfig, rng: np.random.Gene
         delta = uniform_noise_perturbation(np.shape(v), eps, rng)
     elif cfg.kind == "channel-dropout":
         delta = channel_dropout_perturbation(v, cfg.dropout_rate, rng)
-    elif cfg.kind == "vat-lite":
+    else:  # "vat-lite": PerturbConfig admits no kind outside KINDS
         if decoder is None:
             raise ValueError("vat-lite perturbation needs the student decoder")
         delta = vat_perturbation(v, eps, *decoder, rng, cfg.vat_xi, cfg.vat_power_iters)
-    else:  # pragma: no cover - kinds validated at config time
-        raise ConfigError(f"unknown perturbation kind {cfg.kind!r}")
     return delta, fallbacks

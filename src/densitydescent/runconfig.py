@@ -15,14 +15,14 @@ import json
 import math
 import typing
 from dataclasses import dataclass, field
-from operator import attrgetter
 from types import SimpleNamespace
 
 from .data import DataSpec
 from .errors import ConfigError
 from .estimator import FlowTrainConfig
+from .flow import FlowArch
 from .perturb import PerturbConfig
-from .semisup import MAX_FEATURE_DIM, MAX_WIDTH, SslConfig, SweepSpec
+from .semisup import MAX_FEATURE_DIM, SslConfig, SweepSpec
 
 # Upper bound on ``fit.grid_resolution`` (the shipped configs use 64): the
 # grid has resolution^2 points and grid.csv one line per point.
@@ -47,24 +47,6 @@ class FitSpec:
         if not 1 <= self.grid_resolution <= MAX_GRID_RESOLUTION:
             raise ConfigError(f"fit.grid_resolution must lie in [1, {MAX_GRID_RESOLUTION}], "
                               f"got {self.grid_resolution}")
-
-
-@dataclass
-class FlowArch:
-    blocks: int = 2
-    hidden: int = 256
-    s_max: float = 2.0
-    components: int | None = None    # null -> one per dataset class
-
-    def __post_init__(self):
-        if self.blocks < 1:
-            raise ConfigError(f"flow.blocks must be >= 1, got {self.blocks}")
-        if not 1 <= self.hidden <= MAX_WIDTH:
-            raise ConfigError(f"flow.hidden must lie in [1, {MAX_WIDTH}], got {self.hidden}")
-        if self.s_max <= 0:
-            raise ConfigError(f"flow.s_max must be > 0, got {self.s_max}")
-        if self.components is not None and self.components < 1:
-            raise ConfigError("flow.components must be >= 1 or null")
 
 
 @dataclass
@@ -101,8 +83,7 @@ _JSON_KEYS = {(DataSpec, "n_classes"): "classes"}
 _FILLED = {
     DataSpec: {"seed": "seed"},
     SslConfig: {"seed": "seed", "perturb": "perturb", "flow_train": "flow_train",
-                "flow_blocks": "flow.blocks", "flow_hidden": "flow.hidden",
-                "flow_s_max": "flow.s_max"},
+                "flow": "flow"},
 }
 
 
@@ -215,7 +196,7 @@ def parse_config(doc: dict) -> RunConfig:
         eff[name] = _check_section(name, doc.get(name, {}))
     built = SimpleNamespace(seed=eff["seed"])
     for name, cls in SECTIONS.items():
-        filled = {f: attrgetter(src)(built) for f, src in _FILLED.get(cls, {}).items()}
+        filled = {f: getattr(built, src) for f, src in _FILLED.get(cls, {}).items()}
         setattr(built, name, cls(**_field_values(_SECTION_KEYS[name], eff[name]),
                                  **filled))
     return RunConfig(**vars(built), effective=eff)

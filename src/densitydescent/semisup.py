@@ -29,8 +29,8 @@ from . import diffcore as dc
 from .data import DataSpec, Dataset, make_dataset
 from .errors import ConfigError, NumericError
 from .estimator import FlowTrainConfig, flow_train_step, subsample_pool
-from .flow import Workspace, init_flow
-from .latent import init_latent, softmax
+from .flow import MAX_WIDTH, FlowArch, Workspace, init_flow
+from .latent import BLOCK_ROWS, init_latent, softmax
 from .optim import Adam, MomentumSGD, pack, poly_decay, step_decay
 from .perturb import PerturbConfig, dropped_channels, generate_perturbation
 
@@ -103,19 +103,18 @@ def init_model(input_dim: int, hidden: int, feature_dim: int, n_classes: int,
         np.zeros(n_classes)]))
 
 
-# Upper bounds on the size keys, far above every shipped value (hidden 256,
-# feature dimension 8): an absurd width or dimension fails as a config error
-# instead of when numpy allocates. ``runconfig`` applies the same caps to
-# ``flow.hidden`` and the ``verify.dims`` entries.
-MAX_WIDTH = 4096
+# Upper bound on ``ssl.feature_dim`` and the ``verify.dims`` entries, far
+# above every shipped value (8): an absurd dimension fails as a config error
+# instead of when numpy allocates. Widths are capped by ``flow.MAX_WIDTH``.
 MAX_FEATURE_DIM = 1024
 
 
 @dataclass
 class SslConfig:
-    """Student, teacher and estimator settings of one training run. The
-    defaults are the desk-scale two-moons recipe (``two_moons_benchmark``)
-    and those of a run config's ``ssl`` section."""
+    """Student, teacher and estimator settings of one training run: a run
+    config's ``ssl`` section, whose defaults these are, with ``seed``,
+    ``flow``, ``flow_train`` and ``perturb`` filled from the rest of the
+    document. The two-moons benchmark recipe is ``configs/moons_ssl.json``."""
     epochs: int = 100
     batch_labeled: int = 8
     batch_unlabeled: int = 64
@@ -130,16 +129,22 @@ class SslConfig:
     drop_prob: float = 0.1
     hidden: int = 64
     feature_dim: int = 2
-    flow_blocks: int = 2
-    flow_hidden: int = 256
-    flow_s_max: float = 2.0
     ft_start_epoch: int | None = None   # default: warm_start_epoch + 1
     seed: int = 0
     perturb: PerturbConfig = field(default_factory=PerturbConfig)
+    flow: FlowArch = field(default_factory=FlowArch)
     flow_train: FlowTrainConfig = field(default_factory=FlowTrainConfig)
 
     def __post_init__(self):
         check_seeds("seed", [self.seed])
+        # a step <= 0 never descends, and momentum >= 1 never forgets a step
+        if not self.lr > 0:
+            raise ConfigError(f"ssl.lr must be > 0, got {self.lr:g}")
+        if not 0.0 <= self.sgd_momentum < 1.0:
+            raise ConfigError(f"ssl.sgd_momentum must lie in [0, 1), "
+                              f"got {self.sgd_momentum:g}")
+        if not self.poly_power >= 0:
+            raise ConfigError(f"ssl.poly_power must be >= 0, got {self.poly_power:g}")
         if not 0.0 < self.tau < 1.0:
             raise ConfigError("tau must lie in (0, 1)")
         if self.lambda_ft < 0:
@@ -338,9 +343,15 @@ def ema_update(teacher: Model, student: Model, momentum: float) -> None:
 
 
 def evaluate(model: Model, x: np.ndarray, y: np.ndarray) -> float:
+    """Accuracy on (x, y), predicted ``latent.BLOCK_ROWS`` rows at a time so
+    that the (rows, hidden) activations stay one block in size."""
     if len(x) == 0:
         return float("nan")
-    return float(np.mean(model.predict(x) == y))
+    hits = 0
+    for i in range(0, len(x), BLOCK_ROWS):
+        block = model.predict(x[i:i + BLOCK_ROWS]) == y[i:i + BLOCK_ROWS]
+        hits += int(np.count_nonzero(block))
+    return hits / len(x)
 
 
 def params_digest(arrays: list[np.ndarray]) -> str:
@@ -397,8 +408,8 @@ def train_ssl(cfg: SslConfig, ds: Dataset, check_isolation: bool = False) -> Tra
     s_model, s_flow, s_latent, s_loop, s_pert = derived_seeds(cfg.seed, 5)
     student = init_model(x.shape[1], cfg.hidden, cfg.feature_dim, k, s_model)
     teacher = student.clone()
-    flow_model = init_flow(cfg.feature_dim, cfg.flow_blocks, cfg.flow_hidden,
-                           cfg.flow_s_max, s_flow)
+    flow_model = init_flow(cfg.feature_dim, cfg.flow.blocks, cfg.flow.hidden,
+                           cfg.flow.s_max, s_flow)
     latent = init_latent(k, cfg.feature_dim, s_latent)
     rng = np.random.default_rng(s_loop)
     prng = np.random.default_rng(s_pert)
@@ -544,41 +555,17 @@ class SweepSpec:
 def ablate(cfg: SslConfig, spec: DataSpec, sweep: SweepSpec) -> list[dict]:
     """Train every sweep cell with shared seeds; one row per run.
 
-    Axes left unset fall back to the base config's value. Every cell's
-    config is built (and so validated) before the first one trains. Datasets
-    are cached per seed so all cells see identical data at a given seed.
+    Axes left unset fall back to the base config's value. Every (kind, eps,
+    lambda_ft) group's config is built, and so validated, before the first
+    run trains; each group then trains its seeds through ``run_seeds``, so
+    all groups see the same dataset draw at a given seed.
     """
     kinds = sweep.kinds if sweep.kinds else [cfg.perturb.kind]
     eps_values = sweep.eps if sweep.eps else [cfg.perturb.eps]
     lambdas = sweep.lambda_ft if sweep.lambda_ft else [cfg.lambda_ft]
-    cells = [replace(cfg, seed=s, lambda_ft=lam,
-                     perturb=replace(cfg.perturb, kind=kind, eps=eps))
-             for kind in kinds for eps in eps_values for lam in lambdas
-             for s in sweep.seeds]
-    cache: dict[int, Dataset] = {}
-    rows = []
-    for cell in cells:
-        if cell.seed not in cache:
-            cache[cell.seed] = dataset_for_run(spec, cell.seed)
-        res = train_ssl(cell, cache[cell.seed])
-        rows.append({"kind": cell.perturb.kind, "eps": cell.perturb.eps,
-                     "lambda_ft": cell.lambda_ft, "seed": cell.seed,
-                     "test_acc": res.final_test_acc})
-    return rows
-
-
-def two_moons_benchmark() -> tuple[SslConfig, DataSpec]:
-    """Desk-scale reference benchmark: two moons, 4 labels/class, 500 unlabeled.
-
-    Calibrated so the supervised+image-consistency baseline neither collapses
-    nor saturates: clean teacher views (no weak jitter), mild strong jitter,
-    2-D features so the estimated density is full-rank over the feature
-    manifold, and an estimator that warms up from the first epoch. The
-    ``DataSpec`` and ``SslConfig`` defaults are this recipe; only the seed,
-    the feature-loss start and the estimator schedule differ.
-    """
-    spec = DataSpec(seed=7)
-    cfg = SslConfig(ft_start_epoch=2,
-                    flow_train=FlowTrainConfig(sample_budget=256, warm_start_epoch=1,
-                                               updates_per_iteration=2))
-    return cfg, spec
+    groups = [replace(cfg, lambda_ft=lam, perturb=replace(cfg.perturb, kind=kind, eps=eps))
+              for kind in kinds for eps in eps_values for lam in lambdas]
+    return [{"kind": group.perturb.kind, "eps": group.perturb.eps,
+             "lambda_ft": group.lambda_ft, "seed": s, "test_acc": res.final_test_acc}
+            for group in groups
+            for s, res in zip(sweep.seeds, run_seeds(group, spec, sweep.seeds))]

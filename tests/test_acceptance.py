@@ -18,8 +18,8 @@ from densitydescent.latent import GmmLatent, init_latent, marginal_loglik, mixtu
 from densitydescent.oracle import (finite_diff_grad, mc_normalization,
                                    numeric_jacobian_logdet)
 from densitydescent.perturb import density_descent_perturbation, density_gradient
-from densitydescent.semisup import (ema_update, init_model, run_seeds,
-                                    train_ssl, two_moons_benchmark)
+from densitydescent.semisup import ema_update, init_model, run_seeds, train_ssl
+from recipe import two_moons_benchmark
 
 SEEDS = [0, 1, 2, 3, 4]
 

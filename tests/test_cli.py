@@ -4,9 +4,11 @@ import os
 import numpy as np
 import pytest
 
+from densitydescent import semisup
 from densitydescent.cli import main
 from densitydescent.flow import load_checkpoint
 from densitydescent.latent import marginal_loglik
+from densitydescent.oracle import grid_density_dump
 
 
 def write_json(path, doc):
@@ -52,6 +54,19 @@ class TestFitDensity:
         model, latent = load_checkpoint(out / "checkpoint.npz")
         assert model.d == 2 and latent.n_components == 2
         assert np.isfinite(marginal_loglik(np.zeros(2), model, latent).data)
+
+    def test_grid_csv_output(self, small_fit_config, tmp_path):
+        # a header and one row per cell of repr() values, each ended by \r\n,
+        # the values those the checkpoint's model gives on the default grid
+        out = tmp_path / "run"
+        assert main(["fit-density", "--config", small_fit_config,
+                     "--out", str(out)]) == 0
+        lines = (out / "grid.csv").read_bytes().split(b"\r\n")
+        assert lines[0] == b"x,y,logp" and lines[-1] == b""
+        dump = grid_density_dump(*load_checkpoint(out / "checkpoint.npz"),
+                                 ((-8.0, 8.0), (-8.0, 8.0)), 4)
+        assert lines[1:-1] == [f"{x!r},{y!r},{logp!r}".encode() for x, y, logp in
+                               zip(dump.x.tolist(), dump.y.tolist(), dump.logp.tolist())]
 
     def test_reproducible_byte_for_byte(self, small_fit_config, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -126,6 +141,40 @@ class TestAblate:
         lines = (out / "sweep.csv").read_text().strip().splitlines()
         assert lines[0] == "kind,eps,lambda_ft,seed,test_acc"
         assert len(lines) == 1 + 5 * 2
+
+    def test_cells_equal_train_ssl_runs(self, small_ssl_config, tmp_path, monkeypatch):
+        # each cell is the train-ssl run of its kind and seed: the same
+        # test_acc on file, and the same per-epoch metrics in memory
+        runs = []
+        train = semisup.train_ssl
+
+        def recorded(cfg, ds, **kw):
+            result = train(cfg, ds, **kw)
+            runs.append((cfg.perturb.kind, cfg.seed, result.rows))
+            return result
+
+        monkeypatch.setattr(semisup, "train_ssl", recorded)
+        kinds = ["uniform-noise", "density-descending"]
+        sweep = write_json(tmp_path / "sweep.json", {"kinds": kinds, "seeds": [0, 1]})
+        out = tmp_path / "ablate"
+        assert main(["ablate", "--config", small_ssl_config, "--sweep", sweep,
+                     "--out", str(out)]) == 0
+        cells = [(r[0], r[3], float(r[4])) for r in
+                 (line.split(",") for line in
+                  (out / "sweep.csv").read_text().splitlines()[1:])]
+        ablate_runs, runs[:] = runs[:], []
+        with open(small_ssl_config) as fh:
+            doc = json.load(fh)
+        accs = []
+        for kind in kinds:
+            doc["perturb"] = {"kind": kind}
+            cfg, run = write_json(tmp_path / f"{kind}.json", doc), tmp_path / kind
+            assert main(["train-ssl", "--config", cfg, "--out", str(run),
+                         "--seeds", "0,1"]) == 0
+            summary = json.loads((run / "summary.json").read_text())["accuracies"]
+            accs += [(kind, s, summary[s]) for s in ("0", "1")]
+        assert cells == accs
+        assert ablate_runs == runs and len(runs) == 4
 
     def test_unknown_sweep_key(self, small_ssl_config, tmp_path):
         sweep = write_json(tmp_path / "sweep.json", {"epsilon": [1.0]})
@@ -220,6 +269,13 @@ class TestConfigRejectedBeforeWork:
         ("flow", "s_max", 0),
         ("ssl", "feature_dim", 3),
         ("ssl", "sigma_weak", -1.0),
+        ("ssl", "lr", 0),
+        ("ssl", "sgd_momentum", 1.0),
+        ("ssl", "poly_power", -1),
+        ("flow_train", "beta1", 1.0),
+        ("flow_train", "beta2", 1.0),
+        ("flow_train", "adam_eps", 0),
+        ("flow_train", "decay_gamma", 0),
         ("dataset", "kind", "foo"),
         ("dataset", "n", 5),
         ("dataset", "test_fraction", 1.0),
@@ -536,8 +592,9 @@ class TestBadRunInputsRejected:
                              ("block1_w2", (8, 3)), ("block1_b2", (3,)),
                              ("latent_means", (2, 3))]),
         _meta(s_max=-1.0),
+        _meta(s_max=float("nan")),
         _meta(seed=-1),
-    ], ids=["no-blocks", "odd-d", "negative-s_max", "negative-seed"])
+    ], ids=["no-blocks", "odd-d", "negative-s_max", "nan-s_max", "negative-seed"])
     def test_checkpoint_sizes_init_flow_rejects(self, corrupt, tmp_path, capsys):
         # each used to load: no blocks gave a TypeError traceback, an odd d a
         # matmul ValueError after a PASS line, and s_max -1 passed verify

@@ -149,12 +149,3 @@ class TestGridDump:
         preimage = latent.means[0][::-1]     # identity flow inverts the reversal
         cell = 8.0 / 64
         assert np.abs(peak - preimage).max() <= cell
-
-    def test_csv_output(self, tmp_path):
-        flow = init_flow(2, hidden=4, seed=24)
-        latent = init_latent(2, 2, seed=25)
-        path = tmp_path / "grid.csv"
-        grid_density_dump(flow, latent, ((0, 1), (0, 1)), 2, path=path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "x,y,logp"
-        assert len(lines) == 5

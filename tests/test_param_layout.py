@@ -15,7 +15,8 @@ from densitydescent.flow import (init_flow, load_checkpoint, randomize_condition
                                  save_checkpoint)
 from densitydescent.latent import init_latent
 from densitydescent.optim import Adam, MomentumSGD
-from densitydescent.semisup import init_model, params_digest, train_ssl, two_moons_benchmark
+from densitydescent.semisup import init_model, params_digest, train_ssl
+from recipe import two_moons_benchmark
 
 
 def small_flow():

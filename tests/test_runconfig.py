@@ -1,6 +1,5 @@
 import json
 import os
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +7,6 @@ from hypothesis import strategies as st
 
 from densitydescent.errors import ConfigError
 from densitydescent.runconfig import echo_config, load_config, parse_config
-from densitydescent.semisup import two_moons_benchmark
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join(ROOT, "tests", "golden")
@@ -21,13 +19,6 @@ def test_config_echo_matches_golden(name, tmp_path):
     echo_config(cfg, tmp_path / "config.json")
     with open(os.path.join(GOLDEN, f"{name}.config.json"), "rb") as fh:
         assert (tmp_path / "config.json").read_bytes() == fh.read()
-
-
-def test_benchmark_equals_shipped_ssl_config():
-    cfg = load_config(os.path.join(ROOT, "configs", "moons_ssl.json"))
-    ssl, spec = two_moons_benchmark()
-    assert spec == cfg.dataset
-    assert replace(ssl, seed=7) == cfg.ssl_config()
 
 
 SECTION_KEYS = {name: sorted(section)

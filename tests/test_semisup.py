@@ -7,8 +7,10 @@ from densitydescent import diffcore as dc
 from densitydescent.data import DataSpec, make_dataset
 from densitydescent.errors import ConfigError
 from densitydescent.estimator import FlowTrainConfig
+from densitydescent.flow import FlowArch
+from densitydescent.latent import BLOCK_ROWS
 from densitydescent.perturb import PerturbConfig
-from densitydescent.semisup import (SslConfig, SweepSpec, ablate,
+from densitydescent.semisup import (Model, SslConfig, SweepSpec, ablate,
                                     augment_strong, augment_weak, ema_update,
                                     evaluate, init_model,
                                     masked_consistency_loss, pseudo_labels,
@@ -22,7 +24,7 @@ LOG_21 = float(np.log(21))
 def tiny_config(**kw):
     defaults = dict(
         epochs=4, batch_labeled=8, batch_unlabeled=32, lr=0.05, feature_dim=2,
-        hidden=16, flow_hidden=16, sigma_weak=0.02, sigma_strong=0.1,
+        hidden=16, flow=FlowArch(hidden=16), sigma_weak=0.02, sigma_strong=0.1,
         drop_prob=0.05, ema_momentum=0.95, tau=0.9, lambda_ft=0.5,
         perturb=PerturbConfig(kind="density-descending", eps=0.25, eps_relative=True),
         flow_train=FlowTrainConfig(sample_budget=64, warm_start_epoch=1),
@@ -302,3 +304,21 @@ def test_evaluate_on_separable_data():
     x = np.array([[0.0, 0.0], [1.0, 1.0]])
     acc = evaluate(model, x, model.predict(x))
     assert acc == 1.0
+
+
+def test_evaluate_streams_blocks_of_rows(monkeypatch):
+    # 2.5 blocks of rows: no prediction sees more than one block, and the
+    # accuracy is that of the per-block predictions
+    model = init_model(2, 16, 2, 2, seed=1)
+    rng = np.random.default_rng(2)
+    n = 2 * BLOCK_ROWS + BLOCK_ROWS // 2
+    x = rng.standard_normal((n, 2))
+    y = rng.integers(0, 2, n)
+    per_block = np.concatenate([model.predict(x[i:i + BLOCK_ROWS])
+                                for i in range(0, n, BLOCK_ROWS)])
+    rows = []
+    predict = Model.predict
+    monkeypatch.setattr(Model, "predict",
+                        lambda self, xb: rows.append(len(xb)) or predict(self, xb))
+    assert evaluate(model, x, y) == float(np.mean(per_block == y))
+    assert rows == [BLOCK_ROWS, BLOCK_ROWS, BLOCK_ROWS // 2]

@@ -16,9 +16,9 @@ from densitydescent.data import make_dataset
 from densitydescent.perturb import KINDS
 from densitydescent.semisup import (PseudoLabelBatch, init_model,
                                     masked_consistency_loss, student_step,
-                                    sup_loss, train_ssl, two_moons_benchmark,
-                                    unified_loss)
+                                    sup_loss, train_ssl, unified_loss)
 from leaf_twin import leaf_twin
+from recipe import two_moons_benchmark
 
 
 def make_case(n_l=8, n_s=16, hidden=64, feature_dim=2, k=2, mask="mixed",
