@@ -36,11 +36,13 @@ class FlowTrainConfig:
         if len(self.decay_fractions) > 8:
             raise ConfigError("flow_train.decay_fractions: too many milestones")
         if self.sample_budget < 2 or self.sample_budget % 2 != 0:
-            raise ConfigError("sample_budget must be even and >= 2 (split across pools)")
+            raise ConfigError(f"flow_train.sample_budget must be even and >= 2 (split "
+                              f"across pools), got {self.sample_budget}")
         if self.warm_start_epoch < 1:
-            raise ConfigError("warm_start_epoch must be >= 1")
+            raise ConfigError(f"flow_train.warm_start_epoch must be >= 1, "
+                              f"got {self.warm_start_epoch}")
         if self.lr <= 0:
-            raise ConfigError("flow learning rate must be positive")
+            raise ConfigError(f"flow_train.lr must be > 0, got {self.lr:g}")
         # a beta of 1 freezes Adam's moment estimate and zeroes its bias
         # correction; a decay factor of zero or less stops or reverses the fit
         for key, beta in (("beta1", self.beta1), ("beta2", self.beta2)):
@@ -51,7 +53,8 @@ class FlowTrainConfig:
         if not self.decay_gamma > 0:
             raise ConfigError(f"flow_train.decay_gamma must be > 0, got {self.decay_gamma:g}")
         if self.updates_per_iteration < 1:
-            raise ConfigError("updates_per_iteration must be >= 1")
+            raise ConfigError(f"flow_train.updates_per_iteration must be >= 1, "
+                              f"got {self.updates_per_iteration}")
 
 
 @dataclass

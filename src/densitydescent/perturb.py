@@ -32,13 +32,17 @@ class PerturbConfig:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ConfigError(f"unknown perturbation kind {self.kind!r}; one of {KINDS}")
+            raise ConfigError(f"perturb.kind: unknown perturbation kind {self.kind!r}; "
+                              f"one of {KINDS}")
         if self.eps <= 0:
-            raise ConfigError("perturbation step size must be positive")
+            raise ConfigError(f"perturb.eps must be > 0, got {self.eps:g}")
         if not 0.0 < self.dropout_rate < 1.0:
-            raise ConfigError("dropout_rate must lie in (0, 1)")
-        if self.vat_xi <= 0 or self.vat_power_iters < 1:
-            raise ConfigError("vat_xi must be positive and vat_power_iters >= 1")
+            raise ConfigError(f"perturb.dropout_rate must lie in (0, 1), got {self.dropout_rate:g}")
+        if self.vat_xi <= 0:
+            raise ConfigError(f"perturb.vat_xi must be > 0, got {self.vat_xi:g}")
+        if self.vat_power_iters < 1:
+            raise ConfigError(f"perturb.vat_power_iters must be >= 1, "
+                              f"got {self.vat_power_iters}")
 
 
 def resolve_eps(cfg: PerturbConfig, feats: np.ndarray) -> float:

@@ -14,12 +14,18 @@ perturbation kind (the ``vat-lite`` probe included) is hand-derived too, and
 the teacher and evaluation use the numpy forward pass. The tape losses
 (``sup_loss``, ``masked_consistency_loss``, ``unified_loss``) are the
 differentiable reference that the tests check ``student_step`` against.
+
+A run whose perturbation never reads the flow (``lambda_ft`` 0, or a
+baseline kind) trains the flow on a second core: ``train_ssl`` forks one
+worker for the student loop and steps the flow on the pools it sends back,
+with the same bits as in one process.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import os
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator
 
@@ -28,7 +34,7 @@ import numpy as np
 from . import diffcore as dc
 from .data import DataSpec, Dataset, make_dataset
 from .errors import ConfigError, NumericError
-from .estimator import FlowTrainConfig, flow_train_step, subsample_pool
+from .estimator import FeaturePool, FlowTrainConfig, flow_train_step, subsample_pool
 from .flow import MAX_WIDTH, FlowArch, Workspace, init_flow
 from .latent import BLOCK_ROWS, init_latent, softmax
 from .optim import Adam, MomentumSGD, pack, poly_decay, step_decay
@@ -146,20 +152,21 @@ class SslConfig:
         if not self.poly_power >= 0:
             raise ConfigError(f"ssl.poly_power must be >= 0, got {self.poly_power:g}")
         if not 0.0 < self.tau < 1.0:
-            raise ConfigError("tau must lie in (0, 1)")
+            raise ConfigError(f"ssl.tau must lie in (0, 1), got {self.tau:g}")
         if self.lambda_ft < 0:
-            raise ConfigError("lambda_ft must be >= 0")
+            raise ConfigError(f"ssl.lambda_ft must be >= 0, got {self.lambda_ft:g}")
         if not 0.0 <= self.ema_momentum <= 1.0:
-            raise ConfigError("ema_momentum must lie in [0, 1]")
+            raise ConfigError(f"ssl.ema_momentum must lie in [0, 1], got {self.ema_momentum:g}")
         if not 0.0 <= self.sigma_weak < self.sigma_strong:
             # a negative std would still jitter, by |sigma_weak|, and could
             # make the weak view noisier than the strong one
             raise ConfigError(f"ssl.sigma_weak must lie in [0, ssl.sigma_strong = "
                               f"{self.sigma_strong:g}), got {self.sigma_weak:g}")
         if not 0.0 <= self.drop_prob < 1.0:
-            raise ConfigError("drop_prob must lie in [0, 1)")
-        if self.epochs < 1 or self.batch_unlabeled < 1 or self.batch_labeled < 1:
-            raise ConfigError("epochs and batch sizes must be positive")
+            raise ConfigError(f"ssl.drop_prob must lie in [0, 1), got {self.drop_prob:g}")
+        for key in ("epochs", "batch_labeled", "batch_unlabeled"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"ssl.{key} must be >= 1, got {getattr(self, key)}")
         if not 1 <= self.hidden <= MAX_WIDTH:
             raise ConfigError(f"ssl.hidden must lie in [1, {MAX_WIDTH}], got {self.hidden}")
         if not 1 <= self.feature_dim <= MAX_FEATURE_DIM:
@@ -367,6 +374,11 @@ METRIC_COLUMNS = ("epoch", "L_sup", "L_im", "L_ft", "L_flow",
 
 @dataclass
 class TrainResult:
+    """One run: its per-epoch ``METRIC_COLUMNS`` rows, its counters and its
+    final models. A split run (see ``train_ssl``) takes the rows without
+    ``L_flow``, the counters and the student and teacher vectors from its
+    worker, and the flow, the latent and ``L_flow`` from the calling
+    process; every field equals that of the same run in one process."""
     rows: list[dict] = field(default_factory=list)
     final_test_acc: float = 0.0
     isolation_violations: int = 0
@@ -396,30 +408,179 @@ def train_ssl(cfg: SslConfig, ds: Dataset, check_isolation: bool = False) -> Tra
     freshly sampled detached teacher feature pools. Epochs are 1-indexed.
     With an empty unlabeled split the loop degenerates to supervised
     training and the estimator never runs.
+
+    Only the density-descending perturbation at ``lambda_ft > 0`` reads the
+    flow. Any other run that takes flow steps is split in two when the host
+    has the ``fork`` start method and at least two usable cores
+    (``_splits``): one forked worker runs the loop and sends each epoch's
+    feature pools back, and this process steps the flow on them in the same
+    order while the worker goes on. The result is bit for bit that of the
+    run in one process, where ``check_isolation`` keeps every run. An error
+    in the worker is raised here, unchanged, after the pools of the
+    iterations before it have been stepped.
     """
+    if len(ds.labeled_idx) == 0:
+        raise ConfigError("training needs a labeled split")
+    s_model, s_flow, s_latent, _, _ = derived_seeds(cfg.seed, 5)
+    student = init_model(ds.x.shape[1], cfg.hidden, cfg.feature_dim, ds.n_classes, s_model)
+    teacher = student.clone()
+    flow = _Flow(cfg, ds.n_classes, s_flow, s_latent)
+    if _splits(cfg, ds, check_isolation):
+        result = _train_split(cfg, ds, student, teacher, flow)
+    else:
+        result = _loop(cfg, ds, student, teacher, flow, check_isolation)
+    result.rows = [_with_l_flow(row, losses) for row, losses in zip(result.rows, flow.losses)]
+    result.flow_model, result.latent = flow.model, flow.latent
+    return result
+
+
+def _splits(cfg: SslConfig, ds: Dataset, check_isolation: bool) -> bool:
+    """Whether ``train_ssl`` runs its loop in a worker: no perturbation reads
+    the flow, the run takes flow steps, isolation is not checked, and the
+    host can fork onto a second core. Decided by the config, the split sizes
+    and the host, never by the data's values."""
+    if cfg.lambda_ft > 0 and cfg.perturb.kind == "density-descending":
+        return False
+    if len(ds.unlabeled_idx) == 0 or cfg.flow_train.warm_start_epoch > cfg.epochs:
+        return False
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if check_isolation or cores < 2:
+        return False
+    import multiprocessing   # only split runs pay for this import
+    # a daemonic process, such as a multiprocessing.Pool worker, may not fork
+    return ("fork" in multiprocessing.get_all_start_methods()
+            and not multiprocessing.current_process().daemon)
+
+
+class _Flow:
+    """A run's flow estimator, stepped in the calling process: the model,
+    its latent, Adam, the kernel workspace, and the loss of each
+    iteration's last flow step, one list per epoch."""
+
+    def __init__(self, cfg: SslConfig, n_classes: int, s_flow: int, s_latent: int):
+        self.model = init_flow(cfg.feature_dim, cfg.flow.blocks, cfg.flow.hidden,
+                               cfg.flow.s_max, s_flow)
+        self.latent = init_latent(n_classes, cfg.feature_dim, s_latent)
+        ft = cfg.flow_train
+        self.opt = Adam(self.model.flat, ft.lr, (ft.beta1, ft.beta2), ft.adam_eps)
+        # one set of flow buffers for the run: each kernel pass (perturbation
+        # or flow step) finishes its backward before the next forward starts
+        self.ws = Workspace(self.model.hidden)
+        self.losses: list[list[float]] = []
+
+    def begin_epoch(self, lr: float) -> None:
+        self.opt.lr = lr
+        self.losses.append([])
+
+    def update(self, pools: list[FeaturePool]) -> None:
+        """One iteration's flow steps, one per pool, in order."""
+        for pool in pools:
+            loss = flow_train_step(pool, self.model, self.latent, self.opt, ws=self.ws)
+        self.losses[-1].append(loss)
+
+    def end_epoch(self) -> None:
+        pass
+
+
+class _PoolSender:
+    """The worker's stand-in for ``_Flow``: it keeps an epoch's pools and
+    sends them, with the epoch's flow lr, once the epoch's iterations are
+    done. It holds no flow, so a perturbation that reads one fails."""
+    model = latent = ws = None
+
+    def __init__(self, conn):
+        self.conn, self.lr, self.pools = conn, None, []
+
+    def begin_epoch(self, lr: float) -> None:
+        self.lr, self.pools = lr, []
+
+    def update(self, pools: list[FeaturePool]) -> None:
+        self.pools.append(pools)
+
+    def end_epoch(self) -> None:
+        self.conn.send(("pools", self.lr, self.pools))
+        self.pools = []
+
+
+def _train_split(cfg: SslConfig, ds: Dataset, student: Model, teacher: Model,
+                 flow: _Flow) -> TrainResult:
+    """``train_ssl``'s loop in one forked worker, its flow steps here, taken
+    on the worker's pools in the order they arrive. ``student`` and
+    ``teacher`` end as the worker's final vectors."""
+    import multiprocessing
+    ctx = multiprocessing.get_context("fork")
+    inbox, outbox = ctx.Pipe(duplex=False)
+    worker = ctx.Process(target=_worker, args=(outbox, cfg, ds, student, teacher),
+                         daemon=True)
+    worker.start()
+    outbox.close()   # the worker's end alone: its exit ends ``recv`` with EOFError
+    try:
+        while True:
+            try:
+                msg = inbox.recv()
+            except EOFError:
+                worker.join()
+                raise RuntimeError(f"the training worker exited with code "
+                                   f"{worker.exitcode} before its run finished") from None
+            if msg[0] == "pools":
+                flow.begin_epoch(msg[1])
+                for pools in msg[2]:
+                    flow.update(pools)
+            elif msg[0] == "error":
+                raise msg[1]
+            else:
+                _, result, student_flat, teacher_flat = msg
+                student.flat[:], teacher.flat[:] = student_flat, teacher_flat
+                result.student, result.teacher = student, teacher
+                return result
+    except BaseException:
+        worker.terminate()   # before closing the pipe, so no send of its fails
+        raise
+    finally:
+        worker.join()
+        inbox.close()
+
+
+def _worker(conn, cfg: SslConfig, ds: Dataset, student: Model, teacher: Model) -> None:
+    """The forked half of a split run: the loop, sending its pools to
+    ``conn``; then its result, or the pools of the finished iterations
+    followed by the error."""
+    sender = _PoolSender(conn)
+    try:
+        result = _loop(cfg, ds, student, teacher, sender)
+    except Exception as e:
+        if sender.pools:
+            sender.end_epoch()
+        conn.send(("error", e))
+        return
+    conn.send(("done", replace(result, student=None, teacher=None),
+               student.flat, teacher.flat))
+
+
+def _with_l_flow(row: dict, losses: list[float]) -> dict:
+    """A loop row with its epoch's ``L_flow``, in ``METRIC_COLUMNS`` order:
+    the losses summed in iteration order from 0.0, then divided by their
+    count, which past the warm start is every iteration of the epoch. An
+    epoch without flow steps reads 0.0."""
+    total = 0.0
+    for loss in losses:   # not sum(): from Python 3.12 it compensates rounding
+        total += loss
+    l_flow = total / len(losses) if losses else 0.0
+    return {c: l_flow if c == "L_flow" else row[c] for c in METRIC_COLUMNS}
+
+
+def _loop(cfg: SslConfig, ds: Dataset, student: Model, teacher: Model,
+          flow: _Flow | _PoolSender, check_isolation: bool = False) -> TrainResult:
+    """The teacher-student loop of ``train_ssl``. Each epoch's flow lr and
+    each iteration's pools go to ``flow``; the rows have no ``L_flow``."""
     x, y = ds.x, ds.y
     xl, yl = x[ds.labeled_idx], y[ds.labeled_idx]
     xu = x[ds.unlabeled_idx]
     xt, yt = x[ds.test_idx], y[ds.test_idx]
-    if len(xl) == 0:
-        raise ConfigError("training needs a labeled split")
-    k = ds.n_classes
-
-    s_model, s_flow, s_latent, s_loop, s_pert = derived_seeds(cfg.seed, 5)
-    student = init_model(x.shape[1], cfg.hidden, cfg.feature_dim, k, s_model)
-    teacher = student.clone()
-    flow_model = init_flow(cfg.feature_dim, cfg.flow.blocks, cfg.flow.hidden,
-                           cfg.flow.s_max, s_flow)
-    latent = init_latent(k, cfg.feature_dim, s_latent)
+    _, _, _, s_loop, s_pert = derived_seeds(cfg.seed, 5)
     rng = np.random.default_rng(s_loop)
     prng = np.random.default_rng(s_pert)
-
     opt = MomentumSGD(student.flat, cfg.lr, cfg.sgd_momentum)
-    fopt = Adam(flow_model.flat, cfg.flow_train.lr,
-                (cfg.flow_train.beta1, cfg.flow_train.beta2), cfg.flow_train.adam_eps)
-    # one set of flow buffers for the run: each kernel pass (perturbation
-    # or flow step) finishes its backward before the next forward starts
-    ws = Workspace(flow_model.hidden)
 
     semi = len(xu) > 0
     per_epoch = (math.ceil(len(xu) / cfg.batch_unlabeled) if semi
@@ -432,18 +593,19 @@ def train_ssl(cfg: SslConfig, ds: Dataset, check_isolation: bool = False) -> Tra
 
     def feature_delta(v_s: np.ndarray) -> np.ndarray:
         delta, fallbacks = generate_perturbation(
-            v_s, cfg.perturb, prng, flow_model=flow_model, latent=latent,
-            decoder=(student.dec_w, student.dec_b), ws=ws)
+            v_s, cfg.perturb, prng, flow_model=flow.model, latent=flow.latent,
+            decoder=(student.dec_w, student.dec_b), ws=flow.ws)
         result.perturb_fallbacks += fallbacks
         return delta
 
     it_global = 0
     for epoch in range(1, cfg.epochs + 1):
-        fopt.lr = step_decay(cfg.flow_train.lr, (epoch - 1) / cfg.epochs,
-                             cfg.flow_train.decay_fractions, cfg.flow_train.decay_gamma)
+        flow.begin_epoch(step_decay(cfg.flow_train.lr, (epoch - 1) / cfg.epochs,
+                                    cfg.flow_train.decay_fractions,
+                                    cfg.flow_train.decay_gamma))
         order_u = rng.permutation(len(xu)) if semi else None
         order_l = rng.permutation(len(xl))
-        sums = {"L_sup": 0.0, "L_im": 0.0, "L_ft": 0.0, "L_flow": 0.0}
+        sums = {"L_sup": 0.0, "L_im": 0.0, "L_ft": 0.0}
         retained = 0.0
         seen_u = 0
         for it in range(per_epoch):
@@ -469,10 +631,10 @@ def train_ssl(cfg: SslConfig, ds: Dataset, check_isolation: bool = False) -> Tra
                     f"non-finite training loss at epoch {epoch} iter {it} "
                     f"(lr={opt.lr:g}, L_sup={step.l_sup:g})")
 
-            flow_digest = params_digest([flow_model.flat]) if check_isolation else None
+            flow_digest = params_digest([flow.model.flat]) if check_isolation else None
             opt.step(step.grads)
             ema_update(teacher, student, cfg.ema_momentum)
-            if check_isolation and params_digest([flow_model.flat]) != flow_digest:
+            if check_isolation and params_digest([flow.model.flat]) != flow_digest:
                 result.isolation_violations += 1
 
             if semi and epoch >= cfg.flow_train.warm_start_epoch:
@@ -480,36 +642,32 @@ def train_ssl(cfg: SslConfig, ds: Dataset, check_isolation: bool = False) -> Tra
                                 if check_isolation else None)
                 # the teacher is fixed across the updates: encode its pools once
                 feats_l, feats_u = teacher.features(xb_l), teacher.features(xw)
-                fl = 0.0
-                for _ in range(cfg.flow_train.updates_per_iteration):
-                    pool = subsample_pool(feats_l, yl[li], feats_u,
-                                          cfg.flow_train.sample_budget, rng)
-                    result.pool_warnings += pool.empty_side_warnings
-                    fl = flow_train_step(pool, flow_model, latent, fopt, ws=ws)
-                    result.flow_steps += 1
+                pools = [subsample_pool(feats_l, yl[li], feats_u,
+                                        cfg.flow_train.sample_budget, rng)
+                         for _ in range(cfg.flow_train.updates_per_iteration)]
+                result.pool_warnings += sum(pool.empty_side_warnings for pool in pools)
+                flow.update(pools)
+                result.flow_steps += len(pools)
                 if check_isolation and params_digest(
                         [student.flat, teacher.flat]) != model_digest:
                     result.isolation_violations += 1
-                sums["L_flow"] += fl
 
             sums["L_sup"] += step.l_sup
             sums["L_im"] += step.l_im if step.l_im is not None else 0.0
             sums["L_ft"] += step.l_ft if step.l_ft is not None else 0.0
             it_global += 1
 
-        row = {
+        flow.end_epoch()
+        result.rows.append({
             "epoch": epoch,
             "L_sup": sums["L_sup"] / per_epoch,
             "L_im": sums["L_im"] / per_epoch,
             "L_ft": sums["L_ft"] / per_epoch,
-            "L_flow": sums["L_flow"] / per_epoch,
             "pseudo_retention": float(retained / seen_u) if seen_u else 0.0,
             "test_acc": evaluate(student, xt, yt),
-        }
-        result.rows.append(row)
+        })
     result.final_test_acc = result.rows[-1]["test_acc"]
     result.student, result.teacher = student, teacher
-    result.flow_model, result.latent = flow_model, latent
     return result
 
 
@@ -536,7 +694,9 @@ def dataset_for_run(spec: DataSpec, run_seed: int) -> Dataset:
 def run_seeds(cfg: SslConfig, spec: DataSpec,
               seeds: list[int]) -> Iterator[TrainResult]:
     """Train one run per seed, each on its own dataset draw; yields the
-    results in seed order, each as soon as its run finishes."""
+    results in seed order, each as soon as its run finishes. The runs go
+    one after another; each may split into two processes (``train_ssl``),
+    so one run uses at most two cores."""
     for s in seeds:
         yield train_ssl(replace(cfg, seed=s), dataset_for_run(spec, s))
 

@@ -9,6 +9,7 @@ from densitydescent.cli import main
 from densitydescent.flow import load_checkpoint
 from densitydescent.latent import marginal_loglik
 from densitydescent.oracle import grid_density_dump
+from recipe import CONFIG
 
 
 def write_json(path, doc):
@@ -131,29 +132,52 @@ class TestTrainSsl:
                 == (out2 / "metrics_seed1.csv").read_bytes())
 
 
+def record_runs(monkeypatch) -> list:
+    """(kind, eps, seed, per-epoch rows) of every ``train_ssl`` call."""
+    runs = []
+    train = semisup.train_ssl
+
+    def recorded(cfg, ds, **kw):
+        result = train(cfg, ds, **kw)
+        runs.append((cfg.perturb.kind, cfg.perturb.eps, cfg.seed, result.rows))
+        return result
+
+    monkeypatch.setattr(semisup, "train_ssl", recorded)
+    return runs
+
+
 class TestAblate:
-    def test_eps_grid_rows(self, small_ssl_config, tmp_path):
-        sweep = write_json(tmp_path / "sweep.json",
-                           {"eps": [0.1, 0.25, 0.5, 1.0, 2.0], "seeds": [0, 1]})
+    def test_eps_grid_rows(self, tmp_path, monkeypatch):
+        # each cell's per-epoch rows are those of the train-ssl run of its eps
+        # and seed. On the shipped config at 3 epochs with tau 0.6 (as the
+        # golden metrics) pseudo labels pass, so eps moves the rows; on
+        # small_ssl_config none passes at seed 0
+        with open(CONFIG) as fh:
+            doc = json.load(fh)
+        doc["ssl"].update(epochs=3, tau=0.6)
+        config = write_json(tmp_path / "tau.json", doc)
+        grid = [0.1, 0.25, 0.5, 1.0, 2.0]
+        sweep = write_json(tmp_path / "sweep.json", {"eps": grid, "seeds": [0, 1]})
+        runs = record_runs(monkeypatch)
         out = tmp_path / "run"
-        assert main(["ablate", "--config", small_ssl_config, "--sweep", sweep,
+        assert main(["ablate", "--config", config, "--sweep", sweep,
                      "--out", str(out)]) == 0
         lines = (out / "sweep.csv").read_text().strip().splitlines()
         assert lines[0] == "kind,eps,lambda_ft,seed,test_acc"
         assert len(lines) == 1 + 5 * 2
+        ablate_runs, runs[:] = runs[:], []
+        for eps in grid:
+            doc["perturb"]["eps"] = eps
+            run = tmp_path / f"eps{eps}"
+            assert main(["train-ssl", "--config", write_json(tmp_path / f"{eps}.json", doc),
+                         "--out", str(run), "--seeds", "0,1"]) == 0
+        assert ablate_runs == runs and len(runs) == 10
+        assert len({json.dumps(rows) for *_, rows in runs}) == 10
 
     def test_cells_equal_train_ssl_runs(self, small_ssl_config, tmp_path, monkeypatch):
         # each cell is the train-ssl run of its kind and seed: the same
         # test_acc on file, and the same per-epoch metrics in memory
-        runs = []
-        train = semisup.train_ssl
-
-        def recorded(cfg, ds, **kw):
-            result = train(cfg, ds, **kw)
-            runs.append((cfg.perturb.kind, cfg.seed, result.rows))
-            return result
-
-        monkeypatch.setattr(semisup, "train_ssl", recorded)
+        runs = record_runs(monkeypatch)
         kinds = ["uniform-noise", "density-descending"]
         sweep = write_json(tmp_path / "sweep.json", {"kinds": kinds, "seeds": [0, 1]})
         out = tmp_path / "ablate"
@@ -276,6 +300,22 @@ class TestConfigRejectedBeforeWork:
         ("flow_train", "beta2", 1.0),
         ("flow_train", "adam_eps", 0),
         ("flow_train", "decay_gamma", 0),
+        ("ssl", "tau", 1.0),
+        ("ssl", "lambda_ft", -0.1),
+        ("ssl", "ema_momentum", 1.5),
+        ("ssl", "drop_prob", 1.0),
+        ("ssl", "epochs", 0),
+        ("ssl", "batch_labeled", 0),
+        ("ssl", "batch_unlabeled", 0),
+        ("flow_train", "sample_budget", 63),
+        ("flow_train", "warm_start_epoch", 0),
+        ("flow_train", "lr", 0),
+        ("flow_train", "updates_per_iteration", 0),
+        ("perturb", "kind", "foo"),
+        ("perturb", "eps", 0),
+        ("perturb", "dropout_rate", 1.0),
+        ("perturb", "vat_xi", 0),
+        ("perturb", "vat_power_iters", 0),
         ("dataset", "kind", "foo"),
         ("dataset", "n", 5),
         ("dataset", "test_fraction", 1.0),

@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from recipe import two_moons_benchmark
 
 from densitydescent import diffcore as dc
+from densitydescent import semisup
 from densitydescent.data import DataSpec, make_dataset
 from densitydescent.errors import ConfigError
 from densitydescent.estimator import FlowTrainConfig
@@ -11,7 +15,8 @@ from densitydescent.flow import FlowArch
 from densitydescent.latent import BLOCK_ROWS
 from densitydescent.perturb import PerturbConfig
 from densitydescent.semisup import (Model, SslConfig, SweepSpec, ablate,
-                                    augment_strong, augment_weak, ema_update,
+                                    augment_strong, augment_weak, dataset_for_run,
+                                    ema_update,
                                     evaluate, init_model,
                                     masked_consistency_loss, pseudo_labels,
                                     run_seeds, sup_loss, train_ssl, unified_loss,
@@ -282,13 +287,29 @@ class TestHarness:
         assert {r["eps"] for r in rows} == {0.1, 0.25, 0.5, 1.0, 2.0}
         assert all(r["kind"] == "density-descending" for r in rows)
 
-    def test_ablate_kind_axis(self):
-        cfg = tiny_config(epochs=2)
-        spec = DataSpec(n=120, labeled_per_class=4, test_fraction=0.25, seed=3)
-        rows = ablate(cfg, spec, SweepSpec(kinds=["uniform-noise", "channel-dropout"],
-                                           seeds=[0]))
+    def test_ablate_kind_axis(self, monkeypatch):
+        # each cell's per-epoch rows are those of its kind's own run, on the
+        # recipe at 3 epochs with tau 0.6 (as the golden metrics): pseudo
+        # labels pass there, so the kinds' rows differ
+        cfg, spec = two_moons_benchmark()
+        cfg = replace(cfg, epochs=3, tau=0.6)
+        runs = []
+        train = semisup.train_ssl
+
+        def recorded(cfg, ds, **kw):
+            result = train(cfg, ds, **kw)
+            runs.append((cfg.perturb.kind, cfg.seed, result.rows))
+            return result
+
+        monkeypatch.setattr(semisup, "train_ssl", recorded)
+        kinds = ["uniform-noise", "channel-dropout"]
+        rows = ablate(cfg, spec, SweepSpec(kinds=kinds, seeds=[0]))
         assert len(rows) == 2
         assert {r["kind"] for r in rows} == {"uniform-noise", "channel-dropout"}
+        own = [(kind, 0, train(replace(cfg, perturb=replace(cfg.perturb, kind=kind)),
+                               dataset_for_run(spec, 0)).rows) for kind in kinds]
+        assert runs == own
+        assert runs[0][2] != runs[1][2]
 
     def test_ablate_loss_weight_axis(self):
         cfg = tiny_config(epochs=2)
