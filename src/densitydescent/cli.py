@@ -28,6 +28,7 @@ from .oracle import (finite_diff_grad, grid_density_dump, mc_normalization,
 from .perturb import density_gradient
 from .runconfig import echo_config, load_config, load_sweep
 from .semisup import ablate, check_seeds, derived_seeds, run_seeds, write_metrics_csv
+from .worker import can_fork, forked
 
 OUT_ROOT_ENV = "DENSITYDESCENT_OUT_ROOT"
 
@@ -182,14 +183,20 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    """Check every (flow, latent) pair against the numeric oracle and print
+    one PASS or FAIL row per check, then the tally; exit 1 if any failed.
+
+    The pairs are the checkpoint's, or for each of ``verify.dims`` an
+    identity flow and a randomized one sharing a latent. Each pair's random
+    inputs are drawn up front from one ``default_rng(cfg.seed)``, in pair
+    order, so a pair's rows do not depend on where it runs. With two or more
+    pairs, on a host where ``worker.can_fork`` holds, one forked worker
+    checks every second pair while this process checks the rest. The rows
+    are printed here, in pair order, as one process prints them. If a pair
+    raises, the rows before its error are printed and the error is raised,
+    as in one process.
+    """
     cfg = load_config(args.config)
-    report: list[tuple[str, bool, str]] = []
-    rng = np.random.default_rng(cfg.seed)
-
-    def _check(name: str, ok: bool, detail: str) -> None:
-        report.append((name, ok, detail))
-        print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
-
     if cfg.verify.checkpoint:
         pairs = [load_checkpoint(cfg.verify.checkpoint)]
     else:
@@ -204,44 +211,104 @@ def cmd_verify(args) -> int:
                              cfg.flow.s_max, cfg.seed)
             randomize_conditioners(rand, scale=0.5, seed=cfg.seed + 2)
             pairs.append((rand, latent))
+    rng = np.random.default_rng(cfg.seed)
+    jobs = [(model, latent, _draw_inputs(rng, model.d)) for model, latent in pairs]
 
-    for model, latent in pairs:
-        d = model.d
-        v = rng.standard_normal((1000, d))
-        z = kernel_forward(v, model)[0]
-        err = float(np.abs(flow_inverse(z, model) - v).max())
-        _check(f"invertibility(d={d})", err < 1e-9, f"max roundtrip err {err:.3e}")
+    report: list[tuple[str, bool, str]] = []
 
-        if d <= 8:
-            worst = 0.0
-            for _ in range(10):
-                point = rng.standard_normal(d)
-                logdet = float(kernel_forward(point[None], model)[1][0])
-                numeric = numeric_jacobian_logdet(model, point)
-                # identity flows have logdet 0; floor the denominator
-                worst = max(worst, abs(logdet - numeric)
-                            / max(1e-6, abs(numeric)))
-            _check(f"logdet(d={d})", worst < 1e-4, f"max rel err {worst:.3e}")
+    def emit(result) -> None:
+        rows, error = result
+        for name, ok, detail in rows:
+            report.append((name, ok, detail))
+            print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
+        if error is not None:
+            raise error
 
-        worst = 0.0
-        for _ in range(20):
-            point = rng.standard_normal(d)
-            g = density_gradient(point, model, latent)
-            fd = finite_diff_grad(
-                lambda w: -float(marginal_logpdf(w[None], model, latent)[0]), point)
-            worst = max(worst, float(np.abs(g - fd).max() / max(1.0, np.abs(fd).max())))
-        _check(f"gradient(d={d})", worst < 1e-3, f"max rel err {worst:.3e}")
-
-        if d == 2:
-            mass, se, warn = mc_normalization(model, latent, ((-8, 8), (-8, 8)),
-                                              cfg.verify.mc_samples, seed=cfg.seed)
-            # tolerance adapts to the Monte-Carlo noise of the sample budget
-            ok = abs(mass - 1.0) <= max(0.03, 4.0 * se) and not warn
-            _check("normalization(d=2)", ok, f"mass {mass:.4f} (se {se:.4f})")
+    if len(jobs) < 2 or not can_fork():
+        for job in jobs:
+            emit(_pair_rows(job, cfg))
+    else:
+        with forked("verify", _verify_worker, jobs[1::2], cfg) as receive:
+            mine = []
+            for job in jobs[::2]:
+                mine.append(_pair_rows(job, cfg))
+                if mine[-1][1] is not None:
+                    break
+            # pair i is this process's (i // 2)-th or the worker's next message;
+            # an error in pair i is raised before any later pair is needed
+            for i in range(len(jobs)):
+                emit(receive() if i % 2 else mine[i // 2])
 
     failed = [name for name, ok, _ in report if not ok]
     print(f"verify: {len(report) - len(failed)}/{len(report)} checks passed")
     return 1 if failed else 0
+
+
+def _draw_inputs(rng, d: int):
+    """A pair's random inputs, in the order the checks read them: a
+    1000-row roundtrip batch, 10 log-det points if d <= 8, 20 gradient
+    points."""
+    batch = rng.standard_normal((1000, d))
+    logdet_points = rng.standard_normal((10, d)) if d <= 8 else None
+    return batch, logdet_points, rng.standard_normal((20, d))
+
+
+def _pair_rows(job, cfg):
+    """``(rows, error)`` of one pair: its (name, ok, detail) rows, and the
+    exception that stopped its checks, or None."""
+    rows = []
+    try:
+        for row in _pair_checks(*job, cfg):
+            rows.append(row)
+    except Exception as e:
+        return rows, e
+    return rows, None
+
+
+def _verify_worker(conn, jobs, cfg) -> None:
+    """The forked half of ``verify``: each pair's ``(rows, error)``, in
+    order, up to the first error. It prints nothing: callers that capture
+    stdout in memory (pytest's ``capsys``, ``perfbench/op.py``) would lose
+    a child's writes, so the caller prints every row."""
+    for job in jobs:
+        result = _pair_rows(job, cfg)
+        conn.send(result)
+        if result[1] is not None:
+            return
+
+
+def _pair_checks(model, latent, inputs, cfg):
+    """Yield one pair's (name, ok, detail) rows, check by check."""
+    batch, logdet_points, grad_points = inputs
+    d = model.d
+    z = kernel_forward(batch, model)[0]
+    err = float(np.abs(flow_inverse(z, model) - batch).max())
+    yield f"invertibility(d={d})", err < 1e-9, f"max roundtrip err {err:.3e}"
+
+    if logdet_points is not None:
+        worst = 0.0
+        for point in logdet_points:
+            logdet = float(kernel_forward(point[None], model)[1][0])
+            numeric = numeric_jacobian_logdet(model, point)
+            # identity flows have logdet 0; floor the denominator
+            worst = max(worst, abs(logdet - numeric)
+                        / max(1e-6, abs(numeric)))
+        yield f"logdet(d={d})", worst < 1e-4, f"max rel err {worst:.3e}"
+
+    worst = 0.0
+    for point in grad_points:
+        g = density_gradient(point, model, latent)
+        fd = finite_diff_grad(
+            lambda w: -float(marginal_logpdf(w[None], model, latent)[0]), point)
+        worst = max(worst, float(np.abs(g - fd).max() / max(1.0, np.abs(fd).max())))
+    yield f"gradient(d={d})", worst < 1e-3, f"max rel err {worst:.3e}"
+
+    if d == 2:
+        mass, se, warn = mc_normalization(model, latent, ((-8, 8), (-8, 8)),
+                                          cfg.verify.mc_samples, seed=cfg.seed)
+        # tolerance adapts to the Monte-Carlo noise of the sample budget
+        ok = abs(mass - 1.0) <= max(0.03, 4.0 * se) and not warn
+        yield "normalization(d=2)", ok, f"mass {mass:.4f} (se {se:.4f})"
 
 
 # ---------------------------------------------------------------------------

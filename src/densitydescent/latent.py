@@ -20,8 +20,14 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 # rows per pass of ``marginal_logpdf``: bounds its working memory (the
 # hidden activations of one pass) whatever the number of points. BLAS picks
 # its matmul kernel by row count, so the last bits of the output depend on
-# this value.
-BLOCK_ROWS = 4096
+# this value. At 4096 rows the conditioner's (4096, 256) @ (256, 2) product
+# is large enough for OpenBLAS to split it across its helper threads. With
+# OPENBLAS_NUM_THREADS=2 and the other core busy, as it is while ``verify``'s
+# worker runs there, one such call took 2.3 ms against 0.42 ms for the same
+# rows as eight 512-row calls, whose time does not depend on the thread
+# count (2-core Xeon, OpenBLAS 0.3.31). So 512-row passes stay on the
+# calling thread, as training's 64-256-row batches do.
+BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator
 
@@ -39,6 +38,7 @@ from .flow import MAX_WIDTH, FlowArch, Workspace, init_flow
 from .latent import BLOCK_ROWS, init_latent, softmax
 from .optim import Adam, MomentumSGD, pack, poly_decay, step_decay
 from .perturb import PerturbConfig, dropped_channels, generate_perturbation
+from .worker import can_fork, forked
 
 
 @dataclass
@@ -437,19 +437,13 @@ def train_ssl(cfg: SslConfig, ds: Dataset, check_isolation: bool = False) -> Tra
 def _splits(cfg: SslConfig, ds: Dataset, check_isolation: bool) -> bool:
     """Whether ``train_ssl`` runs its loop in a worker: no perturbation reads
     the flow, the run takes flow steps, isolation is not checked, and the
-    host can fork onto a second core. Decided by the config, the split sizes
-    and the host, never by the data's values."""
+    host can fork onto a second core (``worker.can_fork``). Decided by the
+    config, the split sizes and the host, never by the data's values."""
     if cfg.lambda_ft > 0 and cfg.perturb.kind == "density-descending":
         return False
     if len(ds.unlabeled_idx) == 0 or cfg.flow_train.warm_start_epoch > cfg.epochs:
         return False
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if check_isolation or cores < 2:
-        return False
-    import multiprocessing   # only split runs pay for this import
-    # a daemonic process, such as a multiprocessing.Pool worker, may not fork
-    return ("fork" in multiprocessing.get_all_start_methods()
-            and not multiprocessing.current_process().daemon)
+    return not check_isolation and can_fork()
 
 
 class _Flow:
@@ -507,21 +501,9 @@ def _train_split(cfg: SslConfig, ds: Dataset, student: Model, teacher: Model,
     """``train_ssl``'s loop in one forked worker, its flow steps here, taken
     on the worker's pools in the order they arrive. ``student`` and
     ``teacher`` end as the worker's final vectors."""
-    import multiprocessing
-    ctx = multiprocessing.get_context("fork")
-    inbox, outbox = ctx.Pipe(duplex=False)
-    worker = ctx.Process(target=_worker, args=(outbox, cfg, ds, student, teacher),
-                         daemon=True)
-    worker.start()
-    outbox.close()   # the worker's end alone: its exit ends ``recv`` with EOFError
-    try:
+    with forked("training", _worker, cfg, ds, student, teacher) as receive:
         while True:
-            try:
-                msg = inbox.recv()
-            except EOFError:
-                worker.join()
-                raise RuntimeError(f"the training worker exited with code "
-                                   f"{worker.exitcode} before its run finished") from None
+            msg = receive()
             if msg[0] == "pools":
                 flow.begin_epoch(msg[1])
                 for pools in msg[2]:
@@ -533,12 +515,6 @@ def _train_split(cfg: SslConfig, ds: Dataset, student: Model, teacher: Model,
                 student.flat[:], teacher.flat[:] = student_flat, teacher_flat
                 result.student, result.teacher = student, teacher
                 return result
-    except BaseException:
-        worker.terminate()   # before closing the pipe, so no send of its fails
-        raise
-    finally:
-        worker.join()
-        inbox.close()
 
 
 def _worker(conn, cfg: SslConfig, ds: Dataset, student: Model, teacher: Model) -> None:

@@ -5,7 +5,8 @@ Two short runs of the shipped configs are pinned:
 
 - ``fit-density`` on ``configs/moons_density.json`` with 50 steps and a 16x16
   grid: ``loss.csv``, ``grid.csv`` and the ``fit-density done`` line byte for
-  byte, and every checkpoint entry with ``np.array_equal``;
+  byte, and every checkpoint entry with ``np.array_equal``; the same fit's
+  32x32 ``grid.csv``, whose 1024 cells span two ``latent.BLOCK_ROWS`` blocks;
 - ``verify`` on ``configs/moons_ssl.json`` with hidden width 64, dims
   [2, 8] and 20k Monte-Carlo samples: its stdout byte for byte.
 """
@@ -31,9 +32,9 @@ def _config(tmp_path, name, changes):
     return str(path)
 
 
-def fit_config(tmp_path):
+def fit_config(tmp_path, resolution=16):
     return _config(tmp_path, "moons_density.json",
-                   {"fit": {"steps": 50, "grid_resolution": 16}})
+                   {"fit": {"steps": 50, "grid_resolution": resolution}})
 
 
 def verify_config(tmp_path):
@@ -60,6 +61,13 @@ def test_fit_density_matches_golden(tmp_path, capsys):
         assert sorted(got.files) == sorted(want.files)
         for key in want.files:
             assert np.array_equal(got[key], want[key]), key
+
+
+def test_multi_block_grid_matches_golden(tmp_path):
+    out = tmp_path / "run"
+    assert main(["fit-density", "--config", fit_config(tmp_path, 32), "--out", str(out)]) == 0
+    assert (out / "loss.csv").read_bytes() == _golden_bytes("fit50.loss.csv")
+    assert (out / "grid.csv").read_bytes() == _golden_bytes("fit50.grid32.csv")
 
 
 def test_verify_stdout_matches_golden(tmp_path, capsys):
