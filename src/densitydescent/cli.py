@@ -110,8 +110,12 @@ def cmd_fit_density(args) -> int:
 
 def _ssl_config(cfg):
     """The SSL config of a run; its latent has one component per class, so
-    any other ``flow.components`` is rejected rather than ignored."""
+    any other ``flow.components`` is rejected rather than ignored, and its
+    test accuracy needs at least one test row."""
     ds = make_dataset(cfg.dataset)
+    if len(ds.test_idx) == 0:
+        raise ConfigError(f"dataset.test_fraction: {cfg.dataset.test_fraction:g} leaves "
+                          f"no test rows, and test_acc needs at least one")
     if _latent_components(cfg, ds) != ds.n_classes:
         raise ConfigError(f"flow.components: the SSL latent has one component per "
                           f"class, so it must be null or {ds.n_classes}, got "

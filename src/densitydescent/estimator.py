@@ -14,7 +14,7 @@ import numpy as np
 
 from . import diffcore as dc
 from .errors import ConfigError, NumericError
-from .flow import FlowModel, Workspace, kernel_backward, kernel_forward
+from .flow import FlowModel, kernel_backward, kernel_forward
 from .latent import (GmmLatent, class_conditional_loglik, component_means,
                      gaussian_logpdf_grad, marginal_loglik, mixture_logpdf_grad)
 from .optim import Adam, step_decay
@@ -132,20 +132,19 @@ def sample_feature_pool(teacher, x_labeled: np.ndarray, y_labeled: np.ndarray,
 
 
 def flow_train_step(pool: FeaturePool, model: FlowModel, latent: GmmLatent,
-                    opt: Adam, ws: Workspace | None = None) -> float:
+                    opt: Adam) -> float:
     """One Adam step on the flow parameters only; returns the loss value.
 
     Computes ``flow_loss`` and its parameter gradients with the analytic
     kernel, both pools in one batch: labeled rows take the gradient of their
-    own component, unlabeled rows that of the mixture. A loop of steps
-    passes one ``flow.Workspace`` to all of them.
+    own component, unlabeled rows that of the mixture.
     """
     n_l = len(pool.labeled)
     n = pool.total
     if n == 0:
         raise ValueError("flow_loss needs at least one feature")
     x = np.concatenate([a for a in (pool.labeled, pool.unlabeled) if len(a)])
-    z, logdet, saved = kernel_forward(x, model, ws)
+    z, logdet, saved = kernel_forward(x, model)
     ll_l, gz_l = gaussian_logpdf_grad(z[:n_l], component_means(pool.labels, latent))
     ll_u, gz_u = mixture_logpdf_grad(z[n_l:], latent)
     total = (ll_l + logdet[:n_l]).sum() + (ll_u + logdet[n_l:]).sum()
@@ -156,7 +155,7 @@ def flow_train_step(pool: FeaturePool, model: FlowModel, latent: GmmLatent,
             f"labeled_mean={_safe_mean(pool.labeled):g}, "
             f"unlabeled_mean={_safe_mean(pool.unlabeled):g})")
     gz = np.concatenate([gz_l, gz_u]) * (-1.0 / n)
-    _, grads = kernel_backward(model, saved, gz, -1.0 / n, params=True, ws=ws)
+    _, grads = kernel_backward(model, saved, gz, -1.0 / n, params=True)
     if any(not np.isfinite(g).all() for g in grads):
         raise NumericError(f"non-finite flow gradient (lr={opt.lr:g}, pool={pool.total})")
     opt.step(grads)
@@ -184,12 +183,11 @@ def fit_density(labeled: np.ndarray, labels: np.ndarray, unlabeled: np.ndarray,
     The learning rate follows the step-decay schedule over the run.
     """
     opt = Adam(model.flat, lr=cfg.lr, betas=(cfg.beta1, cfg.beta2), eps=cfg.adam_eps)
-    ws = Workspace(model.hidden)
     result = FitResult()
     for step in range(steps):
         opt.lr = step_decay(cfg.lr, step / max(steps, 1), cfg.decay_fractions,
                             cfg.decay_gamma)
         pool = subsample_pool(labeled, labels, unlabeled, batch, rng)
-        loss = flow_train_step(pool, model, latent, opt, ws=ws)
+        loss = flow_train_step(pool, model, latent, opt)
         result.history.append((step, loss, opt.lr))
     return result

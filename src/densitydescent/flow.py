@@ -19,11 +19,12 @@ The map exists twice. ``kernel_forward`` and ``kernel_backward`` run it in
 plain numpy with a hand-derived vector-Jacobian product; the online flow
 step, the density gradient and ``verify`` use them, and forward-only
 inference (``latent.marginal_logpdf``) runs the kernel's per-block step,
-``_coupling_np``. Training loops hand the kernel a ``Workspace``, so its
-(rows, hidden) arrays are reused from step to step. ``flow_forward`` builds
-the same arithmetic as tape nodes, the reference the tests check the kernel
-against; it wraps the parameter arrays in tensors, so tape gradients with
-respect to them need a copy of the model whose arrays are leaf tensors.
+``_coupling_np``. Every pass allocates fresh arrays; the allocator setting
+made when the package is imported keeps their pages from being faulted in
+anew each step. ``flow_forward`` builds the same arithmetic as tape nodes,
+the reference the tests check the kernel against; it wraps the parameter
+arrays in tensors, so tape gradients with respect to them need a copy of
+the model whose arrays are leaf tensors.
 """
 
 from __future__ import annotations
@@ -231,59 +232,28 @@ def flow_inverse(z, model: FlowModel) -> np.ndarray:
 # analytic kernel: the same map in plain numpy, with a hand-derived VJP
 
 
-class Workspace:
-    """Caller-owned (rows, hidden) float64 buffers for repeated kernel passes.
-
-    One forward and backward pair needs, per coupling block, the hidden
-    activations h, 1 - h^2 and the pre-activation gradient. Fresh, each is
-    147 KB at 72 x 256 rows and 256 KB at 256 x 128, above glibc's 128 KiB
-    mmap threshold: freeing one hands its pages back to the OS and the next
-    step faults them in again, zero-filled. A training loop that creates one
-    workspace and passes it to every pass writes those arrays into the same
-    buffers instead. Each key keeps one buffer, grown on demand; ``take``
-    hands out its leading rows, which stay C-contiguous.
-    """
-
-    def __init__(self, hidden: int):
-        self.hidden = hidden
-        self._buffers: dict[object, np.ndarray] = {}
-
-    def take(self, key, rows: int) -> np.ndarray:
-        """The first ``rows`` rows of the buffer for ``key``, uninitialized."""
-        buf = self._buffers.get(key)
-        if buf is None or len(buf) < rows:
-            buf = self._buffers[key] = np.empty((rows, self.hidden))
-        return buf[:rows]
-
-
-def _take(ws: Workspace | None, key, rows: int):
-    """An ``out=`` target: a workspace view, or None for a fresh array."""
-    return None if ws is None else ws.take(key, rows)
-
-
-def _conditioner_np(block: CouplingBlock, va: np.ndarray, h_out=None):
+def _conditioner_np(block: CouplingBlock, va: np.ndarray):
     """Numpy ``_conditioner``: hidden activations h, u = tanh(s_raw / s_max)
-    (so the clamped log-scale is s = s_max * u) and the shift t. ``h`` is
-    written into ``h_out`` when one is given, else into a fresh array."""
+    (so the clamped log-scale is s = s_max * u) and the shift t."""
     # with one input channel (d = 2) the first layer is an outer product:
     # broadcasting gives the matmul's bits, as there is nothing to sum
     first = np.multiply if va.shape[1] == 1 else np.matmul
-    h = first(va, block.w1, out=h_out)
+    h = first(va, block.w1)
     h += block.b1
-    np.tanh(h, out=h)
+    np.tanh(h, out=h)   # one (rows, hidden) array, not three
     raw = h @ block.w2 + block.b2
     half = raw.shape[1] // 2
     u = np.tanh(raw[:, :half] * (1.0 / block.s_max))
     return h, u, raw[:, half:]
 
 
-def _coupling_np(block: CouplingBlock, x: np.ndarray, h_out=None):
+def _coupling_np(block: CouplingBlock, x: np.ndarray):
     """One block of ``kernel_forward`` on an (N, d) array: the output, the
     per-row log-determinant and the activations ``kernel_backward`` reads,
-    (v_a, v_b, h, u, exp(s)); ``h`` goes into ``h_out`` when one is given."""
+    (v_a, v_b, h, u, exp(s))."""
     half = x.shape[1] // 2
     va, vb = x[:, :half], x[:, half:]
-    h, u, t = _conditioner_np(block, va, h_out)
+    h, u, t = _conditioner_np(block, va)
     s = u * block.s_max
     es = np.exp(s)
     return np.concatenate([va, vb * es + t], axis=1), s.sum(axis=1), (va, vb, h, u, es)
@@ -297,15 +267,12 @@ def _rows_np(v, model: FlowModel) -> np.ndarray:
     return x
 
 
-def kernel_forward(v: np.ndarray, model: FlowModel, ws: Workspace | None = None):
+def kernel_forward(v: np.ndarray, model: FlowModel):
     """``flow_forward`` on an (N, d) array without graph nodes.
 
     Returns z, the per-row log-determinant and, per block, the activations
     ``kernel_backward`` reads: (v_a, v_b, h, u, exp(s)), one (N, hidden)
-    array among them. With a workspace ``ws`` each block's h is written into
-    it, so ``saved`` aliases the workspace and stays valid only until the
-    next ``kernel_forward`` on it; z and the log-determinant are fresh
-    arrays either way. Forward-only callers step through ``_coupling_np``
+    array among them. Forward-only callers step through ``_coupling_np``
     themselves (``latent.marginal_logpdf``), so they hold one block's
     activations at a time rather than all of them.
     """
@@ -315,14 +282,14 @@ def kernel_forward(v: np.ndarray, model: FlowModel, ws: Workspace | None = None)
     for i, block in enumerate(model.blocks):
         if i:
             x = x[:, model.perm]
-        x, ld, acts = _coupling_np(block, x, _take(ws, ("h", i), len(x)))
+        x, ld, acts = _coupling_np(block, x)
         logdet = ld if logdet is None else logdet + ld
         saved.append(acts)
     return x, logdet, saved
 
 
 def kernel_backward(model: FlowModel, saved, gz: np.ndarray, glogdet,
-                    params: bool = False, ws: Workspace | None = None):
+                    params: bool = False):
     """VJP of ``kernel_forward``: (dL/dz, dL/dlogdet) -> dL/dv.
 
     ``glogdet`` is a scalar or one value per row; each block's log-scales
@@ -330,10 +297,9 @@ def kernel_backward(model: FlowModel, saved, gz: np.ndarray, glogdet,
     Jacobians are triangular: v_a passes through and v_b only scales, so
     dL/dv_b = dL/dy_b * exp(s) and everything else flows through the
     conditioner. With ``params`` the parameter gradients are returned too,
-    in ``model.params()`` order; otherwise the second value is None. With a
-    workspace ``ws`` the (N, hidden) intermediates are written into it;
+    in ``model.params()`` order; otherwise the second value is None.
     ``saved`` is only read, so the same activations can be pulled back more
-    than once. Every returned array is fresh.
+    than once.
     """
     half = model.d // 2
     gld = np.reshape(glogdet, (-1, 1))
@@ -345,14 +311,16 @@ def kernel_backward(model: FlowModel, saved, gz: np.ndarray, glogdet,
         gy_b = g[:, half:]
         gs = gy_b * vb * es + gld
         graw = np.concatenate([gs * (1.0 - u * u), gy_b], axis=1)
-        n = len(h)
-        dh = np.multiply(h, h, out=_take(ws, "dh", n))  # tanh' = 1 - h^2, in place
-        np.subtract(1.0, dh, out=dh)
-        gpre = np.matmul(graw, block.w2.T, out=_take(ws, "gpre", n))
+        dh = h * h
+        np.subtract(1.0, dh, out=dh)   # tanh' = 1 - h^2, in place
+        gpre = graw @ block.w2.T
         gpre *= dh
         if params:
             grads[:0] = [va.T @ gpre, gpre.sum(axis=0), h.T @ graw, graw.sum(axis=0)]
         g = np.concatenate([g[:, :half] + gpre @ block.w1.T, gy_b * es], axis=1)
+        # freed before the next block allocates its own: two (N, hidden)
+        # temporaries beside saved at a time, not four
+        del dh, gpre
         if i:
             g = g[:, model.perm]   # the reversal is its own inverse
     return g, (grads if params else None)

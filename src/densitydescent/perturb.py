@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .flow import FlowModel, Workspace, kernel_backward, kernel_forward
+from .flow import FlowModel, kernel_backward, kernel_forward
 from .latent import GmmLatent, mixture_logpdf_grad, softmax
 
 KINDS = ("density-descending", "uniform-noise", "channel-dropout", "vat-lite")
@@ -53,19 +53,18 @@ def resolve_eps(cfg: PerturbConfig, feats: np.ndarray) -> float:
     return cfg.eps * sigma
 
 
-def density_gradient(v, model: FlowModel, latent: GmmLatent,
-                     ws: Workspace | None = None) -> np.ndarray:
+def density_gradient(v, model: FlowModel, latent: GmmLatent) -> np.ndarray:
     """Gradient of -log p(v) w.r.t. v through the full marginal.
 
     Works on a single vector or a batch (rows are independent samples, so
     each row's gradient is that of its own log-density). Computed with the
     analytic flow kernel; the tests compare it with a tape gradient of the
     same log-density, and ``verify`` with central differences of
-    ``marginal_logpdf``. A training loop passes its ``flow.Workspace``.
+    ``marginal_logpdf``.
     """
     arr = np.array(v, dtype=np.float64)
     single = arr.ndim == 1
-    z, logdet, saved = kernel_forward(arr[None, :] if single else arr, model, ws)
+    z, logdet, saved = kernel_forward(arr[None, :] if single else arr, model)
     ll, gz = mixture_logpdf_grad(z, latent)
     ll += logdet
     if not np.isfinite(ll).all():
@@ -73,7 +72,7 @@ def density_gradient(v, model: FlowModel, latent: GmmLatent,
         raise NumericError(
             f"non-finite log-density in forward pass at rows {bad.tolist()}, "
             f"v={np.atleast_2d(arr)[bad].tolist()}")
-    g, _ = kernel_backward(model, saved, -gz, -1.0, ws=ws)
+    g, _ = kernel_backward(model, saved, -gz, -1.0)
     if not np.isfinite(g).all():
         bad = np.argwhere(~np.isfinite(g).all(axis=1)).ravel()[:5]
         raise NumericError(
@@ -94,8 +93,8 @@ def _normalize_rows(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (unit if two_d else unit[0]), small
 
 
-def density_descent_perturbation(v, eps: float, model: FlowModel, latent: GmmLatent,
-                                 ws: Workspace | None = None) -> tuple[np.ndarray, int]:
+def density_descent_perturbation(v, eps: float, model: FlowModel,
+                                 latent: GmmLatent) -> tuple[np.ndarray, int]:
     """Step of length eps along the density-descending unit direction.
 
     Features with an (effectively) zero gradient fall back to a zero
@@ -103,7 +102,7 @@ def density_descent_perturbation(v, eps: float, model: FlowModel, latent: GmmLat
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    g = density_gradient(v, model, latent, ws=ws)
+    g = density_gradient(v, model, latent)
     unit, small = _normalize_rows(g)
     return eps * unit, int(small.sum())
 
@@ -185,18 +184,18 @@ def vat_perturbation(v: np.ndarray, eps: float, dec_w: np.ndarray,
 def generate_perturbation(v: np.ndarray, cfg: PerturbConfig, rng: np.random.Generator,
                           flow_model: FlowModel | None = None,
                           latent: GmmLatent | None = None,
-                          decoder: tuple[np.ndarray, np.ndarray] | None = None,
-                          ws: Workspace | None = None) -> tuple[np.ndarray, int]:
+                          decoder: tuple[np.ndarray, np.ndarray] | None = None
+                          ) -> tuple[np.ndarray, int]:
     """Dispatch over the configured kind; returns (delta, fallbacks), the
     count of zero-gradient fallbacks (only density-descending has any).
     ``decoder`` is the student's (dec_w, dec_b), which the ``vat-lite`` probe
-    reads; ``ws`` is the flow workspace the density gradient runs in."""
+    reads."""
     eps = resolve_eps(cfg, v)
     fallbacks = 0
     if cfg.kind == "density-descending":
         if flow_model is None or latent is None:
             raise ValueError("density-descending perturbation needs flow and latent")
-        delta, fallbacks = density_descent_perturbation(v, eps, flow_model, latent, ws)
+        delta, fallbacks = density_descent_perturbation(v, eps, flow_model, latent)
     elif cfg.kind == "uniform-noise":
         delta = uniform_noise_perturbation(np.shape(v), eps, rng)
     elif cfg.kind == "channel-dropout":

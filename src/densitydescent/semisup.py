@@ -34,7 +34,7 @@ from . import diffcore as dc
 from .data import DataSpec, Dataset, make_dataset
 from .errors import ConfigError, NumericError
 from .estimator import FeaturePool, FlowTrainConfig, flow_train_step, subsample_pool
-from .flow import MAX_WIDTH, FlowArch, Workspace, init_flow
+from .flow import MAX_WIDTH, FlowArch, init_flow
 from .latent import BLOCK_ROWS, init_latent, softmax
 from .optim import Adam, MomentumSGD, pack, poly_decay, step_decay
 from .perturb import PerturbConfig, dropped_channels, generate_perturbation
@@ -89,11 +89,9 @@ class Model:
 def _encode(model: Model, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Numpy encoder forward: the float64 input, hidden activations, features."""
     x = np.asarray(x, dtype=np.float64)
-    # one (rows, hidden) array instead of three: on the test split, three
-    # fresh ones were page-faulted in anew every epoch
     h = x @ model.enc_w1
     h += model.enc_b1
-    np.tanh(h, out=h)
+    np.tanh(h, out=h)   # one (rows, hidden) array, not three
     return x, h, h @ model.enc_w2 + model.enc_b2
 
 
@@ -448,8 +446,8 @@ def _splits(cfg: SslConfig, ds: Dataset, check_isolation: bool) -> bool:
 
 class _Flow:
     """A run's flow estimator, stepped in the calling process: the model,
-    its latent, Adam, the kernel workspace, and the loss of each
-    iteration's last flow step, one list per epoch."""
+    its latent, Adam, and the loss of each iteration's last flow step, one
+    list per epoch."""
 
     def __init__(self, cfg: SslConfig, n_classes: int, s_flow: int, s_latent: int):
         self.model = init_flow(cfg.feature_dim, cfg.flow.blocks, cfg.flow.hidden,
@@ -457,9 +455,6 @@ class _Flow:
         self.latent = init_latent(n_classes, cfg.feature_dim, s_latent)
         ft = cfg.flow_train
         self.opt = Adam(self.model.flat, ft.lr, (ft.beta1, ft.beta2), ft.adam_eps)
-        # one set of flow buffers for the run: each kernel pass (perturbation
-        # or flow step) finishes its backward before the next forward starts
-        self.ws = Workspace(self.model.hidden)
         self.losses: list[list[float]] = []
 
     def begin_epoch(self, lr: float) -> None:
@@ -469,7 +464,7 @@ class _Flow:
     def update(self, pools: list[FeaturePool]) -> None:
         """One iteration's flow steps, one per pool, in order."""
         for pool in pools:
-            loss = flow_train_step(pool, self.model, self.latent, self.opt, ws=self.ws)
+            loss = flow_train_step(pool, self.model, self.latent, self.opt)
         self.losses[-1].append(loss)
 
     def end_epoch(self) -> None:
@@ -480,7 +475,7 @@ class _PoolSender:
     """The worker's stand-in for ``_Flow``: it keeps an epoch's pools and
     sends them, with the epoch's flow lr, once the epoch's iterations are
     done. It holds no flow, so a perturbation that reads one fails."""
-    model = latent = ws = None
+    model = latent = None
 
     def __init__(self, conn):
         self.conn, self.lr, self.pools = conn, None, []
@@ -570,7 +565,7 @@ def _loop(cfg: SslConfig, ds: Dataset, student: Model, teacher: Model,
     def feature_delta(v_s: np.ndarray) -> np.ndarray:
         delta, fallbacks = generate_perturbation(
             v_s, cfg.perturb, prng, flow_model=flow.model, latent=flow.latent,
-            decoder=(student.dec_w, student.dec_b), ws=flow.ws)
+            decoder=(student.dec_w, student.dec_b))
         result.perturb_fallbacks += fallbacks
         return delta
 

@@ -388,6 +388,32 @@ class TestConfigRejectedBeforeWork:
         assert not trained
         assert not (out / "sweep.csv").exists()
 
+    # 60 rows per class: 0.008 of them rounds to no test row
+    @pytest.mark.parametrize("fraction", [0.0, 0.008])
+    @pytest.mark.parametrize("command", ["train-ssl", "ablate"])
+    def test_empty_test_split_rejected(self, command, fraction, tmp_path, capsys):
+        cfg = write_json(tmp_path / "c.json", {
+            "seed": 1,
+            "dataset": {"n": 120, "noise": 0.1, "test_fraction": fraction},
+            "ssl": {"epochs": 2, "batch_unlabeled": 32},
+            "flow": {"hidden": 16},
+            "flow_train": {"sample_budget": 64, "warm_start_epoch": 1}})
+        sweep = write_json(tmp_path / "sweep.json", {"seeds": [0]})
+        out = tmp_path / "run"
+        argv = [command, "--config", cfg, "--out", str(out)]
+        if command == "ablate":
+            argv += ["--sweep", sweep]
+        assert main(argv) == 2
+        err, _ = self.one_config_error(capsys)
+        assert "dataset.test_fraction" in err
+        assert not out.exists()
+
+    def test_fit_density_accepts_an_empty_test_split(self, tmp_path):
+        cfg = write_json(tmp_path / "c.json", {
+            "dataset": {"n": 120, "noise": 0.1, "test_fraction": 0.0},
+            "flow": {"hidden": 16}, "fit": {"steps": 2, "batch": 64}})
+        assert main(["fit-density", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+
     @pytest.mark.parametrize("command", ["train-ssl", "ablate"])
     def test_components_other_than_class_count_rejected(self, command, tmp_path,
                                                         capsys):

@@ -14,8 +14,8 @@ import pytest
 from densitydescent import diffcore as dc
 from densitydescent.errors import NumericError
 from densitydescent.estimator import FeaturePool, flow_loss, flow_train_step
-from densitydescent.flow import (Workspace, flow_forward, init_flow, kernel_backward,
-                                 kernel_forward, randomize_conditioners)
+from densitydescent.flow import (flow_forward, init_flow, kernel_backward, kernel_forward,
+                                 randomize_conditioners)
 from densitydescent.latent import (BLOCK_ROWS, init_latent, marginal_logpdf,
                                    marginal_loglik)
 from densitydescent.optim import Adam
@@ -116,6 +116,10 @@ def test_backward_matches_tape_for_any_cotangent(blocks, d):
     gv, grads = kernel_backward(flow, saved, gz, gld, params=True)
     for g, ref in zip([gv] + grads, reference):
         assert_close(g, ref)
+    # backward only reads saved, so a second pull-back gives the same bits
+    gv_again, grads_again = kernel_backward(flow, saved, gz, gld, params=True)
+    for g_again, g in zip([gv_again] + grads_again, [gv] + grads):
+        np.testing.assert_array_equal(g_again, g)
     gv_only, none = kernel_backward(flow, saved, gz, gld)
     assert none is None
     np.testing.assert_array_equal(gv_only, gv)
@@ -244,68 +248,3 @@ def test_flat_adam_matches_per_array_loop_bitwise():
         flow_train_step(pool, twin, latent, ref)
     for p, q in zip(flow.params(), twin.params()):
         np.testing.assert_array_equal(p, q)
-
-
-@pytest.mark.parametrize("d", [2, 8])
-def test_workspace_passes_equal_fresh_ones_bitwise(d):
-    # one workspace across growing and shrinking row counts: the buffers
-    # are written with out= by the same ufuncs and BLAS calls
-    hidden = 256
-    flow = random_flow(2, hidden, d, seed=60 + d)
-    ws = Workspace(hidden)
-    rng = np.random.default_rng(61)
-    for rows in (72, 60, 256, 64, 1):
-        v = rng.standard_normal((rows, d)) * 1.5
-        gz, gld = rng.standard_normal((rows, d)), rng.standard_normal(rows)
-        z, logdet, saved = kernel_forward(v, flow)
-        z_ws, logdet_ws, saved_ws = kernel_forward(v, flow, ws)
-        np.testing.assert_array_equal(z_ws, z)
-        np.testing.assert_array_equal(logdet_ws, logdet)
-        gv, grads = kernel_backward(flow, saved, gz, gld, params=True)
-        gv_ws, grads_ws = kernel_backward(flow, saved_ws, gz, gld, params=True, ws=ws)
-        np.testing.assert_array_equal(gv_ws, gv)
-        for g_ws, g in zip(grads_ws, grads):
-            np.testing.assert_array_equal(g_ws, g)
-        # backward only reads saved, so a second pull-back gives the same bits
-        gv_again, none = kernel_backward(flow, saved_ws, gz, gld, ws=ws)
-        assert none is None
-        np.testing.assert_array_equal(gv_again, gv)
-
-
-def test_training_loop_with_shared_workspace_is_bitwise():
-    # train_ssl's pattern: the density gradient and the flow step share one
-    # workspace, each backward done before the next forward
-    flow, twin = random_flow(2, 256, 2, seed=62), random_flow(2, 256, 2, seed=62)
-    latent = init_latent(2, 2, seed=63)
-    opt, twin_opt = Adam(flow.flat, lr=1e-2), Adam(twin.flat, lr=1e-2)
-    ws = Workspace(256)
-    rng = np.random.default_rng(64)
-    for _ in range(20):
-        v = rng.standard_normal((64, 2)) * 1.5
-        np.testing.assert_array_equal(density_gradient(v, flow, latent, ws=ws),
-                                      density_gradient(v, twin, latent))
-        pool = make_pool("mixed", 72, 2, 2, rng)
-        assert (flow_train_step(pool, flow, latent, opt, ws=ws)
-                == flow_train_step(pool, twin, latent, twin_opt))
-    for p, q in zip(flow.params(), twin.params()):
-        np.testing.assert_array_equal(p, q)
-
-
-def test_flow_step_with_workspace_allocates_no_hidden_array():
-    # fresh, a step builds six (rows, hidden) arrays, each above glibc's mmap
-    # threshold at this shape (fit-density's), so each is page-faulted in
-    # anew; with a workspace the step reuses them and its peak stays below one
-    rows, hidden = 256, 128
-    flow = random_flow(2, hidden, 2, seed=65)
-    latent = init_latent(2, 2, seed=66)
-    pool = make_pool("mixed", rows, 2, 2, np.random.default_rng(67))
-    opt = Adam(flow.flat, lr=1e-3)
-    ws = Workspace(hidden)
-    flow_train_step(pool, flow, latent, opt, ws=ws)   # grows the buffers
-    tracemalloc.start()
-    try:
-        flow_train_step(pool, flow, latent, opt, ws=ws)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < rows * hidden * 8
