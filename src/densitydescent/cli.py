@@ -62,10 +62,14 @@ def _latent_components(cfg, ds=None) -> int:
 def cmd_fit_density(args) -> int:
     cfg = load_config(args.config)
     ds = make_dataset(cfg.dataset)
+    k = _latent_components(cfg, ds)
+    if k < ds.n_classes:
+        # the flow loss anchors each labeled class at its own component
+        raise ConfigError(f"flow.components must be null or >= the dataset's "
+                          f"{ds.n_classes} classes, got {k}")
     out = _resolve_out(args.out)
     echo_config(cfg, os.path.join(out, "config.json"))
     dim = ds.x.shape[1]
-    k = _latent_components(cfg, ds)
     s_flow, s_latent, s_fit = derived_seeds(cfg.seed, 3)
     model = init_flow(dim, cfg.flow.blocks, cfg.flow.hidden, cfg.flow.s_max, s_flow)
     latent = init_latent(k, dim, s_latent)

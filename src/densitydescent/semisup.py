@@ -16,7 +16,8 @@ the teacher and evaluation use the numpy forward pass. The tape losses
 differentiable reference that the tests check ``student_step`` against.
 
 A run whose perturbation never reads the flow (``lambda_ft`` 0, or a
-baseline kind) trains the flow on a second core: ``train_ssl`` forks one
+baseline kind) trains no flow when its caller reads none either (``ablate``);
+otherwise it trains the flow on a second core: ``train_ssl`` forks one
 worker for the student loop and steps the flow on the pools it sends back,
 with the same bits as in one process.
 """
@@ -190,10 +191,14 @@ def derived_seeds(seed: int, n: int) -> list[int]:
 
 
 def check_seeds(what: str, seeds) -> None:
-    """Run seeds feed ``np.random.SeedSequence``, which rejects negatives."""
+    """Run seeds feed ``np.random.SeedSequence``, which rejects negatives;
+    a repeated seed would train the same run twice."""
     bad = [s for s in seeds if s < 0]
     if bad:
         raise ConfigError(f"{what} must be >= 0, got {bad[0]}")
+    repeated = [s for i, s in enumerate(seeds) if s in seeds[:i]]
+    if repeated:
+        raise ConfigError(f"{what} must be distinct, got {repeated[0]} more than once")
 
 
 @dataclass
@@ -376,7 +381,11 @@ class TrainResult:
     final models. A split run (see ``train_ssl``) takes the rows without
     ``L_flow``, the counters and the student and teacher vectors from its
     worker, and the flow, the latent and ``L_flow`` from the calling
-    process; every field equals that of the same run in one process."""
+    process; every field equals that of the same run in one process. A run
+    without a flow (``keep_flow`` off and a perturbation that reads none)
+    has rows without an ``L_flow`` key, no ``flow_model`` or ``latent`` and
+    0 ``flow_steps``; every other field equals that of the run with its
+    flow."""
     rows: list[dict] = field(default_factory=list)
     final_test_acc: float = 0.0
     isolation_violations: int = 0
@@ -398,7 +407,8 @@ def write_metrics_csv(result: TrainResult, path) -> None:
             fh.write(",".join(cells) + "\n")
 
 
-def train_ssl(cfg: SslConfig, ds: Dataset, check_isolation: bool = False) -> TrainResult:
+def train_ssl(cfg: SslConfig, ds: Dataset, check_isolation: bool = False,
+              keep_flow: bool = True) -> TrainResult:
     """Run the full interleaved loop and return per-epoch metrics.
 
     Each iteration: student step on the unified objective (``student_step``),
@@ -408,20 +418,29 @@ def train_ssl(cfg: SslConfig, ds: Dataset, check_isolation: bool = False) -> Tra
     training and the estimator never runs.
 
     Only the density-descending perturbation at ``lambda_ft > 0`` reads the
-    flow. Any other run that takes flow steps is split in two when the host
-    has the ``fork`` start method and at least two usable cores
-    (``_splits``): one forked worker runs the loop and sends each epoch's
-    feature pools back, and this process steps the flow on them in the same
-    order while the worker goes on. The result is bit for bit that of the
-    run in one process, where ``check_isolation`` keeps every run. An error
-    in the worker is raised here, unchanged, after the pools of the
-    iterations before it have been stepped.
+    flow (``reads_flow``). With ``keep_flow`` off the caller reads nothing
+    of it either (no ``L_flow``, no flow model), so a run whose perturbation
+    does not read it trains none: the loop runs here and draws every pool,
+    then drops it, so its random streams, models and other columns are
+    those of the run with its flow. ``check_isolation`` hashes the flow, so
+    it keeps one either way.
+
+    Any other run whose perturbation does not read the flow, and that takes
+    flow steps, is split in two when the host has the ``fork`` start method
+    and at least two usable cores (``_splits``): one forked worker runs the
+    loop and sends each epoch's feature pools back, and this process steps
+    the flow on them in the same order while the worker goes on. The result
+    is bit for bit that of the run in one process, where ``check_isolation``
+    keeps every run. An error in the worker is raised here, unchanged, after
+    the pools of the iterations before it have been stepped.
     """
     if len(ds.labeled_idx) == 0:
         raise ConfigError("training needs a labeled split")
     s_model, s_flow, s_latent, _, _ = derived_seeds(cfg.seed, 5)
     student = init_model(ds.x.shape[1], cfg.hidden, cfg.feature_dim, ds.n_classes, s_model)
     teacher = student.clone()
+    if not (keep_flow or check_isolation or reads_flow(cfg)):
+        return replace(_loop(cfg, ds, student, teacher, _NoFlow()), flow_steps=0)
     flow = _Flow(cfg, ds.n_classes, s_flow, s_latent)
     if _splits(cfg, ds, check_isolation):
         result = _train_split(cfg, ds, student, teacher, flow)
@@ -432,12 +451,18 @@ def train_ssl(cfg: SslConfig, ds: Dataset, check_isolation: bool = False) -> Tra
     return result
 
 
+def reads_flow(cfg: SslConfig) -> bool:
+    """Whether the run's perturbation reads the flow: only the
+    density-descending kind does, and only at ``lambda_ft > 0``."""
+    return cfg.lambda_ft > 0 and cfg.perturb.kind == "density-descending"
+
+
 def _splits(cfg: SslConfig, ds: Dataset, check_isolation: bool) -> bool:
     """Whether ``train_ssl`` runs its loop in a worker: no perturbation reads
     the flow, the run takes flow steps, isolation is not checked, and the
     host can fork onto a second core (``worker.can_fork``). Decided by the
     config, the split sizes and the host, never by the data's values."""
-    if cfg.lambda_ft > 0 and cfg.perturb.kind == "density-descending":
+    if reads_flow(cfg):
         return False
     if len(ds.unlabeled_idx) == 0 or cfg.flow_train.warm_start_epoch > cfg.epochs:
         return False
@@ -491,6 +516,22 @@ class _PoolSender:
         self.pools = []
 
 
+class _NoFlow:
+    """The stand-in for ``_Flow`` of a run that trains no flow: it drops
+    each iteration's pools. It holds no flow, so a perturbation that reads
+    one fails."""
+    model = latent = None
+
+    def begin_epoch(self, lr: float) -> None:
+        pass
+
+    def update(self, pools: list[FeaturePool]) -> None:
+        pass
+
+    def end_epoch(self) -> None:
+        pass
+
+
 def _train_split(cfg: SslConfig, ds: Dataset, student: Model, teacher: Model,
                  flow: _Flow) -> TrainResult:
     """``train_ssl``'s loop in one forked worker, its flow steps here, taken
@@ -541,7 +582,8 @@ def _with_l_flow(row: dict, losses: list[float]) -> dict:
 
 
 def _loop(cfg: SslConfig, ds: Dataset, student: Model, teacher: Model,
-          flow: _Flow | _PoolSender, check_isolation: bool = False) -> TrainResult:
+          flow: _Flow | _PoolSender | _NoFlow, check_isolation: bool = False
+          ) -> TrainResult:
     """The teacher-student loop of ``train_ssl``. Each epoch's flow lr and
     each iteration's pools go to ``flow``; the rows have no ``L_flow``."""
     x, y = ds.x, ds.y
@@ -662,14 +704,16 @@ def dataset_for_run(spec: DataSpec, run_seed: int) -> Dataset:
     return make_dataset(spec, seed=mixed)
 
 
-def run_seeds(cfg: SslConfig, spec: DataSpec,
-              seeds: list[int]) -> Iterator[TrainResult]:
+def run_seeds(cfg: SslConfig, spec: DataSpec, seeds: list[int],
+              keep_flow: bool = True) -> Iterator[TrainResult]:
     """Train one run per seed, each on its own dataset draw; yields the
     results in seed order, each as soon as its run finishes. The runs go
-    one after another; each may split into two processes (``train_ssl``),
-    so one run uses at most two cores."""
+    one after another, each on one core or, when it splits, two; with
+    ``keep_flow`` off, a run whose perturbation reads no flow trains none
+    and does not split (``train_ssl``)."""
     for s in seeds:
-        yield train_ssl(replace(cfg, seed=s), dataset_for_run(spec, s))
+        yield train_ssl(replace(cfg, seed=s), dataset_for_run(spec, s),
+                        keep_flow=keep_flow)
 
 
 @dataclass
@@ -689,7 +733,9 @@ def ablate(cfg: SslConfig, spec: DataSpec, sweep: SweepSpec) -> list[dict]:
     Axes left unset fall back to the base config's value. Every (kind, eps,
     lambda_ft) group's config is built, and so validated, before the first
     run trains; each group then trains its seeds through ``run_seeds``, so
-    all groups see the same dataset draw at a given seed.
+    all groups see the same dataset draw at a given seed. A row holds only
+    the run's test accuracy, so a cell whose perturbation never reads the
+    flow trains none.
     """
     kinds = sweep.kinds if sweep.kinds else [cfg.perturb.kind]
     eps_values = sweep.eps if sweep.eps else [cfg.perturb.eps]
@@ -699,4 +745,5 @@ def ablate(cfg: SslConfig, spec: DataSpec, sweep: SweepSpec) -> list[dict]:
     return [{"kind": group.perturb.kind, "eps": group.perturb.eps,
              "lambda_ft": group.lambda_ft, "seed": s, "test_acc": res.final_test_acc}
             for group in groups
-            for s, res in zip(sweep.seeds, run_seeds(group, spec, sweep.seeds))]
+            for s, res in zip(sweep.seeds,
+                              run_seeds(group, spec, sweep.seeds, keep_flow=False))]

@@ -176,7 +176,9 @@ class TestAblate:
 
     def test_cells_equal_train_ssl_runs(self, small_ssl_config, tmp_path, monkeypatch):
         # each cell is the train-ssl run of its kind and seed: the same
-        # test_acc on file, and the same per-epoch metrics in memory
+        # test_acc on file, and the same per-epoch metrics in memory. A
+        # uniform-noise cell reads no flow and trains none, so its rows have
+        # every column but L_flow
         runs = record_runs(monkeypatch)
         kinds = ["uniform-noise", "density-descending"]
         sweep = write_json(tmp_path / "sweep.json", {"kinds": kinds, "seeds": [0, 1]})
@@ -198,7 +200,15 @@ class TestAblate:
             summary = json.loads((run / "summary.json").read_text())["accuracies"]
             accs += [(kind, s, summary[s]) for s in ("0", "1")]
         assert cells == accs
-        assert ablate_runs == runs and len(runs) == 4
+        assert len(runs) == 4
+        assert [run[:3] for run in ablate_runs] == [run[:3] for run in runs]
+        for (kind, *_, cell), (*_, own) in zip(ablate_runs, runs):
+            if kind == "density-descending":
+                assert cell == own
+            else:
+                assert all("L_flow" not in row for row in cell)
+                assert cell == [{c: v for c, v in row.items() if c != "L_flow"}
+                                for row in own]
 
     def test_unknown_sweep_key(self, small_ssl_config, tmp_path):
         sweep = write_json(tmp_path / "sweep.json", {"epsilon": [1.0]})
@@ -373,8 +383,9 @@ class TestConfigRejectedBeforeWork:
         {"kinds": ["density-descending", 3]},
         {"kinds": ["density-descending", "bogus"]},
         {"eps": [0.5, -1.0]},
+        {"seeds": [0, 0]},
     ], ids=["eps-text", "lambda-null", "seed-float", "kind-number", "kind-unknown",
-            "eps-negative"])
+            "eps-negative", "seed-repeated"])
     def test_bad_sweep_fails_before_any_cell_trains(self, sweep, small_ssl_config,
                                                     tmp_path, capsys, monkeypatch):
         trained = []
@@ -384,9 +395,37 @@ class TestConfigRejectedBeforeWork:
         out = tmp_path / "run"
         assert main(["ablate", "--config", small_ssl_config, "--sweep", path,
                      "--out", str(out)]) == 2
-        self.one_config_error(capsys)
+        err, _ = self.one_config_error(capsys)
         assert not trained
         assert not (out / "sweep.csv").exists()
+        if sweep == {"seeds": [0, 0]}:   # rejected when the sweep file is read
+            assert "sweep key 'seeds'" in err and not out.exists()
+
+    def test_repeated_seeds_option(self, small_ssl_config, tmp_path, capsys,
+                                   monkeypatch):
+        # seed 0 used to train twice, and summary.json to list it twice while
+        # its mean_accuracy averaged the two distinct accuracies
+        trained = []
+        monkeypatch.setattr("densitydescent.semisup.train_ssl",
+                            lambda *a, **k: trained.append(a))
+        out = tmp_path / "run"
+        assert main(["train-ssl", "--config", small_ssl_config, "--out", str(out),
+                     "--seeds", "0,1,0"]) == 2
+        err, _ = self.one_config_error(capsys)
+        assert "--seeds" in err and "distinct" in err
+        assert not trained and not out.exists()
+
+    def test_fit_density_with_fewer_components_than_classes(self, tmp_path, capsys):
+        # the flow loss anchors each class at its own component; this used
+        # to end in a traceback after config.json and run.log were written
+        cfg = write_json(tmp_path / "c.json", {
+            "seed": 1, "flow": {"components": 1, "hidden": 8},
+            "fit": {"steps": 5, "batch": 16, "grid": False}})
+        out = tmp_path / "run"
+        assert main(["fit-density", "--config", cfg, "--out", str(out)]) == 2
+        err, _ = self.one_config_error(capsys)
+        assert "flow.components" in err and "Traceback" not in err
+        assert not out.exists()
 
     # 60 rows per class: 0.008 of them rounds to no test row
     @pytest.mark.parametrize("fraction", [0.0, 0.008])

@@ -290,7 +290,8 @@ class TestHarness:
     def test_ablate_kind_axis(self, monkeypatch):
         # each cell's per-epoch rows are those of its kind's own run, on the
         # recipe at 3 epochs with tau 0.6 (as the golden metrics): pseudo
-        # labels pass there, so the kinds' rows differ
+        # labels pass there, so the kinds' rows differ. Neither kind reads
+        # the flow, so the cells train none: every column but L_flow
         cfg, spec = two_moons_benchmark()
         cfg = replace(cfg, epochs=3, tau=0.6)
         runs = []
@@ -308,7 +309,9 @@ class TestHarness:
         assert {r["kind"] for r in rows} == {"uniform-noise", "channel-dropout"}
         own = [(kind, 0, train(replace(cfg, perturb=replace(cfg.perturb, kind=kind)),
                                dataset_for_run(spec, 0)).rows) for kind in kinds]
-        assert runs == own
+        assert all("L_flow" not in row for *_, cell in runs for row in cell)
+        assert runs == [(kind, seed, [{c: v for c, v in row.items() if c != "L_flow"}
+                                      for row in rows]) for kind, seed, rows in own]
         assert runs[0][2] != runs[1][2]
 
     def test_ablate_loss_weight_axis(self):
