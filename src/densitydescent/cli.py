@@ -91,8 +91,13 @@ def cmd_fit_density(args) -> int:
         if q_lo < lo or q_hi > hi:
             _log(out, f"warning: grid bounds [{lo}, {hi}] clip the data "
                       f"(0.5%..99.5% quantiles [{q_lo:.2f}, {q_hi:.2f}])")
-        dump = grid_density_dump(model, latent, ((lo, hi), (lo, hi)),
-                                 cfg.fit.grid_resolution)
+        with np.errstate(over="ignore", invalid="ignore"):
+            dump = grid_density_dump(model, latent, ((lo, hi), (lo, hi)),
+                                     cfg.fit.grid_resolution)
+        bad = int(np.count_nonzero(~np.isfinite(dump.logp)))
+        if bad:   # cells so far out overflow the flow or the latent's quadratic
+            raise NumericError(f"fit.grid_bounds [{lo}, {hi}]: log p is not finite at "
+                               f"{bad} of {len(dump.logp)} grid cells; narrow the bounds")
         # rows end in \r\n, csv.writer's terminator, which grid.csv has always had
         with open(os.path.join(out, "grid.csv"), "w", newline="") as fh:
             fh.write("x,y,logp\r\n")
@@ -124,7 +129,7 @@ def _ssl_config(cfg):
         raise ConfigError(f"flow.components: the SSL latent has one component per "
                           f"class, so it must be null or {ds.n_classes}, got "
                           f"{cfg.flow.components}")
-    return cfg.ssl_config()
+    return cfg.ssl
 
 
 def _parse_seeds(text: str | None, default: int) -> list[int]:

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_fields, knob
 
 KINDS = ("moons", "circles", "blobs", "anisotropic-gmm")
 
@@ -31,33 +31,26 @@ class Dataset:
 
 @dataclass
 class DataSpec:
-    """Declarative dataset recipe; the default is the two-moons benchmark."""
-    kind: str = "moons"
-    n: int = 1016
-    noise: float = 0.07
-    n_classes: int = 2
-    labeled_per_class: int = 4
-    test_fraction: float = 0.5
+    """Declarative dataset recipe; the default is the two-moons benchmark.
+    A ``labeled_per_class`` of -1 labels the whole train pool."""
+    kind: str = knob("moons", choices=KINDS)
+    n: int = knob(1016, ge=10, le=MAX_SAMPLES)
+    noise: float = knob(0.07, ge=0)   # below 0, moons would use |noise|, blobs 5e-6
+    n_classes: int = knob(2, key="classes", ge=2)
+    labeled_per_class: int = knob(4, ge=1, also=(-1,))
+    test_fraction: float = knob(0.5, ge=0, lt=1)
     seed: int = 0
 
     def __post_init__(self):
-        if self.n > MAX_SAMPLES:
-            raise ConfigError(f"dataset.n must be <= {MAX_SAMPLES}, got {self.n}")
-        if self.noise < 0:
-            # moons and circles would use |noise|, blobs a 5e-6 std
-            raise ConfigError(f"dataset.noise must be >= 0, got {self.noise:g}")
+        check_fields(self, "dataset")
 
 
 def generate(kind: str, n: int, noise: float, seed: int, n_classes: int = 2) -> Dataset:
     """Sample one of the parametric generators (splits left empty).
 
-    Moons and circles have two classes by construction, so for them any
-    other ``n_classes`` is rejected rather than ignored.
+    ``DataSpec`` checks each argument; moons and circles have two classes by
+    construction, so for them any other ``n_classes`` is rejected here.
     """
-    if kind not in KINDS:
-        raise ConfigError(f"dataset.kind: unknown kind {kind!r}; one of {KINDS}")
-    if n < 10:
-        raise ConfigError(f"dataset.n must be >= 10, got {n}")
     if kind in ("moons", "circles") and n_classes != 2:
         raise ConfigError(f"dataset.classes: {kind} has 2 classes, got {n_classes}")
     rng = np.random.default_rng(seed)
@@ -110,8 +103,6 @@ def _spread_centers(k: int, rng: np.random.Generator, min_sep: float = 4.0):
 
 
 def _blobs(n: int, noise: float, rng: np.random.Generator, k: int):
-    if k < 2:
-        raise ConfigError(f"dataset.classes: blobs need >= 2 classes, got {k}")
     centers = _spread_centers(k, rng)
     std = max(noise, 1e-6) * 5.0     # noise=0.1 -> comfortably separated blobs
     counts = [n // k + (1 if i < n % k else 0) for i in range(k)]
@@ -123,8 +114,6 @@ def _blobs(n: int, noise: float, rng: np.random.Generator, k: int):
 
 
 def _aniso(n: int, noise: float, rng: np.random.Generator, k: int):
-    if k < 2:
-        raise ConfigError(f"dataset.classes: anisotropic-gmm needs >= 2 classes, got {k}")
     centers = _spread_centers(k, rng)
     scale = max(noise, 1e-6) * 5.0
     counts = [n // k + (1 if i < n % k else 0) for i in range(k)]
@@ -143,13 +132,8 @@ def partition(ds: Dataset, labeled_per_class: int, test_fraction: float,
     """Stratified labeled draw, fixed test split, remainder unlabeled.
 
     ``labeled_per_class`` may be -1 meaning "all of the train pool"
-    (supervised-only mode with an empty unlabeled set).
+    (supervised-only mode); ``DataSpec`` checks both settings' ranges.
     """
-    if not 0.0 <= test_fraction < 1.0:
-        raise ConfigError(f"dataset.test_fraction must lie in [0, 1), got {test_fraction}")
-    if labeled_per_class != -1 and labeled_per_class < 1:
-        raise ConfigError(f"dataset.labeled_per_class must be >= 1 (or -1 for all), "
-                          f"got {labeled_per_class}")
     rng = np.random.default_rng(seed)
     test, labeled, unlabeled = [], [], []
     for cls in range(ds.n_classes):

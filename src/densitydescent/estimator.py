@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import diffcore as dc
-from .errors import ConfigError, NumericError
+from .errors import NumericError, Valid, check_fields, knob
 from .flow import FlowModel, kernel_backward, kernel_forward
 from .latent import (GmmLatent, class_conditional_loglik, component_means,
                      gaussian_logpdf_grad, marginal_loglik, mixture_logpdf_grad)
@@ -22,39 +22,20 @@ from .optim import Adam, step_decay
 
 @dataclass
 class FlowTrainConfig:
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    decay_fractions: tuple[float, ...] = (1.0 / 3.0, 2.0 / 3.0)
-    decay_gamma: float = 0.5
-    sample_budget: int = 2048        # desk-scale default; 20000 at full scale
-    warm_start_epoch: int = 2        # estimator begins at this main-model epoch
-    updates_per_iteration: int = 1   # flow steps per main-model iteration
+    # a beta of 1 freezes Adam's moment estimate and zeroes its bias
+    # correction; a decay factor of zero or less stops or reverses the fit
+    lr: float = knob(1e-3, gt=0)
+    beta1: float = knob(0.9, ge=0, lt=1)
+    beta2: float = knob(0.999, ge=0, lt=1)
+    adam_eps: float = knob(1e-8, gt=0)
+    decay_fractions: tuple[float, ...] = knob((1.0 / 3.0, 2.0 / 3.0), length=Valid(le=8))
+    decay_gamma: float = knob(0.5, gt=0)
+    sample_budget: int = knob(2048, ge=2, even=True)   # 2 pools; 20000 at full scale
+    warm_start_epoch: int = knob(2, ge=1)        # estimator begins at this main-model epoch
+    updates_per_iteration: int = knob(1, ge=1)   # flow steps per main-model iteration
 
     def __post_init__(self):
-        if len(self.decay_fractions) > 8:
-            raise ConfigError("flow_train.decay_fractions: too many milestones")
-        if self.sample_budget < 2 or self.sample_budget % 2 != 0:
-            raise ConfigError(f"flow_train.sample_budget must be even and >= 2 (split "
-                              f"across pools), got {self.sample_budget}")
-        if self.warm_start_epoch < 1:
-            raise ConfigError(f"flow_train.warm_start_epoch must be >= 1, "
-                              f"got {self.warm_start_epoch}")
-        if self.lr <= 0:
-            raise ConfigError(f"flow_train.lr must be > 0, got {self.lr:g}")
-        # a beta of 1 freezes Adam's moment estimate and zeroes its bias
-        # correction; a decay factor of zero or less stops or reverses the fit
-        for key, beta in (("beta1", self.beta1), ("beta2", self.beta2)):
-            if not 0.0 <= beta < 1.0:
-                raise ConfigError(f"flow_train.{key} must lie in [0, 1), got {beta:g}")
-        if not self.adam_eps > 0:
-            raise ConfigError(f"flow_train.adam_eps must be > 0, got {self.adam_eps:g}")
-        if not self.decay_gamma > 0:
-            raise ConfigError(f"flow_train.decay_gamma must be > 0, got {self.decay_gamma:g}")
-        if self.updates_per_iteration < 1:
-            raise ConfigError(f"flow_train.updates_per_iteration must be >= 1, "
-                              f"got {self.updates_per_iteration}")
+        check_fields(self, "flow_train")
 
 
 @dataclass

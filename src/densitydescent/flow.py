@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffcore as dc
-from .errors import ConfigError
+from .errors import ConfigError, Valid, check_fields, knob
 from .latent import GmmLatent
 from .optim import pack
 
@@ -53,20 +53,13 @@ MAX_WIDTH = 4096
 class FlowArch:
     """The flow's shape: a run config's ``flow`` section, and the sizes
     ``init_flow`` checks for every flow it builds, checkpoints included."""
-    blocks: int = 2
-    hidden: int = 256
-    s_max: float = 2.0
-    components: int | None = None    # null -> one per dataset class
+    blocks: int = knob(2, ge=1)
+    hidden: int = knob(256, ge=1, le=MAX_WIDTH)
+    s_max: float = knob(2.0, gt=0)   # a NaN read from a checkpoint fails too
+    components: int | None = knob(None, ge=1)   # null -> one per dataset class
 
     def __post_init__(self):
-        if self.blocks < 1:
-            raise ConfigError(f"flow.blocks must be >= 1, got {self.blocks}")
-        if not 1 <= self.hidden <= MAX_WIDTH:
-            raise ConfigError(f"flow.hidden must lie in [1, {MAX_WIDTH}], got {self.hidden}")
-        if not self.s_max > 0:   # a NaN read from a checkpoint fails too
-            raise ConfigError(f"flow.s_max must be > 0, got {self.s_max}")
-        if self.components is not None and self.components < 1:
-            raise ConfigError("flow.components must be >= 1 or null")
+        check_fields(self, "flow")
 
 
 @dataclass
@@ -104,11 +97,9 @@ def init_flow(d: int, n_blocks: int = FlowArch.blocks, hidden: int = FlowArch.hi
               s_max: float = FlowArch.s_max, seed: int = 0) -> FlowModel:
     """Build an identity-initialized flow. The sizes are checked by building
     a ``FlowArch``; an odd feature dimension or a negative seed is rejected."""
-    if d < 2 or d % 2 != 0:
-        raise ConfigError(f"feature dimension must be even and >= 2, got {d}")
+    Valid(ge=2, even=True).check("feature dimension", d)
     FlowArch(n_blocks, hidden, s_max)
-    if seed < 0:
-        raise ConfigError(f"need seed >= 0, got {seed}")
+    Valid(ge=0).check("seed", seed)
     rng = np.random.default_rng(seed)
     half = d // 2
     arrays = []

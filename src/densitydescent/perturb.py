@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import NumericError, check_fields, knob
 from .flow import FlowModel, kernel_backward, kernel_forward
 from .latent import GmmLatent, mixture_logpdf_grad, softmax
 
@@ -23,26 +23,15 @@ GRAD_FLOOR = 1e-12
 
 @dataclass
 class PerturbConfig:
-    kind: str = "density-descending"
-    eps: float = 0.25
+    kind: str = knob("density-descending", choices=KINDS)
+    eps: float = knob(0.25, gt=0)
     eps_relative: bool = True        # if True, eps is in units of feature std
-    dropout_rate: float = 0.5
-    vat_xi: float = 1e-2
-    vat_power_iters: int = 1
+    dropout_rate: float = knob(0.5, gt=0, lt=1)
+    vat_xi: float = knob(1e-2, gt=0)
+    vat_power_iters: int = knob(1, ge=1)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ConfigError(f"perturb.kind: unknown perturbation kind {self.kind!r}; "
-                              f"one of {KINDS}")
-        if self.eps <= 0:
-            raise ConfigError(f"perturb.eps must be > 0, got {self.eps:g}")
-        if not 0.0 < self.dropout_rate < 1.0:
-            raise ConfigError(f"perturb.dropout_rate must lie in (0, 1), got {self.dropout_rate:g}")
-        if self.vat_xi <= 0:
-            raise ConfigError(f"perturb.vat_xi must be > 0, got {self.vat_xi:g}")
-        if self.vat_power_iters < 1:
-            raise ConfigError(f"perturb.vat_power_iters must be >= 1, "
-                              f"got {self.vat_power_iters}")
+        check_fields(self, "perturb")
 
 
 def resolve_eps(cfg: PerturbConfig, feats: np.ndarray) -> float:

@@ -18,11 +18,11 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 from .data import DataSpec
-from .errors import ConfigError
+from .errors import ConfigError, Valid, check_fields, knob
 from .estimator import FlowTrainConfig
 from .flow import FlowArch
 from .perturb import PerturbConfig
-from .semisup import MAX_FEATURE_DIM, SslConfig, SweepSpec
+from .semisup import MAX_FEATURE_DIM, SEED, SslConfig, SweepSpec
 
 # Upper bound on ``fit.grid_resolution`` (the shipped configs use 64): the
 # grid has resolution^2 points and grid.csv one line per point.
@@ -31,38 +31,27 @@ MAX_GRID_RESOLUTION = 1024
 
 @dataclass
 class FitSpec:
-    steps: int = 2500
-    batch: int = 256
+    steps: int = knob(2500, ge=1)
+    batch: int = knob(256, ge=2, even=True)   # split across the two pools
     grid: bool = False
     grid_bounds: tuple[float, float] = (-8.0, 8.0)
-    grid_resolution: int = 64
+    grid_resolution: int = knob(64, ge=1, le=MAX_GRID_RESOLUTION)
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ConfigError("fit.steps must be >= 1")
-        if self.batch < 2 or self.batch % 2 != 0:
-            raise ConfigError("fit.batch must be even and >= 2 (split across pools)")
+        check_fields(self, "fit")
         if len(self.grid_bounds) != 2 or self.grid_bounds[0] >= self.grid_bounds[1]:
             raise ConfigError("fit.grid_bounds must be [low, high] with low < high")
-        if not 1 <= self.grid_resolution <= MAX_GRID_RESOLUTION:
-            raise ConfigError(f"fit.grid_resolution must lie in [1, {MAX_GRID_RESOLUTION}], "
-                              f"got {self.grid_resolution}")
 
 
 @dataclass
 class VerifySpec:
     checkpoint: str | None = None
-    dims: tuple[int, ...] = (2, 8)
-    mc_samples: int = 200_000
+    dims: tuple[int, ...] = knob((2, 8), ge=2, le=MAX_FEATURE_DIM, even=True,
+                                 length=Valid(ge=1))   # one pair of flows per entry
+    mc_samples: int = knob(200_000, ge=1)
 
     def __post_init__(self):
-        if not self.dims:
-            raise ConfigError("verify.dims must list at least one dimension")
-        if max(self.dims) > MAX_FEATURE_DIM:
-            raise ConfigError(f"verify.dims entries must be <= {MAX_FEATURE_DIM}, "
-                              f"got {max(self.dims)}")
-        if self.mc_samples < 1:
-            raise ConfigError("verify.mc_samples must be >= 1")
+        check_fields(self, "verify")
 
 
 # Built in this order, so a section may take fields from the ones before it.
@@ -76,10 +65,8 @@ SECTIONS = {
     "ssl": SslConfig,
 }
 
-# The two exceptions to "one field, one key of its own section":
-# a JSON key spelled differently from its field ...
-_JSON_KEYS = {(DataSpec, "n_classes"): "classes"}
-# ... and fields filled from elsewhere in the document (field -> source).
+# Fields filled from elsewhere in the document (field -> source), the
+# exception to "one field, one key of its own section".
 _FILLED = {
     DataSpec: {"seed": "seed"},
     SslConfig: {"seed": "seed", "perturb": "perturb", "flow_train": "flow_train",
@@ -100,28 +87,38 @@ class RunConfig:
     effective: dict = field(default_factory=dict, repr=False)
 
     def ssl_config(self) -> SslConfig:
+        """The ``ssl`` section; ``perfbench/run.py`` reads it this way."""
         return self.ssl
 
 
-class _Key(typing.NamedTuple):
+class Key(typing.NamedTuple):
     field: str
     hint: typing.Any
     default: typing.Any      # in its JSON form: a list for a tuple
+    valid: Valid | None      # the values the key accepts beyond its type
 
 
-def _keys(cls) -> dict[str, _Key]:
-    """JSON key -> field, type and default for the keys of one section."""
+def _keys(cls) -> dict[str, Key]:
+    """JSON key -> field, type, default and valid values for the keys of
+    one section (a field's ``key`` metadata spells a key of another name)."""
     hints = typing.get_type_hints(cls)
     keys = {}
     for f in dataclasses.fields(cls):
         if f.name not in _FILLED.get(cls, {}):
             default = list(f.default) if isinstance(f.default, tuple) else f.default
-            keys[_JSON_KEYS.get((cls, f.name), f.name)] = _Key(f.name, hints[f.name], default)
+            keys[f.metadata.get("key", f.name)] = Key(f.name, hints[f.name], default,
+                                                     f.metadata.get("valid"))
     return keys
 
 
 _SECTION_KEYS = {name: _keys(cls) for name, cls in SECTIONS.items()}
 _SWEEP_KEYS = _keys(SweepSpec)
+
+# Every key by its path, in document order: type, default and valid values.
+# Rules that span several keys are code, in ``__post_init__`` and ``cli``.
+KEYS = {"seed": Key("seed", int, RunConfig.seed, SEED),
+        **{f"{name}.{key}": k for name, keys in _SECTION_KEYS.items()
+           for key, k in keys.items()}}
 
 # scalar type -> (name in error messages, accepted JSON types)
 _SCALARS = {bool: ("bool", bool), int: ("int", int), float: ("number", (int, float)),
@@ -178,7 +175,7 @@ def _check_section(name: str, raw) -> dict:
             for key, k in keys.items()}
 
 
-def _field_values(keys: dict[str, _Key], values: dict) -> dict:
+def _field_values(keys: dict[str, Key], values: dict) -> dict:
     """Dataclass keyword arguments from checked JSON values."""
     return {k.field: tuple(values[key]) if typing.get_origin(k.hint) is tuple
             else values[key] for key, k in keys.items() if key in values}

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import diffcore as dc
 from .data import DataSpec, Dataset, make_dataset
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, Valid, check_fields, knob
 from .estimator import FeaturePool, FlowTrainConfig, flow_train_step, subsample_pool
 from .flow import MAX_WIDTH, FlowArch, init_flow
 from .latent import BLOCK_ROWS, init_latent, softmax
@@ -120,20 +120,22 @@ class SslConfig:
     config's ``ssl`` section, whose defaults these are, with ``seed``,
     ``flow``, ``flow_train`` and ``perturb`` filled from the rest of the
     document. The two-moons benchmark recipe is ``configs/moons_ssl.json``."""
-    epochs: int = 100
-    batch_labeled: int = 8
-    batch_unlabeled: int = 64
-    lr: float = 0.05
-    sgd_momentum: float = 0.9
-    poly_power: float = 0.9
-    tau: float = 0.95
-    lambda_ft: float = 1.0
-    ema_momentum: float = 0.99
-    sigma_weak: float = 0.0
+    epochs: int = knob(100, ge=1)
+    batch_labeled: int = knob(8, ge=1)
+    batch_unlabeled: int = knob(64, ge=1)
+    # a step <= 0 never descends, and momentum >= 1 never forgets a step
+    lr: float = knob(0.05, gt=0)
+    sgd_momentum: float = knob(0.9, ge=0, lt=1)
+    poly_power: float = knob(0.9, ge=0)   # below 0 the learning rate grows
+    tau: float = knob(0.95, gt=0, lt=1)
+    lambda_ft: float = knob(1.0, ge=0)
+    ema_momentum: float = knob(0.99, ge=0, le=1)
+    sigma_weak: float = knob(0.0, ge=0)   # below 0 it would jitter by |sigma_weak|
     sigma_strong: float = 0.15
-    drop_prob: float = 0.1
-    hidden: int = 64
-    feature_dim: int = 2
+    drop_prob: float = knob(0.1, ge=0, lt=1)
+    hidden: int = knob(64, ge=1, le=MAX_WIDTH)
+    # even: the flow over the features couples one half on the other
+    feature_dim: int = knob(2, ge=2, le=MAX_FEATURE_DIM, even=True)
     ft_start_epoch: int | None = None   # default: warm_start_epoch + 1
     seed: int = 0
     perturb: PerturbConfig = field(default_factory=PerturbConfig)
@@ -141,39 +143,11 @@ class SslConfig:
     flow_train: FlowTrainConfig = field(default_factory=FlowTrainConfig)
 
     def __post_init__(self):
+        check_fields(self, "ssl")
         check_seeds("seed", [self.seed])
-        # a step <= 0 never descends, and momentum >= 1 never forgets a step
-        if not self.lr > 0:
-            raise ConfigError(f"ssl.lr must be > 0, got {self.lr:g}")
-        if not 0.0 <= self.sgd_momentum < 1.0:
-            raise ConfigError(f"ssl.sgd_momentum must lie in [0, 1), "
-                              f"got {self.sgd_momentum:g}")
-        if not self.poly_power >= 0:
-            raise ConfigError(f"ssl.poly_power must be >= 0, got {self.poly_power:g}")
-        if not 0.0 < self.tau < 1.0:
-            raise ConfigError(f"ssl.tau must lie in (0, 1), got {self.tau:g}")
-        if self.lambda_ft < 0:
-            raise ConfigError(f"ssl.lambda_ft must be >= 0, got {self.lambda_ft:g}")
-        if not 0.0 <= self.ema_momentum <= 1.0:
-            raise ConfigError(f"ssl.ema_momentum must lie in [0, 1], got {self.ema_momentum:g}")
-        if not 0.0 <= self.sigma_weak < self.sigma_strong:
-            # a negative std would still jitter, by |sigma_weak|, and could
-            # make the weak view noisier than the strong one
-            raise ConfigError(f"ssl.sigma_weak must lie in [0, ssl.sigma_strong = "
-                              f"{self.sigma_strong:g}), got {self.sigma_weak:g}")
-        if not 0.0 <= self.drop_prob < 1.0:
-            raise ConfigError(f"ssl.drop_prob must lie in [0, 1), got {self.drop_prob:g}")
-        for key in ("epochs", "batch_labeled", "batch_unlabeled"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"ssl.{key} must be >= 1, got {getattr(self, key)}")
-        if not 1 <= self.hidden <= MAX_WIDTH:
-            raise ConfigError(f"ssl.hidden must lie in [1, {MAX_WIDTH}], got {self.hidden}")
-        if not 1 <= self.feature_dim <= MAX_FEATURE_DIM:
-            raise ConfigError(f"ssl.feature_dim must lie in [1, {MAX_FEATURE_DIM}], "
-                              f"got {self.feature_dim}")
-        if self.feature_dim % 2:
-            # the flow over the features couples one half on the other
-            raise ConfigError(f"ssl.feature_dim must be even, got {self.feature_dim}")
+        if not self.sigma_weak < self.sigma_strong:
+            raise ConfigError(f"ssl.sigma_weak must be < ssl.sigma_strong = "
+                              f"{self.sigma_strong:g}, got {self.sigma_weak:g}")
         rate = self.perturb.dropout_rate
         k = dropped_channels(rate, self.feature_dim)
         if self.perturb.kind == "channel-dropout" and not 1 <= k < self.feature_dim:
@@ -190,12 +164,14 @@ def derived_seeds(seed: int, n: int) -> list[int]:
     return [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(n)]
 
 
+SEED = Valid(ge=0)   # every run seed's rule: np.random.SeedSequence rejects negatives
+
+
 def check_seeds(what: str, seeds) -> None:
-    """Run seeds feed ``np.random.SeedSequence``, which rejects negatives;
-    a repeated seed would train the same run twice."""
-    bad = [s for s in seeds if s < 0]
-    if bad:
-        raise ConfigError(f"{what} must be >= 0, got {bad[0]}")
+    """Each seed must meet ``SEED``, and none may repeat: a repeated seed
+    would train the same run twice."""
+    for s in seeds:
+        SEED.check(what, s)
     repeated = [s for i, s in enumerate(seeds) if s in seeds[:i]]
     if repeated:
         raise ConfigError(f"{what} must be distinct, got {repeated[0]} more than once")

@@ -14,4 +14,4 @@ def two_moons_benchmark():
     """The recipe's SSL config, at run seed 0, and its dataset spec: 4 labels
     per class and 500 unlabeled points."""
     cfg = load_config(CONFIG)
-    return replace(cfg.ssl_config(), seed=0), cfg.dataset
+    return replace(cfg.ssl, seed=0), cfg.dataset

@@ -85,6 +85,21 @@ class TestFitDensity:
         assert (out1 / "loss.csv").read_bytes() == (out2 / "loss.csv").read_bytes()
 
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_grid_not_finite_is_numeric_abort(self, tmp_path, capsys):
+        # bounds this wide overflow the flow: grid.csv used to hold NaN in
+        # every logp row, after a numpy RuntimeWarning, and the run exited 0
+        cfg = write_json(tmp_path / "c.json", {
+            "flow": {"hidden": 8},
+            "fit": {"steps": 3, "batch": 8, "grid": True,
+                    "grid_bounds": [-1e300, 1e300], "grid_resolution": 2}})
+        out = tmp_path / "run"
+        assert main(["fit-density", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "fit.grid_bounds" in err and "Traceback" not in err
+        assert not (out / "grid.csv").exists()
+
+
 class TestTrainSsl:
     def test_multi_seed_run(self, small_ssl_config, tmp_path):
         out = tmp_path / "run"
@@ -366,7 +381,7 @@ class TestConfigRejectedBeforeWork:
         assert len(err) == 1 and err[0].startswith("config error:")
         return err[0], captured.out
 
-    @pytest.mark.parametrize("key,value", [("mc_samples", 0), ("dims", [])])
+    @pytest.mark.parametrize("key,value", [("mc_samples", 0), ("dims", []), ("dims", [3])])
     def test_bad_verify_value_fails_before_any_check(self, key, value, tmp_path,
                                                      capsys):
         cfg = write_json(tmp_path / "v.json", {

@@ -39,11 +39,11 @@ class TestGenerators:
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
-            generate("spirals", 100, 0.1, seed=0)
+            DataSpec(kind="spirals", n=100, noise=0.1, seed=0)
 
     def test_too_small(self):
         with pytest.raises(ConfigError):
-            generate("moons", 5, 0.1, seed=0)
+            DataSpec(kind="moons", n=5, noise=0.1, seed=0)
 
 
 class TestPartition:
