@@ -47,14 +47,6 @@ def _log(out_dir: str, message: str) -> None:
     print(message)
 
 
-def _latent_components(cfg, ds=None) -> int:
-    """``flow.components``, or one latent component per dataset class when it
-    is null; ``ds`` is the run's dataset if the caller has already built it."""
-    if cfg.flow.components is not None:
-        return cfg.flow.components
-    return (make_dataset(cfg.dataset) if ds is None else ds).n_classes
-
-
 # ---------------------------------------------------------------------------
 # fit-density
 
@@ -62,19 +54,14 @@ def _latent_components(cfg, ds=None) -> int:
 def cmd_fit_density(args) -> int:
     cfg = load_config(args.config)
     ds = make_dataset(cfg.dataset)
-    k = _latent_components(cfg, ds)
-    if k < ds.n_classes:
-        # the flow loss anchors each labeled class at its own component
-        raise ConfigError(f"flow.components must be null or >= the dataset's "
-                          f"{ds.n_classes} classes, got {k}")
     out = _resolve_out(args.out)
     echo_config(cfg, os.path.join(out, "config.json"))
     dim = ds.x.shape[1]
     s_flow, s_latent, s_fit = derived_seeds(cfg.seed, 3)
     model = init_flow(dim, cfg.flow.blocks, cfg.flow.hidden, cfg.flow.s_max, s_flow)
-    latent = init_latent(k, dim, s_latent)
+    latent = init_latent(ds.n_classes, dim, s_latent)
     _log(out, f"fit-density: kind={cfg.dataset.kind} n={ds.n} dim={dim} "
-              f"components={k} steps={cfg.fit.steps}")
+              f"components={ds.n_classes} steps={cfg.fit.steps}")
     result = fit_density(ds.x[ds.labeled_idx], ds.y[ds.labeled_idx],
                          ds.x[ds.unlabeled_idx], model, latent, cfg.flow_train,
                          cfg.fit.steps, cfg.fit.batch,
@@ -118,17 +105,10 @@ def cmd_fit_density(args) -> int:
 
 
 def _ssl_config(cfg):
-    """The SSL config of a run; its latent has one component per class, so
-    any other ``flow.components`` is rejected rather than ignored, and its
-    test accuracy needs at least one test row."""
-    ds = make_dataset(cfg.dataset)
-    if len(ds.test_idx) == 0:
+    """The SSL config of a run; its test accuracy needs at least one test row."""
+    if len(make_dataset(cfg.dataset).test_idx) == 0:
         raise ConfigError(f"dataset.test_fraction: {cfg.dataset.test_fraction:g} leaves "
                           f"no test rows, and test_acc needs at least one")
-    if _latent_components(cfg, ds) != ds.n_classes:
-        raise ConfigError(f"flow.components: the SSL latent has one component per "
-                          f"class, so it must be null or {ds.n_classes}, got "
-                          f"{cfg.flow.components}")
     return cfg.ssl
 
 
@@ -200,21 +180,21 @@ def cmd_verify(args) -> int:
     one PASS or FAIL row per check, then the tally; exit 1 if any failed.
 
     The pairs are the checkpoint's, or for each of ``verify.dims`` an
-    identity flow and a randomized one sharing a latent. Each pair's random
-    inputs are drawn up front from one ``default_rng(cfg.seed)``, in pair
-    order, so a pair's rows do not depend on where it runs. With two or more
-    pairs, on a host where ``worker.can_fork`` holds, one forked worker
-    checks every second pair while this process checks the rest. The rows
-    are printed here, in pair order, as one process prints them. If a pair
-    raises, the rows before its error are printed and the error is raised,
-    as in one process.
+    identity flow and a randomized one sharing a latent with one component
+    per dataset class. Each pair's random inputs are drawn up front from one
+    ``default_rng(cfg.seed)``, in pair order, so a pair's rows do not depend
+    on where it runs. With two or more pairs, on a host where
+    ``worker.can_fork`` holds, one forked worker checks every second pair
+    while this process checks the rest. The rows are printed here, in pair
+    order, as one process prints them. If a pair raises, the rows before its
+    error are printed and the error is raised, as in one process.
     """
     cfg = load_config(args.config)
     if cfg.verify.checkpoint:
         pairs = [load_checkpoint(cfg.verify.checkpoint)]
     else:
         pairs = []
-        k = _latent_components(cfg)
+        k = make_dataset(cfg.dataset).n_classes
         for d in cfg.verify.dims:
             model = init_flow(d, cfg.flow.blocks, cfg.flow.hidden,
                               cfg.flow.s_max, cfg.seed)
@@ -294,14 +274,14 @@ def _pair_checks(model, latent, inputs, cfg):
     """Yield one pair's (name, ok, detail) rows, check by check."""
     batch, logdet_points, grad_points = inputs
     d = model.d
-    z = kernel_forward(batch, model)[0]
+    z = kernel_forward(batch, model, keep=False)[0]
     err = float(np.abs(flow_inverse(z, model) - batch).max())
     yield f"invertibility(d={d})", err < 1e-9, f"max roundtrip err {err:.3e}"
 
     if logdet_points is not None:
         worst = 0.0
         for point in logdet_points:
-            logdet = float(kernel_forward(point[None], model)[1][0])
+            logdet = float(kernel_forward(point[None], model, keep=False)[1][0])
             numeric = numeric_jacobian_logdet(model, point)
             # identity flows have logdet 0; floor the denominator
             worst = max(worst, abs(logdet - numeric)

@@ -74,8 +74,8 @@ def knob(default, key: str | None = None, **rule):
 
 def check_fields(obj, section: str) -> None:
     """Check each field of a config dataclass against its ``knob`` rule,
-    naming ``section.key`` in the error; a null value passes."""
+    naming ``section.key`` in the error."""
     for f in dataclasses.fields(obj):
-        value = getattr(obj, f.name)
-        if "valid" in f.metadata and value is not None:
-            f.metadata["valid"].check(f"{section}.{f.metadata.get('key', f.name)}", value)
+        if "valid" in f.metadata:
+            f.metadata["valid"].check(f"{section}.{f.metadata.get('key', f.name)}",
+                                      getattr(obj, f.name))

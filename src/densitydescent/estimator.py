@@ -72,28 +72,34 @@ def flow_loss(labeled: np.ndarray, labels: np.ndarray, unlabeled: np.ndarray,
     return total * (-1.0 / (n_l + n_u))
 
 
+def pool_indices(n_labeled: int, n_unlabeled: int, budget: int,
+                 rng: np.random.Generator) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """The rows ``subsample_pool`` takes from pools of these sizes: budget/2
+    of each, drawn without replacement (all if fewer), or None for an empty
+    pool. The draws depend on the sizes only, not on the features."""
+    if budget < 2 or budget % 2 != 0:
+        raise ValueError("budget must be even and >= 2")
+    half = budget // 2
+    return tuple(rng.choice(n, size=min(half, n), replace=False) if n else None
+                 for n in (n_labeled, n_unlabeled))
+
+
 def subsample_pool(labeled: np.ndarray, labels: np.ndarray, unlabeled: np.ndarray,
                    budget: int, rng: np.random.Generator) -> FeaturePool:
     """Draw budget/2 features from each pool (all available if fewer).
 
     An empty source pool contributes nothing and bumps the warning count.
     """
-    if budget < 2 or budget % 2 != 0:
-        raise ValueError("budget must be even and >= 2")
-    half = budget // 2
+    idx_l, idx_u = pool_indices(len(labeled), len(unlabeled), budget, rng)
     warnings = 0
-    if len(labeled):
-        take = min(half, len(labeled))
-        idx = rng.choice(len(labeled), size=take, replace=False)
-        sel_l, sel_y = labeled[idx], labels[idx]
+    if idx_l is not None:
+        sel_l, sel_y = labeled[idx_l], labels[idx_l]
     else:
         warnings += 1
         sel_l = np.empty((0, unlabeled.shape[1] if len(unlabeled) else 0))
         sel_y = np.empty(0, dtype=np.int64)
-    if len(unlabeled):
-        take = min(half, len(unlabeled))
-        idx = rng.choice(len(unlabeled), size=take, replace=False)
-        sel_u = unlabeled[idx]
+    if idx_u is not None:
+        sel_u = unlabeled[idx_u]
     else:
         warnings += 1
         sel_u = np.empty((0, labeled.shape[1] if len(labeled) else 0))

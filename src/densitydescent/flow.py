@@ -18,13 +18,14 @@ exact identity (up to the channel reversal).
 The map exists twice. ``kernel_forward`` and ``kernel_backward`` run it in
 plain numpy with a hand-derived vector-Jacobian product; the online flow
 step, the density gradient and ``verify`` use them, and forward-only
-inference (``latent.marginal_logpdf``) runs the kernel's per-block step,
-``_coupling_np``. Every pass allocates fresh arrays; the allocator setting
-made when the package is imported keeps their pages from being faulted in
-anew each step. ``flow_forward`` builds the same arithmetic as tape nodes,
-the reference the tests check the kernel against; it wraps the parameter
-arrays in tensors, so tape gradients with respect to them need a copy of
-the model whose arrays are leaf tensors.
+callers (``latent.marginal_logpdf``, ``verify``'s invertibility and log-det
+checks) run ``kernel_forward`` without keeping the activations. Every pass
+allocates fresh arrays; the allocator setting made when the package is
+imported keeps their pages from being faulted in anew each step.
+``flow_forward`` builds the same arithmetic as tape nodes, the reference the
+tests check the kernel against; it wraps the parameter arrays in tensors, so
+tape gradients with respect to them need a copy of the model whose arrays
+are leaf tensors.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ class FlowArch:
     blocks: int = knob(2, ge=1)
     hidden: int = knob(256, ge=1, le=MAX_WIDTH)
     s_max: float = knob(2.0, gt=0)   # a NaN read from a checkpoint fails too
-    components: int | None = knob(None, ge=1)   # null -> one per dataset class
 
     def __post_init__(self):
         check_fields(self, "flow")
@@ -250,24 +250,18 @@ def _coupling_np(block: CouplingBlock, x: np.ndarray):
     return np.concatenate([va, vb * es + t], axis=1), s.sum(axis=1), (va, vb, h, u, es)
 
 
-def _rows_np(v, model: FlowModel) -> np.ndarray:
-    """``v`` as a float64 (N, d) array; any other shape is a ValueError."""
-    x = np.asarray(v, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.d:
-        raise ValueError(f"expected an (N, {model.d}) batch, got shape {x.shape}")
-    return x
-
-
-def kernel_forward(v: np.ndarray, model: FlowModel):
+def kernel_forward(v: np.ndarray, model: FlowModel, keep: bool = True):
     """``flow_forward`` on an (N, d) array without graph nodes.
 
     Returns z, the per-row log-determinant and, per block, the activations
     ``kernel_backward`` reads: (v_a, v_b, h, u, exp(s)), one (N, hidden)
-    array among them. Forward-only callers step through ``_coupling_np``
-    themselves (``latent.marginal_logpdf``), so they hold one block's
-    activations at a time rather than all of them.
+    array among them. Without ``keep`` the list is empty and each block's
+    activations are dropped before the next block runs, so a forward-only
+    caller holds one block's at a time rather than all of them.
     """
-    x = _rows_np(v, model)
+    x = np.asarray(v, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != model.d:
+        raise ValueError(f"expected an (N, {model.d}) batch, got shape {x.shape}")
     saved = []
     logdet = None
     for i, block in enumerate(model.blocks):
@@ -275,7 +269,9 @@ def kernel_forward(v: np.ndarray, model: FlowModel):
             x = x[:, model.perm]
         x, ld, acts = _coupling_np(block, x)
         logdet = ld if logdet is None else logdet + ld
-        saved.append(acts)
+        if keep:
+            saved.append(acts)
+        del acts
     return x, logdet, saved
 
 

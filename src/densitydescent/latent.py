@@ -164,24 +164,18 @@ def marginal_loglik(v, flow_model, latent: GmmLatent) -> dc.Tensor:
 def marginal_logpdf(v: np.ndarray, flow_model, latent: GmmLatent) -> np.ndarray:
     """log p(v) of an (N, d) array, forward only, ``BLOCK_ROWS`` rows at a time.
 
-    Runs the analytic kernel's coupling step instead of the tape and drops
-    each coupling block's activations as soon as the block has run, so one
-    (``BLOCK_ROWS``, hidden) array is live at a time and memory stays flat
-    in N. Inside one block the values equal ``marginal_loglik`` bit for
-    bit; across blocks they can differ in the last digits, since the matrix
-    products are blocked differently.
+    Runs the analytic kernel instead of the tape, keeping no activations
+    (``kernel_forward(..., keep=False)``), so one (``BLOCK_ROWS``, hidden)
+    array is live at a time and memory stays flat in N. Inside one block
+    the values equal ``marginal_loglik`` bit for bit; across blocks they
+    can differ in the last digits, since the matrix products are blocked
+    differently.
     """
-    from .flow import _coupling_np, _rows_np
+    from .flow import kernel_forward
 
-    x = _rows_np(v, flow_model)
-    out = np.empty(x.shape[0])
-    for start in range(0, x.shape[0], BLOCK_ROWS):
-        z = x[start:start + BLOCK_ROWS]
-        logdet = None
-        for i, block in enumerate(flow_model.blocks):
-            if i:
-                z = z[:, flow_model.perm]
-            z, ld = _coupling_np(block, z)[:2]
-            logdet = ld if logdet is None else logdet + ld
+    x = np.asarray(v, dtype=np.float64)
+    out = np.empty(len(x))
+    for start in range(0, len(x), BLOCK_ROWS):
+        z, logdet, _ = kernel_forward(x[start:start + BLOCK_ROWS], flow_model, keep=False)
         out[start:start + BLOCK_ROWS] = _mixture_comp_ll(z, latent)[1] + logdet
     return out

@@ -59,7 +59,7 @@ def numeric_jacobian_logdet(map_or_model, v: np.ndarray, h: float = 1e-4) -> flo
         raise ValueError("numeric Jacobian limited to d <= 16")
     if isinstance(map_or_model, FlowModel):
         def fn(w):
-            return kernel_forward(w[None], map_or_model)[0][0]
+            return kernel_forward(w[None], map_or_model, keep=False)[0][0]
     else:
         fn = map_or_model
     jac = np.empty((d, d))

@@ -34,7 +34,8 @@ import numpy as np
 from . import diffcore as dc
 from .data import DataSpec, Dataset, make_dataset
 from .errors import ConfigError, NumericError, Valid, check_fields, knob
-from .estimator import FeaturePool, FlowTrainConfig, flow_train_step, subsample_pool
+from .estimator import (FeaturePool, FlowTrainConfig, flow_train_step, pool_indices,
+                        subsample_pool)
 from .flow import MAX_WIDTH, FlowArch, init_flow
 from .latent import BLOCK_ROWS, init_latent, softmax
 from .optim import Adam, MomentumSGD, pack, poly_decay, step_decay
@@ -396,10 +397,10 @@ def train_ssl(cfg: SslConfig, ds: Dataset, check_isolation: bool = False,
     Only the density-descending perturbation at ``lambda_ft > 0`` reads the
     flow (``reads_flow``). With ``keep_flow`` off the caller reads nothing
     of it either (no ``L_flow``, no flow model), so a run whose perturbation
-    does not read it trains none: the loop runs here and draws every pool,
-    then drops it, so its random streams, models and other columns are
-    those of the run with its flow. ``check_isolation`` hashes the flow, so
-    it keeps one either way.
+    does not read it trains none: the loop runs here and draws the rows of
+    every pool without encoding or gathering them, so its random streams,
+    models and other columns are those of the run with its flow.
+    ``check_isolation`` hashes the flow, so it keeps one either way.
 
     Any other run whose perturbation does not read the flow, and that takes
     flow steps, is split in two when the host has the ``fork`` start method
@@ -493,15 +494,12 @@ class _PoolSender:
 
 
 class _NoFlow:
-    """The stand-in for ``_Flow`` of a run that trains no flow: it drops
-    each iteration's pools. It holds no flow, so a perturbation that reads
+    """The stand-in for ``_Flow`` of a run that trains no flow: ``_loop``
+    builds no pools for it. It holds no flow, so a perturbation that reads
     one fails."""
     model = latent = None
 
     def begin_epoch(self, lr: float) -> None:
-        pass
-
-    def update(self, pools: list[FeaturePool]) -> None:
         pass
 
     def end_epoch(self) -> None:
@@ -561,7 +559,8 @@ def _loop(cfg: SslConfig, ds: Dataset, student: Model, teacher: Model,
           flow: _Flow | _PoolSender | _NoFlow, check_isolation: bool = False
           ) -> TrainResult:
     """The teacher-student loop of ``train_ssl``. Each epoch's flow lr and
-    each iteration's pools go to ``flow``; the rows have no ``L_flow``."""
+    each iteration's pools go to ``flow``; for ``_NoFlow`` only the pools'
+    random draws are made. The rows have no ``L_flow``."""
     x, y = ds.x, ds.y
     xl, yl = x[ds.labeled_idx], y[ds.labeled_idx]
     xu = x[ds.unlabeled_idx]
@@ -629,14 +628,21 @@ def _loop(cfg: SslConfig, ds: Dataset, student: Model, teacher: Model,
             if semi and epoch >= cfg.flow_train.warm_start_epoch:
                 model_digest = (params_digest([student.flat, teacher.flat])
                                 if check_isolation else None)
-                # the teacher is fixed across the updates: encode its pools once
-                feats_l, feats_u = teacher.features(xb_l), teacher.features(xw)
-                pools = [subsample_pool(feats_l, yl[li], feats_u,
-                                        cfg.flow_train.sample_budget, rng)
-                         for _ in range(cfg.flow_train.updates_per_iteration)]
-                result.pool_warnings += sum(pool.empty_side_warnings for pool in pools)
-                flow.update(pools)
-                result.flow_steps += len(pools)
+                budget, updates = (cfg.flow_train.sample_budget,
+                                   cfg.flow_train.updates_per_iteration)
+                if isinstance(flow, _NoFlow):
+                    # subsample_pool's draws; both sides are non-empty here, so
+                    # none of its pools would warn
+                    for _ in range(updates):
+                        pool_indices(len(xb_l), len(xw), budget, rng)
+                else:
+                    # the teacher is fixed across the updates: encode its pools once
+                    feats_l, feats_u = teacher.features(xb_l), teacher.features(xw)
+                    pools = [subsample_pool(feats_l, yl[li], feats_u, budget, rng)
+                             for _ in range(updates)]
+                    result.pool_warnings += sum(p.empty_side_warnings for p in pools)
+                    flow.update(pools)
+                result.flow_steps += updates
                 if check_isolation and params_digest(
                         [student.flat, teacher.flat]) != model_digest:
                     result.isolation_violations += 1

@@ -1,11 +1,12 @@
 """A run whose caller reads nothing of the flow (``keep_flow=False``, as every
 ``ablate`` cell) and whose perturbation never reads it either trains no
-flow: its loop runs in the calling process, draws every pool and drops it.
-These tests hold such a run to the run with its flow, bit for bit in every
+flow: its loop runs in the calling process and draws the rows of every pool,
+but encodes and gathers none. These tests hold such a run to the run with its flow, bit for bit in every
 column but ``L_flow``, and ``ablate``'s ``sweep.csv`` to the matching
 ``train-ssl`` runs."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -44,9 +45,10 @@ COUNTERS = ("pool_warnings", "perturb_fallbacks", "warming_iterations", "final_t
 
 @pytest.fixture
 def flow_work(monkeypatch):
-    """Counts of flow steps and of forked workers entered, in this process."""
-    counts = {"flow_steps": 0, "forks": 0}
-    step, forked = semisup.flow_train_step, semisup.forked
+    """Counts of flow steps, of forked workers entered and of the teacher
+    encodes that feed the flow's pools, in this process."""
+    counts = {"flow_steps": 0, "forks": 0, "pool_encodes": 0}
+    step, forked, features = semisup.flow_train_step, semisup.forked, semisup.Model.features
 
     def counted_step(*args, **kw):
         counts["flow_steps"] += 1
@@ -56,8 +58,15 @@ def flow_work(monkeypatch):
         counts["forks"] += 1
         return forked(*args)
 
+    def counted_features(model, x):
+        # the loop's own calls encode pools; predictions go through logits
+        if sys._getframe(1).f_code is semisup._loop.__code__:
+            counts["pool_encodes"] += 1
+        return features(model, x)
+
     monkeypatch.setattr(semisup, "flow_train_step", counted_step)
     monkeypatch.setattr(semisup, "forked", counted_forked)
+    monkeypatch.setattr(semisup.Model, "features", counted_features)
     return counts
 
 
@@ -72,7 +81,7 @@ def test_no_flow_run_equals_the_run_with_its_flow(arm, seed, flow_work):
     ds = semisup.dataset_for_run(SPEC, seed)
     assert not semisup.reads_flow(cfg)
     bare = semisup.train_ssl(cfg, ds, keep_flow=False)
-    assert flow_work == {"flow_steps": 0, "forks": 0}
+    assert flow_work == {"flow_steps": 0, "forks": 0, "pool_encodes": 0}
     kept = semisup.train_ssl(cfg, ds)
     assert flow_work["flow_steps"] == kept.flow_steps == cfg.epochs * 6 * 2
 
@@ -97,7 +106,9 @@ def test_density_descending_run_keeps_its_flow(flow_work):
     ds = semisup.dataset_for_run(SPEC, 0)
     assert semisup.reads_flow(cfg)
     asked = semisup.train_ssl(cfg, ds, keep_flow=False)
-    assert flow_work == {"flow_steps": asked.flow_steps, "forks": 0}
+    # two encodes an iteration, feeding two flow steps
+    assert flow_work == {"flow_steps": asked.flow_steps, "forks": 0,
+                         "pool_encodes": asked.flow_steps}
     kept = semisup.train_ssl(cfg, ds)
     assert asked.flow_steps == kept.flow_steps == cfg.epochs * 6 * 2
     for a, b in zip(asked.rows, kept.rows):

@@ -2,13 +2,14 @@
 (rows, hidden) arrays from being page-faulted in anew on every step. The
 counts cover the calling process and its forked workers."""
 
-import json
 import os
 import platform
 import subprocess
 import sys
 
 import pytest
+
+from recipe import shipped_config
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
@@ -39,17 +40,6 @@ def minor_faults(*argv):
     return faults
 
 
-def config(tmp_path, shipped, name, **sections):
-    """A shipped config with some of its sections' keys replaced."""
-    with open(os.path.join(ROOT, "configs", shipped)) as fh:
-        doc = json.load(fh)
-    for section, keys in sections.items():
-        doc.setdefault(section, {}).update(keys)
-    path = tmp_path / name
-    path.write_text(json.dumps(doc))
-    return str(path)
-
-
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                     reason="the setting is made only under glibc's malloc")
 def test_fresh_kernel_arrays_take_few_page_faults(tmp_path):
@@ -61,8 +51,8 @@ def test_fresh_kernel_arrays_take_few_page_faults(tmp_path):
     # earlier frees, so the default count depends on the process's
     # allocation history: 58k to 97k for the fit, but 2.5k to 65k for the
     # train-ssl, which alone does not always catch a missing setting.
-    fit = config(tmp_path, "moons_density.json", "fit.json", fit={"steps": 300})
-    ssl = config(tmp_path, "moons_ssl.json", "ssl.json",
+    fit = shipped_config(tmp_path, "moons_density.json", "fit.json", fit={"steps": 300})
+    ssl = shipped_config(tmp_path, "moons_ssl.json", "ssl.json",
                  ssl={"epochs": 60, "lambda_ft": 0.0})
     assert minor_faults("fit-density", "--config", fit,
                         "--out", str(tmp_path / "fit")) < 5_800

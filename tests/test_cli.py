@@ -311,8 +311,6 @@ class TestConfigRejectedBeforeWork:
         ("fit", "steps", 0),
         ("fit", "batch", 63),
         ("fit", "grid_resolution", 0),
-        ("flow", "components", "3"),
-        ("flow", "components", 0),
         ("flow", "blocks", 0),
         ("flow", "hidden", 0),
         ("flow", "s_max", 0),
@@ -430,18 +428,6 @@ class TestConfigRejectedBeforeWork:
         assert "--seeds" in err and "distinct" in err
         assert not trained and not out.exists()
 
-    def test_fit_density_with_fewer_components_than_classes(self, tmp_path, capsys):
-        # the flow loss anchors each class at its own component; this used
-        # to end in a traceback after config.json and run.log were written
-        cfg = write_json(tmp_path / "c.json", {
-            "seed": 1, "flow": {"components": 1, "hidden": 8},
-            "fit": {"steps": 5, "batch": 16, "grid": False}})
-        out = tmp_path / "run"
-        assert main(["fit-density", "--config", cfg, "--out", str(out)]) == 2
-        err, _ = self.one_config_error(capsys)
-        assert "flow.components" in err and "Traceback" not in err
-        assert not out.exists()
-
     # 60 rows per class: 0.008 of them rounds to no test row
     @pytest.mark.parametrize("fraction", [0.0, 0.008])
     @pytest.mark.parametrize("command", ["train-ssl", "ablate"])
@@ -468,20 +454,20 @@ class TestConfigRejectedBeforeWork:
             "flow": {"hidden": 16}, "fit": {"steps": 2, "batch": 64}})
         assert main(["fit-density", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
 
-    @pytest.mark.parametrize("command", ["train-ssl", "ablate"])
-    def test_components_other_than_class_count_rejected(self, command, tmp_path,
-                                                        capsys):
+    @pytest.mark.parametrize("command", ["fit-density", "train-ssl", "ablate", "verify"])
+    def test_flow_components_is_an_unknown_key(self, command, tmp_path, capsys):
+        # the latent has one component per dataset class; the key that set
+        # another count is gone, so a document naming it fails like any typo
         cfg = write_json(tmp_path / "c.json", {
-            "dataset": {"n": 120, "noise": 0.1}, "flow": {"components": 3}})
+            "dataset": {"n": 120, "noise": 0.1}, "flow": {"components": 2}})
         sweep = write_json(tmp_path / "sweep.json", {"seeds": [0]})
         out = tmp_path / "run"
-        argv = [command, "--config", cfg, "--out", str(out)]
-        if command == "ablate":
-            argv += ["--sweep", sweep]
-        assert main(argv) == 2
-        err, _ = self.one_config_error(capsys)
-        assert "flow.components" in err
-        assert not out.exists()
+        argv = {"fit-density": ["--out", str(out)], "train-ssl": ["--out", str(out)],
+                "ablate": ["--out", str(out), "--sweep", sweep], "verify": []}[command]
+        assert main([command, "--config", cfg, *argv]) == 2
+        err, stdout = self.one_config_error(capsys)
+        assert err == "config error: unknown config key 'flow.components'"
+        assert stdout == "" and not out.exists()
 
 
 def _checkpoint_arrays(tmp_path):
@@ -747,14 +733,3 @@ class TestBadRunInputsRejected:
         model, latent = load_checkpoint(path)
         assert model.d == 2 and model.hidden == 8 and len(model.blocks) == 2
         assert latent.means.shape == (2, 2)
-
-
-@pytest.mark.parametrize("doc,expected", [
-    ({}, 2),
-    ({"dataset": {"kind": "blobs", "classes": 3}}, 3),
-    ({"dataset": {"kind": "blobs", "classes": 3}, "flow": {"components": 5}}, 5),
-])
-def test_latent_components_resolve_in_one_place(doc, expected):
-    from densitydescent.cli import _latent_components
-    from densitydescent.runconfig import parse_config
-    assert _latent_components(parse_config(doc)) == expected
