@@ -311,6 +311,9 @@ class TestConfigRejectedBeforeWork:
         ("fit", "steps", 0),
         ("fit", "batch", 63),
         ("fit", "grid_resolution", 0),
+        # a deleted key: every value of it is rejected, as an unknown key
+        ("flow", "components", "3"),
+        ("flow", "components", 0),
         ("flow", "blocks", 0),
         ("flow", "hidden", 0),
         ("flow", "s_max", 0),
