@@ -157,11 +157,6 @@ def tanh(x: Tensor) -> Tensor:
     return Tensor(y, (x,), lambda g: (g * (1.0 - y * y),))
 
 
-def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
-    return Tensor(np.where(mask, x.data, 0.0), (x,), lambda g: (g * mask,))
-
-
 def exp(x: Tensor) -> Tensor:
     y = np.exp(x.data)
     return Tensor(y, (x,), lambda g: (g * y,))

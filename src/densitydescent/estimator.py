@@ -40,11 +40,11 @@ class FlowTrainConfig:
 
 @dataclass
 class FeaturePool:
-    """Teacher features detached from the main model's parameter graph."""
+    """Teacher features detached from the main model's parameter graph. A
+    side may be empty (M or N 0); the flow step needs one row in all."""
     labeled: np.ndarray          # (M, d)
     labels: np.ndarray           # (M,)
     unlabeled: np.ndarray        # (N, d)
-    empty_side_warnings: int = 0
 
     @property
     def total(self) -> int:
@@ -73,38 +73,25 @@ def flow_loss(labeled: np.ndarray, labels: np.ndarray, unlabeled: np.ndarray,
 
 
 def pool_indices(n_labeled: int, n_unlabeled: int, budget: int,
-                 rng: np.random.Generator) -> tuple[np.ndarray | None, np.ndarray | None]:
+                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """The rows ``subsample_pool`` takes from pools of these sizes: budget/2
-    of each, drawn without replacement (all if fewer), or None for an empty
-    pool. The draws depend on the sizes only, not on the features."""
+    of each, drawn without replacement (all if fewer), one ``rng.choice`` per
+    side. An empty pool's draw takes no random number and gives an empty
+    index. The draws depend on the sizes only, not on the features."""
     if budget < 2 or budget % 2 != 0:
         raise ValueError("budget must be even and >= 2")
     half = budget // 2
-    return tuple(rng.choice(n, size=min(half, n), replace=False) if n else None
+    return tuple(rng.choice(n, size=min(half, n), replace=False)
                  for n in (n_labeled, n_unlabeled))
 
 
 def subsample_pool(labeled: np.ndarray, labels: np.ndarray, unlabeled: np.ndarray,
                    budget: int, rng: np.random.Generator) -> FeaturePool:
-    """Draw budget/2 features from each pool (all available if fewer).
-
-    An empty source pool contributes nothing and bumps the warning count.
-    """
+    """Draw budget/2 features from each pool (all available if fewer); an
+    empty source pool gives an empty side of its own width."""
     idx_l, idx_u = pool_indices(len(labeled), len(unlabeled), budget, rng)
-    warnings = 0
-    if idx_l is not None:
-        sel_l, sel_y = labeled[idx_l], labels[idx_l]
-    else:
-        warnings += 1
-        sel_l = np.empty((0, unlabeled.shape[1] if len(unlabeled) else 0))
-        sel_y = np.empty(0, dtype=np.int64)
-    if idx_u is not None:
-        sel_u = unlabeled[idx_u]
-    else:
-        warnings += 1
-        sel_u = np.empty((0, labeled.shape[1] if len(labeled) else 0))
-    return FeaturePool(labeled=sel_l, labels=sel_y, unlabeled=sel_u,
-                       empty_side_warnings=warnings)
+    return FeaturePool(labeled=labeled[idx_l], labels=labels[idx_l],
+                       unlabeled=unlabeled[idx_u])
 
 
 def sample_feature_pool(teacher, x_labeled: np.ndarray, y_labeled: np.ndarray,
@@ -112,10 +99,8 @@ def sample_feature_pool(teacher, x_labeled: np.ndarray, y_labeled: np.ndarray,
                         rng: np.random.Generator) -> FeaturePool:
     """Encode batches with the teacher (numpy forward, no tape) and subsample
     a detached pool."""
-    feats_l = teacher.features(x_labeled) if len(x_labeled) else np.empty((0, 0))
-    feats_u = teacher.features(x_unlabeled) if len(x_unlabeled) else np.empty((0, 0))
-    return subsample_pool(feats_l, np.asarray(y_labeled, dtype=np.int64),
-                          feats_u, budget, rng)
+    return subsample_pool(teacher.features(x_labeled), np.asarray(y_labeled, dtype=np.int64),
+                          teacher.features(x_unlabeled), budget, rng)
 
 
 def flow_train_step(pool: FeaturePool, model: FlowModel, latent: GmmLatent,
@@ -130,7 +115,7 @@ def flow_train_step(pool: FeaturePool, model: FlowModel, latent: GmmLatent,
     n = pool.total
     if n == 0:
         raise ValueError("flow_loss needs at least one feature")
-    x = np.concatenate([a for a in (pool.labeled, pool.unlabeled) if len(a)])
+    x = np.concatenate([pool.labeled, pool.unlabeled])
     z, logdet, saved = kernel_forward(x, model)
     ll_l, gz_l = gaussian_logpdf_grad(z[:n_l], component_means(pool.labels, latent))
     ll_u, gz_u = mixture_logpdf_grad(z[n_l:], latent)

@@ -355,18 +355,19 @@ METRIC_COLUMNS = ("epoch", "L_sup", "L_im", "L_ft", "L_flow",
 @dataclass
 class TrainResult:
     """One run: its per-epoch ``METRIC_COLUMNS`` rows, its counters and its
-    final models. A split run (see ``train_ssl``) takes the rows without
-    ``L_flow``, the counters and the student and teacher vectors from its
-    worker, and the flow, the latent and ``L_flow`` from the calling
-    process; every field equals that of the same run in one process. A run
-    without a flow (``keep_flow`` off and a perturbation that reads none)
-    has rows without an ``L_flow`` key, no ``flow_model`` or ``latent`` and
-    0 ``flow_steps``; every other field equals that of the run with its
-    flow."""
+    final models. The counters are the isolation check's violations, the
+    perturbation's fallbacks, the iterations that waited for the flow's
+    first step, and the flow steps. A split run (see ``train_ssl``) takes
+    the rows without ``L_flow``, the counters and the student and teacher
+    vectors from its worker, and the flow, the latent and ``L_flow`` from
+    the calling process; every field equals that of the same run in one
+    process. A run without a flow (``keep_flow`` off and a perturbation
+    that reads none) has rows without an ``L_flow`` key, no ``flow_model``
+    or ``latent`` and 0 ``flow_steps``; every other field equals that of
+    the run with its flow."""
     rows: list[dict] = field(default_factory=list)
     final_test_acc: float = 0.0
     isolation_violations: int = 0
-    pool_warnings: int = 0
     perturb_fallbacks: int = 0
     warming_iterations: int = 0
     flow_steps: int = 0
@@ -397,16 +398,17 @@ def train_ssl(cfg: SslConfig, ds: Dataset, check_isolation: bool = False,
     Only the density-descending perturbation at ``lambda_ft > 0`` reads the
     flow (``reads_flow``). With ``keep_flow`` off the caller reads nothing
     of it either (no ``L_flow``, no flow model), so a run whose perturbation
-    does not read it trains none: the loop runs here and draws the rows of
-    every pool without encoding or gathering them, so its random streams,
+    does not read it trains none: the loop runs here without a flow or a
+    pool hook and only draws the rows of every pool, so its random streams,
     models and other columns are those of the run with its flow.
     ``check_isolation`` hashes the flow, so it keeps one either way.
 
     Any other run whose perturbation does not read the flow, and that takes
     flow steps, is split in two when the host has the ``fork`` start method
     and at least two usable cores (``_splits``): one forked worker runs the
-    loop and sends each epoch's feature pools back, and this process steps
-    the flow on them in the same order while the worker goes on. The result
+    loop and sends each epoch's feature pools back with the epoch number,
+    and this process steps the flow on them in the same order, at the lr it
+    derives from that epoch, while the worker goes on. The result
     is bit for bit that of the run in one process, where ``check_isolation``
     keeps every run. An error in the worker is raised here, unchanged, after
     the pools of the iterations before it have been stepped.
@@ -417,12 +419,12 @@ def train_ssl(cfg: SslConfig, ds: Dataset, check_isolation: bool = False,
     student = init_model(ds.x.shape[1], cfg.hidden, cfg.feature_dim, ds.n_classes, s_model)
     teacher = student.clone()
     if not (keep_flow or check_isolation or reads_flow(cfg)):
-        return replace(_loop(cfg, ds, student, teacher, _NoFlow()), flow_steps=0)
+        return replace(_loop(cfg, ds, student, teacher, None, None), flow_steps=0)
     flow = _Flow(cfg, ds.n_classes, s_flow, s_latent)
     if _splits(cfg, ds, check_isolation):
         result = _train_split(cfg, ds, student, teacher, flow)
     else:
-        result = _loop(cfg, ds, student, teacher, flow, check_isolation)
+        result = _loop(cfg, ds, student, teacher, flow, flow.update, check_isolation)
     result.rows = [_with_l_flow(row, losses) for row, losses in zip(result.rows, flow.losses)]
     result.flow_model, result.latent = flow.model, flow.latent
     return result
@@ -449,7 +451,7 @@ def _splits(cfg: SslConfig, ds: Dataset, check_isolation: bool) -> bool:
 class _Flow:
     """A run's flow estimator, stepped in the calling process: the model,
     its latent, Adam, and the loss of each iteration's last flow step, one
-    list per epoch."""
+    list per epoch (empty for an epoch without flow steps)."""
 
     def __init__(self, cfg: SslConfig, n_classes: int, s_flow: int, s_latent: int):
         self.model = init_flow(cfg.feature_dim, cfg.flow.blocks, cfg.flow.hidden,
@@ -457,53 +459,18 @@ class _Flow:
         self.latent = init_latent(n_classes, cfg.feature_dim, s_latent)
         ft = cfg.flow_train
         self.opt = Adam(self.model.flat, ft.lr, (ft.beta1, ft.beta2), ft.adam_eps)
-        self.losses: list[list[float]] = []
+        self.cfg = cfg
+        self.losses: list[list[float]] = [[] for _ in range(cfg.epochs)]
 
-    def begin_epoch(self, lr: float) -> None:
-        self.opt.lr = lr
-        self.losses.append([])
-
-    def update(self, pools: list[FeaturePool]) -> None:
-        """One iteration's flow steps, one per pool, in order."""
+    def update(self, epoch: int, pools: list[FeaturePool]) -> None:
+        """One iteration's flow steps, one per pool, in order, at the lr that
+        the step-decay schedule gives 1-indexed ``epoch``."""
+        ft = self.cfg.flow_train
+        self.opt.lr = step_decay(ft.lr, (epoch - 1) / self.cfg.epochs,
+                                 ft.decay_fractions, ft.decay_gamma)
         for pool in pools:
             loss = flow_train_step(pool, self.model, self.latent, self.opt)
-        self.losses[-1].append(loss)
-
-    def end_epoch(self) -> None:
-        pass
-
-
-class _PoolSender:
-    """The worker's stand-in for ``_Flow``: it keeps an epoch's pools and
-    sends them, with the epoch's flow lr, once the epoch's iterations are
-    done. It holds no flow, so a perturbation that reads one fails."""
-    model = latent = None
-
-    def __init__(self, conn):
-        self.conn, self.lr, self.pools = conn, None, []
-
-    def begin_epoch(self, lr: float) -> None:
-        self.lr, self.pools = lr, []
-
-    def update(self, pools: list[FeaturePool]) -> None:
-        self.pools.append(pools)
-
-    def end_epoch(self) -> None:
-        self.conn.send(("pools", self.lr, self.pools))
-        self.pools = []
-
-
-class _NoFlow:
-    """The stand-in for ``_Flow`` of a run that trains no flow: ``_loop``
-    builds no pools for it. It holds no flow, so a perturbation that reads
-    one fails."""
-    model = latent = None
-
-    def begin_epoch(self, lr: float) -> None:
-        pass
-
-    def end_epoch(self) -> None:
-        pass
+        self.losses[epoch - 1].append(loss)
 
 
 def _train_split(cfg: SslConfig, ds: Dataset, student: Model, teacher: Model,
@@ -515,9 +482,9 @@ def _train_split(cfg: SslConfig, ds: Dataset, student: Model, teacher: Model,
         while True:
             msg = receive()
             if msg[0] == "pools":
-                flow.begin_epoch(msg[1])
-                for pools in msg[2]:
-                    flow.update(pools)
+                _, epoch, pools = msg
+                for iteration_pools in pools:
+                    flow.update(epoch, iteration_pools)
             elif msg[0] == "error":
                 raise msg[1]
             else:
@@ -528,17 +495,30 @@ def _train_split(cfg: SslConfig, ds: Dataset, student: Model, teacher: Model,
 
 
 def _worker(conn, cfg: SslConfig, ds: Dataset, student: Model, teacher: Model) -> None:
-    """The forked half of a split run: the loop, sending its pools to
-    ``conn``; then its result, or the pools of the finished iterations
-    followed by the error."""
-    sender = _PoolSender(conn)
+    """The forked half of a split run: the loop, with no flow, keeping one
+    epoch's pools and sending them to ``conn`` with their epoch when the
+    next epoch's pools begin; then the last epoch's pools and the result,
+    or the pools of the finished iterations followed by the error."""
+    epoch, pools = 0, []
+
+    def send() -> None:
+        if pools:
+            conn.send(("pools", epoch, pools))
+
+    def keep(iteration_epoch: int, iteration_pools: list[FeaturePool]) -> None:
+        nonlocal epoch, pools
+        if iteration_epoch != epoch:
+            send()
+            epoch, pools = iteration_epoch, []
+        pools.append(iteration_pools)
+
     try:
-        result = _loop(cfg, ds, student, teacher, sender)
+        result = _loop(cfg, ds, student, teacher, None, keep)
     except Exception as e:
-        if sender.pools:
-            sender.end_epoch()
+        send()
         conn.send(("error", e))
         return
+    send()
     conn.send(("done", replace(result, student=None, teacher=None),
                student.flat, teacher.flat))
 
@@ -556,11 +536,13 @@ def _with_l_flow(row: dict, losses: list[float]) -> dict:
 
 
 def _loop(cfg: SslConfig, ds: Dataset, student: Model, teacher: Model,
-          flow: _Flow | _PoolSender | _NoFlow, check_isolation: bool = False
-          ) -> TrainResult:
-    """The teacher-student loop of ``train_ssl``. Each epoch's flow lr and
-    each iteration's pools go to ``flow``; for ``_NoFlow`` only the pools'
-    random draws are made. The rows have no ``L_flow``."""
+          flow: _Flow | None,
+          update: Callable[[int, list[FeaturePool]], None] | None,
+          check_isolation: bool = False) -> TrainResult:
+    """The teacher-student loop of ``train_ssl``. The perturbation reads
+    ``flow`` (one that reads a flow fails without one), and each iteration's
+    pools go to ``update`` with their 1-indexed epoch; without ``update``
+    only the pools' random draws are made. The rows have no ``L_flow``."""
     x, y = ds.x, ds.y
     xl, yl = x[ds.labeled_idx], y[ds.labeled_idx]
     xu = x[ds.unlabeled_idx]
@@ -578,19 +560,17 @@ def _loop(cfg: SslConfig, ds: Dataset, student: Model, teacher: Model,
                 else cfg.flow_train.warm_start_epoch + 1)
 
     result = TrainResult()
+    flow_model, latent = (flow.model, flow.latent) if flow is not None else (None, None)
 
     def feature_delta(v_s: np.ndarray) -> np.ndarray:
         delta, fallbacks = generate_perturbation(
-            v_s, cfg.perturb, prng, flow_model=flow.model, latent=flow.latent,
+            v_s, cfg.perturb, prng, flow_model=flow_model, latent=latent,
             decoder=(student.dec_w, student.dec_b))
         result.perturb_fallbacks += fallbacks
         return delta
 
     it_global = 0
     for epoch in range(1, cfg.epochs + 1):
-        flow.begin_epoch(step_decay(cfg.flow_train.lr, (epoch - 1) / cfg.epochs,
-                                    cfg.flow_train.decay_fractions,
-                                    cfg.flow_train.decay_gamma))
         order_u = rng.permutation(len(xu)) if semi else None
         order_l = rng.permutation(len(xl))
         sums = {"L_sup": 0.0, "L_im": 0.0, "L_ft": 0.0}
@@ -630,18 +610,14 @@ def _loop(cfg: SslConfig, ds: Dataset, student: Model, teacher: Model,
                                 if check_isolation else None)
                 budget, updates = (cfg.flow_train.sample_budget,
                                    cfg.flow_train.updates_per_iteration)
-                if isinstance(flow, _NoFlow):
-                    # subsample_pool's draws; both sides are non-empty here, so
-                    # none of its pools would warn
-                    for _ in range(updates):
+                if update is None:
+                    for _ in range(updates):   # subsample_pool's draws
                         pool_indices(len(xb_l), len(xw), budget, rng)
                 else:
                     # the teacher is fixed across the updates: encode its pools once
                     feats_l, feats_u = teacher.features(xb_l), teacher.features(xw)
-                    pools = [subsample_pool(feats_l, yl[li], feats_u, budget, rng)
-                             for _ in range(updates)]
-                    result.pool_warnings += sum(p.empty_side_warnings for p in pools)
-                    flow.update(pools)
+                    update(epoch, [subsample_pool(feats_l, yl[li], feats_u, budget, rng)
+                                   for _ in range(updates)])
                 result.flow_steps += updates
                 if check_isolation and params_digest(
                         [student.flat, teacher.flat]) != model_digest:
@@ -652,7 +628,6 @@ def _loop(cfg: SslConfig, ds: Dataset, student: Model, teacher: Model,
             sums["L_ft"] += step.l_ft if step.l_ft is not None else 0.0
             it_global += 1
 
-        flow.end_epoch()
         result.rows.append({
             "epoch": epoch,
             "L_sup": sums["L_sup"] / per_epoch,

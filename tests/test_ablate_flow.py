@@ -40,7 +40,7 @@ NO_FLOW_ARMS = {
     "channel-dropout": dict(perturb=PerturbConfig(kind="channel-dropout")),
     "vat-lite": dict(perturb=PerturbConfig(kind="vat-lite")),
 }
-COUNTERS = ("pool_warnings", "perturb_fallbacks", "warming_iterations", "final_test_acc")
+COUNTERS = ("perturb_fallbacks", "warming_iterations", "final_test_acc")
 
 
 @pytest.fixture
@@ -135,7 +135,7 @@ def test_stand_in_fails_a_perturbation_that_reads_the_flow():
     ds = semisup.dataset_for_run(SPEC, 0)
     student = semisup.init_model(2, cfg.hidden, cfg.feature_dim, 2, 0)
     with pytest.raises(ValueError, match="needs flow and latent"):
-        semisup._loop(cfg, ds, student, student.clone(), semisup._NoFlow())
+        semisup._loop(cfg, ds, student, student.clone(), None, None)
 
 
 def test_sweep_csv_is_the_train_ssl_accuracies(tmp_path, flow_work):

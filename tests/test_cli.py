@@ -69,6 +69,23 @@ class TestFitDensity:
         assert lines[1:-1] == [f"{x!r},{y!r},{logp!r}".encode() for x, y, logp in
                                zip(dump.x.tolist(), dump.y.tolist(), dump.logp.tolist())]
 
+    def test_all_labeled_dataset(self, tmp_path):
+        # labeled_per_class -1 labels the whole train pool, so every pool the
+        # fit draws has an empty unlabeled side
+        spec = semisup.DataSpec(n=200, labeled_per_class=-1, seed=5)
+        assert len(semisup.make_dataset(spec).unlabeled_idx) == 0
+        cfg = write_json(tmp_path / "c.json", {
+            "seed": 5, "dataset": {"n": 200, "labeled_per_class": -1},
+            "flow": {"hidden": 16},
+            "fit": {"steps": 40, "batch": 64, "grid": True, "grid_resolution": 4}})
+        out = tmp_path / "run"
+        assert main(["fit-density", "--config", cfg, "--out", str(out)]) == 0
+        rows = (out / "loss.csv").read_text().strip().splitlines()[1:]
+        assert len(rows) == 40
+        assert all(np.isfinite(float(row.split(",")[1])) for row in rows)
+        grid = (out / "grid.csv").read_text().strip().splitlines()
+        assert grid[0] == "x,y,logp" and len(grid) == 17
+
     def test_reproducible_byte_for_byte(self, small_fit_config, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         main(["fit-density", "--config", small_fit_config, "--out", str(out1)])

@@ -3,7 +3,7 @@ import pytest
 
 from densitydescent.errors import NumericError
 from densitydescent.estimator import (FlowTrainConfig, flow_loss, flow_train_step,
-                                      fit_density, sample_feature_pool,
+                                      fit_density, pool_indices, sample_feature_pool,
                                       subsample_pool)
 from densitydescent.flow import flow_inverse, init_flow, randomize_conditioners
 from densitydescent.latent import init_latent, marginal_loglik
@@ -58,14 +58,24 @@ class TestPoolSampling:
         assert pool.total == 2
         np.testing.assert_array_equal(pool.labeled, np.ones((1, 3)))
         np.testing.assert_array_equal(pool.unlabeled, 2 * np.ones((1, 3)))
-        assert pool.empty_side_warnings == 0
 
     def test_empty_side_warns_and_returns_available(self):
         rng = np.random.default_rng(1)
         pool = subsample_pool(np.empty((0, 3)), np.empty(0, dtype=int),
                               np.ones((4, 3)), budget=8, rng=rng)
-        assert pool.empty_side_warnings == 1
         assert len(pool.unlabeled) == 4 and len(pool.labeled) == 0
+
+    @pytest.mark.parametrize("sizes", [(0, 7), (7, 0)], ids=["labeled", "unlabeled"])
+    def test_empty_side_takes_no_random_draw(self, sizes):
+        # subsample_pool draws and gathers each side alike, empty or not: it
+        # relies on rng.choice(0, size=0) giving an empty index and leaving
+        # the generator as a twin that drew only the other side
+        rng, twin = np.random.default_rng(6), np.random.default_rng(6)
+        empty = sizes.index(0)
+        idx = pool_indices(*sizes, budget=8, rng=rng)
+        assert idx[empty].dtype == np.int64 and idx[empty].shape == (0,)
+        np.testing.assert_array_equal(idx[1 - empty], twin.choice(7, size=4, replace=False))
+        assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_budget_split_caps_at_available(self):
         rng = np.random.default_rng(2)

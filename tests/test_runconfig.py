@@ -121,16 +121,28 @@ def edge_cases():
             accepted = [[v] for v in accepted]
             rejected = [[v] for v in rejected]
             if k.valid.length is not None:
+                # a length edge of one entry may repeat an entry edge's list
                 counts = edge_values(k.valid.length, integer=True)
-                accepted += [[k.default[0]] * n for n in counts[0]]
-                rejected += [[k.default[0]] * n for n in counts[1]]
+                accepted += [v for v in ([k.default[0]] * n for n in counts[0])
+                             if v not in accepted]
+                rejected += [v for v in ([k.default[0]] * n for n in counts[1])
+                             if v not in rejected]
         else:
             accepted, rejected = edge_values(k.valid, hint is int)
         yield from ((path, v, True) for v in accepted)
         yield from ((path, v, False) for v in rejected)
 
 
-@pytest.mark.parametrize("path,value,ok", list(edge_cases()))
+def case_id(path, value, ok):
+    """``path-value-outcome``, a list written out as ``[v]``, ``[]`` or
+    ``[v]*n``: an id that stays with its case when keys come or go."""
+    if isinstance(value, list):   # one entry, none, or n copies of one
+        value = f"[{value[0]}]*{len(value)}" if len(value) > 1 else str(value)
+    return f"{path}-{value}-{ok}"
+
+
+@pytest.mark.parametrize("path,value,ok",
+                         [pytest.param(*case, id=case_id(*case)) for case in edge_cases()])
 def test_key_edges(path, value, ok):
     # each key's declared range, at its edges: a closed edge and the nearest
     # value inside an open one parse, the nearest value outside is rejected

@@ -90,8 +90,8 @@ def test_split_run_equals_in_process_run(arm, workers):
     assert split.student.enc_w1.base is split.student.flat   # still views of flat
     assert split.latent.means.tobytes() == alone.latent.means.tobytes()
     assert split.latent.log_weights.tobytes() == alone.latent.log_weights.tobytes()
-    for name in ("flow_steps", "pool_warnings", "perturb_fallbacks",
-                 "warming_iterations", "final_test_acc"):
+    for name in ("flow_steps", "perturb_fallbacks", "warming_iterations",
+                 "final_test_acc"):
         assert getattr(split, name) == getattr(alone, name), name
     assert split.flow_steps == cfg.epochs * 6 * 2
     if cfg.lambda_ft > 0:
