@@ -28,7 +28,7 @@ from .oracle import (finite_diff_grad, grid_density_dump, mc_normalization,
 from .perturb import density_gradient
 from .runconfig import echo_config, load_config, load_sweep
 from .semisup import ablate, check_seeds, derived_seeds, run_seeds, write_metrics_csv
-from .worker import can_fork, forked
+from .worker import ordered
 
 OUT_ROOT_ENV = "DENSITYDESCENT_OUT_ROOT"
 
@@ -183,11 +183,11 @@ def cmd_verify(args) -> int:
     identity flow and a randomized one sharing a latent with one component
     per dataset class. Each pair's random inputs are drawn up front from one
     ``default_rng(cfg.seed)``, in pair order, so a pair's rows do not depend
-    on where it runs. With two or more pairs, on a host where
-    ``worker.can_fork`` holds, one forked worker checks every second pair
-    while this process checks the rest. The rows are printed here, in pair
-    order, as one process prints them. If a pair raises, the rows before its
-    error are printed and the error is raised, as in one process.
+    on where it runs. ``worker.ordered`` deals the pairs round-robin to
+    this process and to forked workers on the other cores, and streams the
+    rows back in pair order, so they print here as one process prints them.
+    If a pair raises, the rows before its error are printed and the error is
+    raised, as in one process.
     """
     cfg = load_config(args.config)
     if cfg.verify.checkpoint:
@@ -207,34 +207,12 @@ def cmd_verify(args) -> int:
     rng = np.random.default_rng(cfg.seed)
     jobs = [(model, latent, _draw_inputs(rng, model.d)) for model, latent in pairs]
 
-    report: list[tuple[str, bool, str]] = []
-
-    def emit(result) -> None:
-        rows, error = result
-        for name, ok, detail in rows:
-            report.append((name, ok, detail))
-            print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
-        if error is not None:
-            raise error
-
-    if len(jobs) < 2 or not can_fork():
-        for job in jobs:
-            emit(_pair_rows(job, cfg))
-    else:
-        with forked("verify", _verify_worker, jobs[1::2], cfg) as receive:
-            mine = []
-            for job in jobs[::2]:
-                mine.append(_pair_rows(job, cfg))
-                if mine[-1][1] is not None:
-                    break
-            # pair i is this process's (i // 2)-th or the worker's next message;
-            # an error in pair i is raised before any later pair is needed
-            for i in range(len(jobs)):
-                emit(receive() if i % 2 else mine[i // 2])
-
-    failed = [name for name, ok, _ in report if not ok]
-    print(f"verify: {len(report) - len(failed)}/{len(report)} checks passed")
-    return 1 if failed else 0
+    oks = []
+    for name, ok, detail in ordered(lambda job: _pair_checks(*job, cfg), jobs):
+        oks.append(ok)
+        print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
+    print(f"verify: {sum(oks)}/{len(oks)} checks passed")
+    return 0 if all(oks) else 1
 
 
 def _draw_inputs(rng, d: int):
@@ -244,30 +222,6 @@ def _draw_inputs(rng, d: int):
     batch = rng.standard_normal((1000, d))
     logdet_points = rng.standard_normal((10, d)) if d <= 8 else None
     return batch, logdet_points, rng.standard_normal((20, d))
-
-
-def _pair_rows(job, cfg):
-    """``(rows, error)`` of one pair: its (name, ok, detail) rows, and the
-    exception that stopped its checks, or None."""
-    rows = []
-    try:
-        for row in _pair_checks(*job, cfg):
-            rows.append(row)
-    except Exception as e:
-        return rows, e
-    return rows, None
-
-
-def _verify_worker(conn, jobs, cfg) -> None:
-    """The forked half of ``verify``: each pair's ``(rows, error)``, in
-    order, up to the first error. It prints nothing: callers that capture
-    stdout in memory (pytest's ``capsys``, ``perfbench/op.py``) would lose
-    a child's writes, so the caller prints every row."""
-    for job in jobs:
-        result = _pair_rows(job, cfg)
-        conn.send(result)
-        if result[1] is not None:
-            return
 
 
 def _pair_checks(model, latent, inputs, cfg):

@@ -1,6 +1,7 @@
-"""One forked worker on a second core, for the two commands that split their
-work in two: a run whose perturbation does not read the flow
-(``semisup.train_ssl``) and ``verify``'s (flow, latent) pairs.
+"""Forked workers on the other cores, for the two commands that split their
+work: a run whose perturbation does not read the flow (``semisup.train_ssl``,
+one worker through ``forked``) and ``verify``'s (flow, latent) pairs (up to
+one worker per spare core through ``ordered``).
 
 ``multiprocessing`` is imported only once a command splits, so importing
 the package, and every command that stays in one process, never pays for it.
@@ -9,7 +10,7 @@ the package, and every command that stays in one process, never pays for it.
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 
 
 def can_fork() -> bool:
@@ -58,3 +59,47 @@ def forked(role: str, target, *args):
     finally:
         worker.join()
         inbox.close()
+
+
+def ordered(fn, jobs):
+    """Yield every item of each ``fn(job)`` in job order, as one process would.
+
+    The jobs are dealt round-robin to this process and to one forked worker
+    per further usable core, up to one process per job. This process runs
+    its own jobs when the consumer reaches them; the workers send their
+    items as they make them. ``fn`` should not print: a worker's writes miss
+    a caller that captures stdout in memory (pytest's ``capsys``,
+    ``perfbench/op.py``). An exception raised in ``fn(job)`` is raised here
+    after the items made before it, and a worker that exits early raises
+    ``forked``'s ``RuntimeError``; every worker is reaped either way. With
+    one job, or where ``can_fork`` fails, every job runs here.
+    """
+    jobs = list(jobs)
+    if len(jobs) < 2 or not can_fork():
+        for job in jobs:
+            yield from fn(job)
+        return
+    n = min(len(os.sched_getaffinity(0)), len(jobs))
+    with ExitStack() as stack:
+        workers = [stack.enter_context(forked("fan-out", _serve, fn, jobs[i::n]))
+                   for i in range(1, n)]
+        for i, job in enumerate(jobs):
+            if i % n == 0:
+                yield from fn(job)
+                continue
+            while (msg := workers[i % n - 1]())[0] == "item":
+                yield msg[1]
+            if msg[0] == "error":
+                raise msg[1]
+
+
+def _serve(conn, fn, jobs) -> None:
+    """A worker of ``ordered``: each item of each ``fn(job)`` as it comes and
+    an end mark after each job, up to the exception that stops one."""
+    try:
+        for job in jobs:
+            for item in fn(job):
+                conn.send(("item", item))
+            conn.send(("end", None))
+    except Exception as e:
+        conn.send(("error", e))

@@ -130,7 +130,7 @@ def test_isolation_check_keeps_the_flow(flow_work):
     assert all(list(row) == list(semisup.METRIC_COLUMNS) for row in checked.rows)
 
 
-def test_stand_in_fails_a_perturbation_that_reads_the_flow():
+def test_loop_without_a_flow_fails_a_perturbation_that_reads_the_flow():
     cfg = config(perturb=PerturbConfig(kind="density-descending"))
     ds = semisup.dataset_for_run(SPEC, 0)
     student = semisup.init_model(2, cfg.hidden, cfg.feature_dim, 2, 0)

@@ -59,7 +59,7 @@ class TestPoolSampling:
         np.testing.assert_array_equal(pool.labeled, np.ones((1, 3)))
         np.testing.assert_array_equal(pool.unlabeled, 2 * np.ones((1, 3)))
 
-    def test_empty_side_warns_and_returns_available(self):
+    def test_empty_side_returns_the_other_side_s_rows(self):
         rng = np.random.default_rng(1)
         pool = subsample_pool(np.empty((0, 3)), np.empty(0, dtype=int),
                               np.ones((4, 3)), budget=8, rng=rng)
