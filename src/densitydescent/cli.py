@@ -2,8 +2,9 @@
 and oracle verification.
 
 Exit codes: 0 success, 1 verification failure, 2 config error, 3 numeric
-abort. Output directories receive the effective config echo plus metrics;
-wall-clock timestamps go only to the run.log sidecar so metrics files stay
+abort, 4 a forked worker lost (it exited before it finished). Output
+directories receive the effective config echo plus metrics; wall-clock
+timestamps go only to the run.log sidecar so metrics files stay
 byte-reproducible.
 """
 
@@ -28,7 +29,7 @@ from .oracle import (finite_diff_grad, grid_density_dump, mc_normalization,
 from .perturb import density_gradient
 from .runconfig import echo_config, load_config, load_sweep
 from .semisup import ablate, check_seeds, derived_seeds, run_seeds, write_metrics_csv
-from .worker import ordered
+from .worker import WorkerLost, ordered
 
 OUT_ROOT_ENV = "DENSITYDESCENT_OUT_ROOT"
 
@@ -302,6 +303,9 @@ def main(argv=None) -> int:
     except NumericError as e:
         print(f"numeric abort: {e}", file=sys.stderr)
         return 3
+    except WorkerLost as e:
+        print(f"worker lost: {e}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -17,17 +17,18 @@ differentiable reference that the tests check ``student_step`` against.
 
 A run whose perturbation never reads the flow (``lambda_ft`` 0, or a
 baseline kind) trains no flow when its caller reads none either (``ablate``);
-otherwise it trains the flow on a second core: ``train_ssl`` forks one
-worker for the student loop and steps the flow on the pools it sends back,
-with the same bits as in one process.
+otherwise it trains the flow on a second core: ``train_ssl`` streams the
+loop's pools from one forked worker and steps the flow on them, with the
+same bits as in one process.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from contextlib import closing
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator
+from typing import Callable, Generator, Iterator
 
 import numpy as np
 
@@ -40,7 +41,7 @@ from .flow import MAX_WIDTH, FlowArch, init_flow
 from .latent import BLOCK_ROWS, init_latent, softmax
 from .optim import Adam, MomentumSGD, pack, poly_decay, step_decay
 from .perturb import PerturbConfig, dropped_channels, generate_perturbation
-from .worker import can_fork, forked
+from .worker import can_fork, streamed
 
 
 @dataclass
@@ -85,7 +86,15 @@ class Model:
         return np.argmax(self.logits(x), axis=1)
 
     def clone(self) -> "Model":
-        return Model(*pack(self.params()))
+        return _packed(self.params())
+
+    def __reduce__(self):
+        # unpickled as views of one fresh vector, as ``clone`` builds it
+        return _packed, (self.params(),)
+
+
+def _packed(arrays: list[np.ndarray]) -> Model:
+    return Model(*pack(arrays))
 
 
 def _encode(model: Model, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -355,13 +364,14 @@ METRIC_COLUMNS = ("epoch", "L_sup", "L_im", "L_ft", "L_flow",
 @dataclass
 class TrainResult:
     """One run: its per-epoch ``METRIC_COLUMNS`` rows, its counters and its
-    final models. The counters are the isolation check's violations, the
-    perturbation's fallbacks, the iterations that waited for the flow's
-    first step, and the flow steps. A split run (see ``train_ssl``) takes
-    the rows without ``L_flow``, the counters and the student and teacher
-    vectors from its worker, and the flow, the latent and ``L_flow`` from
-    the calling process; every field equals that of the same run in one
-    process. A run without a flow (``keep_flow`` off and a perturbation
+    final models. The counters are the isolation check's violations (the
+    iterations whose student step, perturbation included, changed the flow
+    or whose flow steps changed the student or teacher), the perturbation's
+    fallbacks, the iterations that waited for the flow's first step, and the
+    flow steps. A split run (see ``train_ssl``) takes the rows without
+    ``L_flow``, the counters, the student and the teacher from its worker's
+    loop, and the flow, the latent and ``L_flow`` from the calling process;
+    every field equals that of the same run in one process. A run without a flow (``keep_flow`` off and a perturbation
     that reads none) has rows without an ``L_flow`` key, no ``flow_model``
     or ``latent`` and 0 ``flow_steps``; every other field equals that of
     the run with its flow."""
@@ -398,20 +408,18 @@ def train_ssl(cfg: SslConfig, ds: Dataset, check_isolation: bool = False,
     Only the density-descending perturbation at ``lambda_ft > 0`` reads the
     flow (``reads_flow``). With ``keep_flow`` off the caller reads nothing
     of it either (no ``L_flow``, no flow model), so a run whose perturbation
-    does not read it trains none: the loop runs here without a flow or a
-    pool hook and only draws the rows of every pool, so its random streams,
+    does not read it trains none: the loop runs here without a flow, yields
+    no pools and only draws the rows of every pool, so its random streams,
     models and other columns are those of the run with its flow.
     ``check_isolation`` hashes the flow, so it keeps one either way.
 
-    Any other run whose perturbation does not read the flow, and that takes
-    flow steps, is split in two when the host has the ``fork`` start method
-    and at least two usable cores (``_splits``): one forked worker runs the
-    loop and sends each epoch's feature pools back with the epoch number,
-    and this process steps the flow on them in the same order, at the lr it
-    derives from that epoch, while the worker goes on. The result
-    is bit for bit that of the run in one process, where ``check_isolation``
-    keeps every run. An error in the worker is raised here, unchanged, after
-    the pools of the iterations before it have been stepped.
+    Otherwise the flow steps here on each iteration's pools that the loop
+    yields. Any run whose perturbation does not read the flow, and that
+    takes flow steps, runs the loop in one forked worker when the host can
+    fork onto a second core (``_splits``), through ``worker.streamed``, so
+    the worker goes on while the flow steps. The result is bit for bit that
+    of the run in one process, where ``check_isolation`` keeps every run. A
+    worker's error is raised here, unchanged, after the pools before it.
     """
     if len(ds.labeled_idx) == 0:
         raise ConfigError("training needs a labeled split")
@@ -419,12 +427,15 @@ def train_ssl(cfg: SslConfig, ds: Dataset, check_isolation: bool = False,
     student = init_model(ds.x.shape[1], cfg.hidden, cfg.feature_dim, ds.n_classes, s_model)
     teacher = student.clone()
     if not (keep_flow or check_isolation or reads_flow(cfg)):
-        return replace(_loop(cfg, ds, student, teacher, None, None), flow_steps=0)
+        loop = _loop(cfg, ds, student, teacher, None, pools=False)
+        return replace(_drained(loop, None), flow_steps=0)
     flow = _Flow(cfg, ds.n_classes, s_flow, s_latent)
     if _splits(cfg, ds, check_isolation):
-        result = _train_split(cfg, ds, student, teacher, flow)
+        loop = streamed(_loop, cfg, ds, student, teacher, None)
     else:
-        result = _loop(cfg, ds, student, teacher, flow, flow.update, check_isolation)
+        loop = _loop(cfg, ds, student, teacher, flow, check_isolation=check_isolation)
+    with closing(loop):   # a flow error stops and reaps a split run's worker at once
+        result = _drained(loop, flow)
     result.rows = [_with_l_flow(row, losses) for row, losses in zip(result.rows, flow.losses)]
     result.flow_model, result.latent = flow.model, flow.latent
     return result
@@ -473,54 +484,14 @@ class _Flow:
         self.losses[epoch - 1].append(loss)
 
 
-def _train_split(cfg: SslConfig, ds: Dataset, student: Model, teacher: Model,
-                 flow: _Flow) -> TrainResult:
-    """``train_ssl``'s loop in one forked worker, its flow steps here, taken
-    on the worker's pools in the order they arrive. ``student`` and
-    ``teacher`` end as the worker's final vectors."""
-    with forked("training", _worker, cfg, ds, student, teacher) as receive:
-        while True:
-            msg = receive()
-            if msg[0] == "pools":
-                _, epoch, pools = msg
-                for iteration_pools in pools:
-                    flow.update(epoch, iteration_pools)
-            elif msg[0] == "error":
-                raise msg[1]
-            else:
-                _, result, student_flat, teacher_flat = msg
-                student.flat[:], teacher.flat[:] = student_flat, teacher_flat
-                result.student, result.teacher = student, teacher
-                return result
-
-
-def _worker(conn, cfg: SslConfig, ds: Dataset, student: Model, teacher: Model) -> None:
-    """The forked half of a split run: the loop, with no flow, keeping one
-    epoch's pools and sending them to ``conn`` with their epoch when the
-    next epoch's pools begin; then the last epoch's pools and the result,
-    or the pools of the finished iterations followed by the error."""
-    epoch, pools = 0, []
-
-    def send() -> None:
-        if pools:
-            conn.send(("pools", epoch, pools))
-
-    def keep(iteration_epoch: int, iteration_pools: list[FeaturePool]) -> None:
-        nonlocal epoch, pools
-        if iteration_epoch != epoch:
-            send()
-            epoch, pools = iteration_epoch, []
-        pools.append(iteration_pools)
-
-    try:
-        result = _loop(cfg, ds, student, teacher, None, keep)
-    except Exception as e:
-        send()
-        conn.send(("error", e))
-        return
-    send()
-    conn.send(("done", replace(result, student=None, teacher=None),
-               student.flat, teacher.flat))
+def _drained(loop, flow: _Flow | None) -> TrainResult:
+    """Step ``flow`` on each (epoch, pools) ``loop`` yields; return its result."""
+    while True:
+        try:
+            epoch, pools = next(loop)
+        except StopIteration as end:
+            return end.value
+        flow.update(epoch, pools)
 
 
 def _with_l_flow(row: dict, losses: list[float]) -> dict:
@@ -536,13 +507,14 @@ def _with_l_flow(row: dict, losses: list[float]) -> dict:
 
 
 def _loop(cfg: SslConfig, ds: Dataset, student: Model, teacher: Model,
-          flow: _Flow | None,
-          update: Callable[[int, list[FeaturePool]], None] | None,
-          check_isolation: bool = False) -> TrainResult:
-    """The teacher-student loop of ``train_ssl``. The perturbation reads
-    ``flow`` (one that reads a flow fails without one), and each iteration's
-    pools go to ``update`` with their 1-indexed epoch; without ``update``
-    only the pools' random draws are made. The rows have no ``L_flow``."""
+          flow: _Flow | None, pools: bool = True, check_isolation: bool = False
+          ) -> Generator[tuple[int, list[FeaturePool]], None, TrainResult]:
+    """The teacher-student loop of ``train_ssl``, a generator that returns
+    its ``TrainResult``; the rows have no ``L_flow``. The perturbation reads
+    ``flow`` (one that reads a flow fails without one). Each iteration past
+    the warm start yields its 1-indexed epoch and its pools, and resumes
+    once the consumer has stepped the flow on them; with ``pools`` off it
+    yields nothing and only makes the pools' random draws."""
     x, y = ds.x, ds.y
     xl, yl = x[ds.labeled_idx], y[ds.labeled_idx]
     xu = x[ds.unlabeled_idx]
@@ -593,13 +565,13 @@ def _loop(cfg: SslConfig, ds: Dataset, student: Model, teacher: Model,
                         result.warming_iterations += 1
                 retained += pseudo.mask.sum()
                 seen_u += len(ui)
+            # taken before the student step, which runs the perturbation
+            flow_digest = params_digest([flow.model.flat]) if check_isolation else None
             step = student_step(student, xb_l, yl[li], xs, pseudo, perturb, cfg.lambda_ft)
             if not np.isfinite(step.loss):
                 raise NumericError(
                     f"non-finite training loss at epoch {epoch} iter {it} "
                     f"(lr={opt.lr:g}, L_sup={step.l_sup:g})")
-
-            flow_digest = params_digest([flow.model.flat]) if check_isolation else None
             opt.step(step.grads)
             ema_update(teacher, student, cfg.ema_momentum)
             if check_isolation and params_digest([flow.model.flat]) != flow_digest:
@@ -610,14 +582,14 @@ def _loop(cfg: SslConfig, ds: Dataset, student: Model, teacher: Model,
                                 if check_isolation else None)
                 budget, updates = (cfg.flow_train.sample_budget,
                                    cfg.flow_train.updates_per_iteration)
-                if update is None:
-                    for _ in range(updates):   # subsample_pool's draws
-                        pool_indices(len(xb_l), len(xw), budget, rng)
-                else:
+                if pools:
                     # the teacher is fixed across the updates: encode its pools once
                     feats_l, feats_u = teacher.features(xb_l), teacher.features(xw)
-                    update(epoch, [subsample_pool(feats_l, yl[li], feats_u, budget, rng)
-                                   for _ in range(updates)])
+                    yield epoch, [subsample_pool(feats_l, yl[li], feats_u, budget, rng)
+                                  for _ in range(updates)]
+                else:
+                    for _ in range(updates):   # subsample_pool's draws
+                        pool_indices(len(xb_l), len(xw), budget, rng)
                 result.flow_steps += updates
                 if check_isolation and params_digest(
                         [student.flat, teacher.flat]) != model_digest:

@@ -1,16 +1,18 @@
-"""Forked workers on the other cores, for the two commands that split their
-work: a run whose perturbation does not read the flow (``semisup.train_ssl``,
-one worker through ``forked``) and ``verify``'s (flow, latent) pairs (up to
-one worker per spare core through ``ordered``).
-
-``multiprocessing`` is imported only once a command splits, so importing
-the package, and every command that stays in one process, never pays for it.
+"""Generators run in forked workers on the other cores (``streamed``): a
+split ``semisup.train_ssl`` run's loop, and ``verify``'s (flow, latent) pairs
+through ``ordered``. ``multiprocessing`` is imported only once a command
+splits, so importing the package, and every command that stays in one
+process, never pays for it.
 """
 
 from __future__ import annotations
 
 import os
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, closing
+
+
+class WorkerLost(RuntimeError):
+    """A forked worker exited before it finished its stream."""
 
 
 def can_fork() -> bool:
@@ -26,52 +28,83 @@ def can_fork() -> bool:
             and not multiprocessing.current_process().daemon)
 
 
-@contextmanager
-def forked(role: str, target, *args):
-    """Run ``target(conn, *args)`` in one forked worker and yield a function
-    that returns the worker's next message sent on ``conn``.
-
-    A worker that exits without a message ends the wait with a
-    ``RuntimeError`` naming its exit code. An exception that leaves the
-    ``with`` block terminates the worker first; the worker is reaped either
-    way.
+def streamed(gen_fn, *args):
+    """Run the generator ``gen_fn(*args)`` in one forked worker, started now,
+    and return a generator that yields its items as the worker sends them
+    and returns its return value. An exception raised in ``gen_fn`` is
+    raised here after the items sent before it, and a worker that exits
+    early raises ``WorkerLost`` naming its exit code. Closing the stream
+    before its end terminates the worker; it is reaped either way.
     """
+    stream = _received(gen_fn, args)
+    next(stream)   # fork now, so that the worker runs while the caller goes on
+    return stream
+
+
+def _received(gen_fn, args):
+    # the one pipe protocol: ("item", x) per item, then ("done", value) or
+    # ("error", exception)
     import multiprocessing
     ctx = multiprocessing.get_context("fork")
     inbox, outbox = ctx.Pipe(duplex=False)
-    worker = ctx.Process(target=target, args=(outbox, *args), daemon=True)
+    worker = ctx.Process(target=_serve, args=(outbox, gen_fn, args), daemon=True)
     worker.start()
     outbox.close()   # the worker's end alone: its exit ends ``recv`` with EOFError
-
-    def receive():
-        try:
-            return inbox.recv()
-        except EOFError:
-            worker.join()
-            raise RuntimeError(f"the {role} worker exited with code "
-                               f"{worker.exitcode} before it finished") from None
-
     try:
-        yield receive
-    except BaseException:
-        worker.terminate()   # before closing the pipe, so no send of its fails
+        yield
+        while True:
+            try:
+                kind, value = inbox.recv()
+            except EOFError:
+                worker.join()
+                raise WorkerLost(f"a forked worker exited with code {worker.exitcode} "
+                                 f"before it finished") from None
+            if kind == "error":
+                raise value
+            if kind == "done":
+                return value
+            yield value
+    except BaseException:   # an error, or the stream closed before its end
+        worker.terminate()   # before closing the pipe, so that no send of its fails
         raise
     finally:
         worker.join()
         inbox.close()
 
 
+def _serve(conn, gen_fn, args) -> None:
+    """A ``streamed`` worker: each item of ``gen_fn(*args)`` as it comes, then
+    its return value or the exception that stopped it."""
+    try:
+        items = gen_fn(*args)
+        while True:
+            conn.send(("item", next(items)))
+    except StopIteration as end:
+        conn.send(("done", end.value))
+    except Exception as e:
+        conn.send(("error", e))
+
+
+class _End:
+    """The mark after each job of an ``ordered`` worker (unpickled as itself)."""
+
+
+def _by_job(fn, jobs):
+    """An ``ordered`` worker's generator: each ``fn(job)``'s items, then ``_End``."""
+    for job in jobs:
+        yield from fn(job)
+        yield _End
+
+
 def ordered(fn, jobs):
     """Yield every item of each ``fn(job)`` in job order, as one process would.
 
-    The jobs are dealt round-robin to this process and to one forked worker
-    per further usable core, up to one process per job. This process runs
-    its own jobs when the consumer reaches them; the workers send their
-    items as they make them. ``fn`` should not print: a worker's writes miss
-    a caller that captures stdout in memory (pytest's ``capsys``,
-    ``perfbench/op.py``). An exception raised in ``fn(job)`` is raised here
-    after the items made before it, and a worker that exits early raises
-    ``forked``'s ``RuntimeError``; every worker is reaped either way. With
+    The jobs are dealt round-robin to this process, which runs its own when
+    the consumer reaches them, and to one ``streamed`` worker per further
+    usable core, up to one process per job. ``fn`` should not print: a
+    worker's writes miss a caller that captures stdout in memory (pytest's
+    ``capsys``, ``perfbench/op.py``). Errors and lost workers surface as in
+    ``streamed``, after the items before them; every worker is reaped. With
     one job, or where ``can_fork`` fails, every job runs here.
     """
     jobs = list(jobs)
@@ -81,25 +114,13 @@ def ordered(fn, jobs):
         return
     n = min(len(os.sched_getaffinity(0)), len(jobs))
     with ExitStack() as stack:
-        workers = [stack.enter_context(forked("fan-out", _serve, fn, jobs[i::n]))
+        workers = [stack.enter_context(closing(streamed(_by_job, fn, jobs[i::n])))
                    for i in range(1, n)]
         for i, job in enumerate(jobs):
             if i % n == 0:
                 yield from fn(job)
                 continue
-            while (msg := workers[i % n - 1]())[0] == "item":
-                yield msg[1]
-            if msg[0] == "error":
-                raise msg[1]
-
-
-def _serve(conn, fn, jobs) -> None:
-    """A worker of ``ordered``: each item of each ``fn(job)`` as it comes and
-    an end mark after each job, up to the exception that stops one."""
-    try:
-        for job in jobs:
-            for item in fn(job):
-                conn.send(("item", item))
-            conn.send(("end", None))
-    except Exception as e:
-        conn.send(("error", e))
+            for item in workers[i % n - 1]:
+                if item is _End:
+                    break
+                yield item

@@ -48,15 +48,15 @@ def flow_work(monkeypatch):
     """Counts of flow steps, of forked workers entered and of the teacher
     encodes that feed the flow's pools, in this process."""
     counts = {"flow_steps": 0, "forks": 0, "pool_encodes": 0}
-    step, forked, features = semisup.flow_train_step, semisup.forked, semisup.Model.features
+    step, streamed, features = semisup.flow_train_step, semisup.streamed, semisup.Model.features
 
     def counted_step(*args, **kw):
         counts["flow_steps"] += 1
         return step(*args, **kw)
 
-    def counted_forked(*args):
+    def counted_streamed(*args):
         counts["forks"] += 1
-        return forked(*args)
+        return streamed(*args)
 
     def counted_features(model, x):
         # the loop's own calls encode pools; predictions go through logits
@@ -65,7 +65,7 @@ def flow_work(monkeypatch):
         return features(model, x)
 
     monkeypatch.setattr(semisup, "flow_train_step", counted_step)
-    monkeypatch.setattr(semisup, "forked", counted_forked)
+    monkeypatch.setattr(semisup, "streamed", counted_streamed)
     monkeypatch.setattr(semisup.Model, "features", counted_features)
     return counts
 
@@ -135,7 +135,7 @@ def test_loop_without_a_flow_fails_a_perturbation_that_reads_the_flow():
     ds = semisup.dataset_for_run(SPEC, 0)
     student = semisup.init_model(2, cfg.hidden, cfg.feature_dim, 2, 0)
     with pytest.raises(ValueError, match="needs flow and latent"):
-        semisup._loop(cfg, ds, student, student.clone(), None, None)
+        list(semisup._loop(cfg, ds, student, student.clone(), None, pools=False))
 
 
 def test_sweep_csv_is_the_train_ssl_accuracies(tmp_path, flow_work):

@@ -6,6 +6,7 @@ construction, cloning, checkpoint loading and training.
 """
 
 import hashlib
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -51,6 +52,15 @@ def test_fresh_and_cloned_student_tile_their_vector():
     assert_tiles_flat(clone)
     assert np.array_equal(clone.flat, model.flat)
     assert_disjoint(clone, model)
+
+
+def test_pickled_student_tiles_a_fresh_vector():
+    # a split run's student and teacher come back from its worker pickled
+    model = init_model(3, 7, 4, 3, seed=0)
+    copy = pickle.loads(pickle.dumps(model))
+    assert_tiles_flat(copy)
+    assert copy.flat.tobytes() == model.flat.tobytes()
+    assert_disjoint(copy, model)
 
 
 def test_fresh_and_loaded_flow_tile_their_vector(tmp_path):

@@ -208,6 +208,40 @@ class TestTrainSsl:
         assert res.flow_steps > 0
         assert 0.0 <= res.final_test_acc <= 1.0
 
+    def test_isolation_check_counts_a_perturbation_that_writes_to_the_flow(self, monkeypatch):
+        calls = [0]
+        perturbation = semisup.generate_perturbation
+
+        def leaking(v, cfg, rng, flow_model=None, **kw):
+            calls[0] += 1
+            flow_model.flat += 1e-3
+            return perturbation(v, cfg, rng, flow_model=flow_model, **kw)
+
+        monkeypatch.setattr(semisup, "generate_perturbation", leaking)
+        res = train_ssl(tiny_config(), tiny_data(), check_isolation=True)
+        assert calls[0] > 0
+        assert res.isolation_violations == calls[0]   # one per iteration it ran in
+
+    def test_isolation_check_counts_a_flow_step_that_writes_to_the_student(self, monkeypatch):
+        students = []
+        init, step = semisup.init_model, semisup.flow_train_step
+
+        def recorded(*args, **kw):
+            students.append(init(*args, **kw))
+            return students[-1]
+
+        def leaking(*args, **kw):
+            students[-1].flat[0] += 1e-3
+            return step(*args, **kw)
+
+        monkeypatch.setattr(semisup, "init_model", recorded)
+        monkeypatch.setattr(semisup, "flow_train_step", leaking)
+        cfg = tiny_config(lambda_ft=0.0)
+        res = train_ssl(cfg, tiny_data(), check_isolation=True)
+        iterations = res.flow_steps // cfg.flow_train.updates_per_iteration
+        assert iterations > 0
+        assert res.isolation_violations == iterations   # every iteration with flow steps
+
     def test_deterministic_given_seed(self):
         a = train_ssl(tiny_config(), tiny_data())
         b = train_ssl(tiny_config(), tiny_data())

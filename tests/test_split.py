@@ -1,8 +1,8 @@
 """A run whose perturbation never reads the flow trains the flow beside its
-student loop: one forked worker runs the loop and sends its feature pools
-back, and the calling process steps the flow on them. These tests hold the
-split run to the same run in one process, bit for bit, and pin the order in
-which errors surface."""
+student loop: one forked worker runs the loop and streams its feature pools
+back (``worker.streamed``), and the calling process steps the flow on them.
+These tests hold the split run to the same run in one process, bit for bit,
+and pin the order in which errors surface."""
 
 import json
 import multiprocessing
@@ -55,9 +55,9 @@ ARMS = {
 
 @pytest.fixture
 def workers(monkeypatch):
-    """Counts of split runs and of started worker processes."""
+    """Counts of split runs (streamed loops) and of started worker processes."""
     counts = {"splits": 0, "starts": 0}
-    split, start = semisup._train_split, multiprocessing.process.BaseProcess.start
+    split, start = semisup.streamed, multiprocessing.process.BaseProcess.start
 
     def counted_split(*args):
         counts["splits"] += 1
@@ -67,7 +67,7 @@ def workers(monkeypatch):
         counts["starts"] += 1
         return start(self)
 
-    monkeypatch.setattr(semisup, "_train_split", counted_split)
+    monkeypatch.setattr(semisup, "streamed", counted_split)
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counted_start)
     return counts
 
@@ -184,7 +184,8 @@ def test_worker_error_comes_after_the_finished_iterations_pools(monkeypatch, wor
     assert multiprocessing.active_children() == []
 
 
-def test_worker_that_dies_without_a_message_raises_promptly(monkeypatch, workers):
+def test_worker_that_dies_without_a_message_exits_4_promptly(tmp_path, monkeypatch, capsys,
+                                                            workers):
     parent = os.getpid()
 
     def die():
@@ -196,14 +197,24 @@ def test_worker_that_dies_without_a_message_raises_promptly(monkeypatch, workers
     def timeout(signum, frame):
         raise TimeoutError("the caller waited on a dead worker")
 
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "dataset": {"n": 120, "noise": 0.1, "test_fraction": 0.25},
+        "flow": {"hidden": 16},
+        "flow_train": {"sample_budget": 64, "warm_start_epoch": 1},
+        "ssl": {"epochs": 3, "batch_unlabeled": 16, "hidden": 16, "feature_dim": 2,
+                "lambda_ft": 0.0},
+    }))
     previous = signal.signal(signal.SIGALRM, timeout)
     signal.alarm(30)
     try:
-        with pytest.raises(RuntimeError, match="exited with code 7"):
-            semisup.train_ssl(config(lambda_ft=0.0), dataset())
+        code = main(["train-ssl", "--config", str(cfg), "--out", str(tmp_path / "run")])
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err == "worker lost: a forked worker exited with code 7 before it finished\n"
     assert workers["splits"] == 1
     assert multiprocessing.active_children() == []
 

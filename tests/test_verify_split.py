@@ -1,9 +1,11 @@
-"""``worker.ordered`` deals jobs round-robin to the calling process and to
-forked workers on the other cores, and yields every job's items in job order.
-``verify`` checks its (flow, latent) pairs through it and prints every row in
-the caller. These tests pin ``ordered``'s order, errors and in-caller path,
-hold the split ``verify``'s stdout, stderr and exit code to the same command
-run in one process, byte for byte, and check that a broken check fails."""
+"""``worker.streamed`` runs a generator in one forked worker and yields its
+items in the caller. ``worker.ordered`` deals jobs round-robin to the calling
+process and to such workers on the other cores, and yields every job's items
+in job order. ``verify`` checks its (flow, latent) pairs through it and prints
+every row in the caller. These tests pin ``streamed``'s items, return value,
+errors and reaping, ``ordered``'s order, errors and in-caller path, hold the
+split ``verify``'s stdout, stderr and exit code to the same command run in one
+process, byte for byte, and check that a broken check fails."""
 
 import json
 import multiprocessing
@@ -12,13 +14,14 @@ import signal
 import subprocess
 import sys
 import time
+from contextlib import closing
 
 import pytest
 
 from densitydescent import cli, worker
 from densitydescent.cli import main
 from densitydescent.errors import NumericError
-from densitydescent.worker import can_fork, ordered
+from densitydescent.worker import WorkerLost, can_fork, ordered, streamed
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -135,7 +138,7 @@ def test_error_output_is_the_in_process_one(failing, tmp_path, monkeypatch, caps
 
 
 @needs_fork
-def test_worker_that_dies_without_a_message_raises_promptly(monkeypatch, capsys, starts,
+def test_worker_that_dies_without_a_message_exits_4_promptly(monkeypatch, capsys, starts,
                                                             tmp_path):
     parent, checks = os.getpid(), cli._pair_checks
 
@@ -152,11 +155,14 @@ def test_worker_that_dies_without_a_message_raises_promptly(monkeypatch, capsys,
     previous = signal.signal(signal.SIGALRM, timeout)
     signal.alarm(30)
     try:
-        with pytest.raises(RuntimeError, match="exited with code 7"):
-            main(["verify", "--config", verify_config(tmp_path)])
+        code = main(["verify", "--config", verify_config(tmp_path)])
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+    out, err = capsys.readouterr()
+    assert code == 4
+    assert err == "worker lost: a forked worker exited with code 7 before it finished\n"
+    assert "checks passed" not in out
     assert starts[0] == workers_for(4)
     assert multiprocessing.active_children() == []
 
@@ -179,6 +185,101 @@ def deadline():
     yield
     signal.alarm(0)
     signal.signal(signal.SIGALRM, previous)
+
+
+def numbered(n, stop_at=None, stop=None):
+    """A generator for ``streamed``: (i, pid) for i < n, calling ``stop`` in
+    place of item ``stop_at``; it returns ("done", pid)."""
+    for i in range(n):
+        if i == stop_at:
+            stop()
+        yield i, os.getpid()
+    return "done", os.getpid()
+
+
+def drained(stream):
+    """A stream's items and its return value."""
+    items = []
+    while True:
+        try:
+            items.append(next(stream))
+        except StopIteration as end:
+            return items, end.value
+
+
+def fail_item():
+    raise ValueError("item 3 failed")
+
+
+def exit_9():
+    os._exit(9)
+
+
+def endless():
+    i = 0
+    while True:
+        yield i
+        i += 1
+
+
+def touching(path):
+    open(path, "w").close()
+    yield "started"
+
+
+@needs_fork
+def test_streamed_yields_the_items_in_order_and_returns_the_value(starts, deadline):
+    items, value = drained(streamed(numbered, 5))
+    pid = value[1]
+    assert pid != os.getpid()
+    assert items == [(i, pid) for i in range(5)]
+    assert value == ("done", pid)
+    assert starts[0] == 1
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_streamed_raises_the_generator_s_error_after_the_items_before_it(starts, deadline):
+    items = []
+    with pytest.raises(ValueError, match="^item 3 failed$"):
+        for i, _ in streamed(numbered, 5, 3, fail_item):
+            items.append(i)
+    assert items == [0, 1, 2]
+    assert starts[0] == 1
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_streamed_names_a_worker_s_exit_code(starts, deadline):
+    items = []
+    with pytest.raises(WorkerLost,
+                       match="^a forked worker exited with code 9 before it finished$"):
+        for i, _ in streamed(numbered, 5, 2, exit_9):
+            items.append(i)
+    assert items == [0, 1]
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+@pytest.mark.parametrize("taken", [0, 3])
+def test_streamed_closed_early_stops_and_reaps_its_worker(taken, starts, deadline):
+    stream = streamed(endless)
+    assert [next(stream) for _ in range(taken)] == list(range(taken))
+    stream.close()
+    assert starts[0] == 1
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_streamed_starts_its_worker_at_the_call(tmp_path, deadline):
+    # no item is asked for until the worker has run: ordered's workers run
+    # their jobs while the caller runs its own
+    marker = tmp_path / "started"
+    with closing(streamed(touching, str(marker))) as stream:
+        while not marker.exists():
+            time.sleep(0.01)
+        assert list(stream) == ["started"]
+    assert multiprocessing.active_children() == []
 
 
 def pid_items(slow, fail=None, exit_code=None):
@@ -238,7 +339,7 @@ def test_ordered_raises_a_mid_job_error_after_the_items_before_it(fail, starts, 
 @needs_fork
 def test_ordered_names_a_worker_s_exit_code(starts, deadline):
     items = []
-    with pytest.raises(RuntimeError, match="exited with code 5"):
+    with pytest.raises(WorkerLost, match="exited with code 5"):
         for j, k, _ in ordered(pid_items({}, exit_code=(1, 5)), range(4)):
             items.append((j, k))
     assert items == expected(4, upto=(1, 0))
