@@ -28,7 +28,8 @@ from .oracle import (finite_diff_grad, grid_density_dump, mc_normalization,
                      numeric_jacobian_logdet)
 from .perturb import density_gradient
 from .runconfig import echo_config, load_config, load_sweep
-from .semisup import ablate, check_seeds, derived_seeds, run_seeds, write_metrics_csv
+from .semisup import (ablate, check_seeds, dataset_for_run, derived_seeds, run_seeds,
+                      write_metrics_csv)
 from .worker import WorkerLost, ordered
 
 OUT_ROOT_ENV = "DENSITYDESCENT_OUT_ROOT"
@@ -105,11 +106,14 @@ def cmd_fit_density(args) -> int:
 # train-ssl
 
 
-def _ssl_config(cfg):
-    """The SSL config of a run; its test accuracy needs at least one test row."""
-    if len(make_dataset(cfg.dataset).test_idx) == 0:
-        raise ConfigError(f"dataset.test_fraction: {cfg.dataset.test_fraction:g} leaves "
-                          f"no test rows, and test_acc needs at least one")
+def _ssl_config(cfg, seeds):
+    """The SSL config of the runs on ``seeds``. Each run's dataset is drawn
+    here first, so that a draw that fails ends the command before any
+    output; each run's test accuracy needs at least one test row."""
+    for s in seeds:
+        if len(dataset_for_run(cfg.dataset, s).test_idx) == 0:
+            raise ConfigError(f"dataset.test_fraction: {cfg.dataset.test_fraction:g} "
+                              f"leaves no test rows, and test_acc needs at least one")
     return cfg.ssl
 
 
@@ -127,7 +131,7 @@ def _parse_seeds(text: str | None, default: int) -> list[int]:
 def cmd_train_ssl(args) -> int:
     cfg = load_config(args.config)
     seeds = _parse_seeds(args.seeds, cfg.seed)
-    ssl_cfg = _ssl_config(cfg)
+    ssl_cfg = _ssl_config(cfg, seeds)
     out = _resolve_out(args.out)
     echo_config(cfg, os.path.join(out, "config.json"))
     accs = {}
@@ -157,7 +161,7 @@ def cmd_train_ssl(args) -> int:
 def cmd_ablate(args) -> int:
     cfg = load_config(args.config)
     sweep = load_sweep(args.sweep)
-    ssl_cfg = _ssl_config(cfg)
+    ssl_cfg = _ssl_config(cfg, sweep.seeds)
     out = _resolve_out(args.out)
     echo_config(cfg, os.path.join(out, "config.json"))
     _log(out, f"ablate: kinds={sweep.kinds} eps={sweep.eps} "

@@ -132,7 +132,8 @@ def partition(ds: Dataset, labeled_per_class: int, test_fraction: float,
     """Stratified labeled draw, fixed test split, remainder unlabeled.
 
     ``labeled_per_class`` may be -1 meaning "all of the train pool"
-    (supervised-only mode); ``DataSpec`` checks both settings' ranges.
+    (supervised-only mode); ``DataSpec`` checks both settings' ranges, and
+    a ``test_fraction`` that leaves a class no train row is a ConfigError.
     """
     rng = np.random.default_rng(seed)
     test, labeled, unlabeled = [], [], []
@@ -144,6 +145,9 @@ def partition(ds: Dataset, labeled_per_class: int, test_fraction: float,
         n_test = int(round(test_fraction * len(members)))
         test.append(members[:n_test])
         pool = members[n_test:]
+        if len(pool) == 0:
+            raise ConfigError(f"dataset.test_fraction: {test_fraction:g} leaves class {cls} "
+                              f"no train rows, and every class needs one")
         per_class = len(pool) if labeled_per_class == -1 else labeled_per_class
         if per_class > len(pool):
             raise ConfigError(

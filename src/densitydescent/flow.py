@@ -170,17 +170,13 @@ def coupling_forward(v, block: CouplingBlock):
     return out, logdet
 
 
-def coupling_inverse(v_out, block: CouplingBlock) -> np.ndarray:
-    """Exact algebraic inverse of ``coupling_forward`` (numpy in/out)."""
-    arr = np.asarray(v_out, dtype=np.float64)
-    single = arr.ndim == 1
-    v2 = arr[None, :] if single else arr
-    half = v2.shape[1] // 2
-    va = v2[:, :half]
+def coupling_inverse(v_out: np.ndarray, block: CouplingBlock) -> np.ndarray:
+    """Exact algebraic inverse of ``coupling_forward`` on an (N, d) array."""
+    half = v_out.shape[1] // 2
+    va = v_out[:, :half]
     _, u, t = _conditioner_np(block, va)
-    vb = (v2[:, half:] - t) * np.exp(-(u * block.s_max))
-    out = np.concatenate([va, vb], axis=1)
-    return out[0] if single else out
+    vb = (v_out[:, half:] - t) * np.exp(-(u * block.s_max))
+    return np.concatenate([va, vb], axis=1)
 
 
 def flow_forward(v, model: FlowModel):
@@ -206,17 +202,15 @@ def flow_forward(v, model: FlowModel):
 
 
 def flow_inverse(z, model: FlowModel) -> np.ndarray:
-    """Exact inverse of ``flow_forward`` (numpy in/out)."""
-    arr = np.asarray(z, dtype=np.float64)
-    single = arr.ndim == 1
-    v = arr[None, :] if single else arr
-    if v.shape[1] != model.d:
-        raise ValueError(f"expected dimension {model.d}, got {v.shape[1]}")
+    """Exact inverse of ``flow_forward`` on an (N, d) array (numpy in/out)."""
+    v = np.asarray(z, dtype=np.float64)
+    if v.ndim != 2 or v.shape[1] != model.d:
+        raise ValueError(f"expected an (N, {model.d}) batch, got shape {v.shape}")
     for i in range(len(model.blocks) - 1, -1, -1):
         v = coupling_inverse(v, model.blocks[i])
         if i:
             v = v[:, model.perm]
-    return v[0] if single else v
+    return v
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 The density-descending direction is the gradient of the negative marginal
 log-likelihood under the frozen estimator, L2-normalized per feature and
-scaled to the step size. Every perturbation is returned as a plain array,
-i.e. a constant with respect to all model parameters; gradients of any loss
-built on an injected perturbation never reach the flow.
+scaled to the step size. Every kind takes an (N, d) batch of features, one
+per row, and returns a plain array of the same shape, i.e. a constant with
+respect to all model parameters; gradients of any loss built on an injected
+perturbation never reach the flow.
 """
 
 from __future__ import annotations
@@ -45,8 +46,9 @@ def resolve_eps(cfg: PerturbConfig, feats: np.ndarray) -> float:
 def density_gradient(v, model: FlowModel, latent: GmmLatent) -> np.ndarray:
     """Gradient of -log p(v) w.r.t. v through the full marginal.
 
-    Works on a single vector or a batch (rows are independent samples, so
-    each row's gradient is that of its own log-density). Computed with the
+    Works on an (N, d) batch (rows are independent samples, so each row's
+    gradient is that of its own log-density) and on a single point, the form
+    ``verify``'s gradient check calls point by point. Computed with the
     analytic flow kernel; the tests compare it with a tape gradient of the
     same log-density, and ``verify`` with central differences of
     ``marginal_logpdf``.
@@ -71,20 +73,19 @@ def density_gradient(v, model: FlowModel, latent: GmmLatent) -> np.ndarray:
 
 
 def _normalize_rows(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit rows plus a mask of rows whose norm sat below the floor."""
-    two_d = g.ndim == 2
-    mat = g if two_d else g[None, :]
-    norms = np.linalg.norm(mat, axis=1)
+    """The unit rows of an (N, d) array, plus a mask of the rows whose norm
+    sat below the floor (their unit row is zero)."""
+    norms = np.linalg.norm(g, axis=1)
     small = norms <= GRAD_FLOOR
     safe = np.where(small, 1.0, norms)
-    unit = mat / safe[:, None]
+    unit = g / safe[:, None]
     unit[small] = 0.0
-    return (unit if two_d else unit[0]), small
+    return unit, small
 
 
 def density_descent_perturbation(v, eps: float, model: FlowModel,
                                  latent: GmmLatent) -> tuple[np.ndarray, int]:
-    """Step of length eps along the density-descending unit direction.
+    """Step of length eps along each row's density-descending unit direction.
 
     Features with an (effectively) zero gradient fall back to a zero
     perturbation; the count of such events is returned alongside.
@@ -97,7 +98,7 @@ def density_descent_perturbation(v, eps: float, model: FlowModel,
 
 
 def uniform_noise_perturbation(shape, eps: float, rng: np.random.Generator) -> np.ndarray:
-    """Uniform[-1,1] direction, L2-normalized per feature, scaled to eps."""
+    """Uniform[-1,1] direction, L2-normalized per row, scaled to eps."""
     noise = rng.uniform(-1.0, 1.0, size=shape)
     unit, _ = _normalize_rows(noise)
     return eps * unit
@@ -110,7 +111,7 @@ def dropped_channels(rate: float, d: int) -> int:
 
 def channel_dropout_perturbation(v: np.ndarray, rate: float,
                                  rng: np.random.Generator) -> np.ndarray:
-    """Zero out a fixed fraction of the channels of each feature.
+    """Zero out a fixed fraction of the channels of each row.
 
     Returned as a delta (``-v`` on the dropped channels) so injection via
     addition reproduces the masked feature. Exactly round(rate*d) channels
@@ -124,9 +125,7 @@ def channel_dropout_perturbation(v: np.ndarray, rate: float,
     for i = k-1..1. The shuffle only reorders a row's set, so its draws are
     consumed and not applied.
     """
-    arr = np.asarray(v, dtype=np.float64)
-    two_d = arr.ndim == 2
-    mat = arr if two_d else arr[None, :]
+    mat = np.asarray(v, dtype=np.float64)
     n, d = mat.shape
     k = dropped_channels(rate, d)
     highs = np.concatenate([np.arange(d - k, d), np.arange(k - 1, 0, -1)])
@@ -138,13 +137,13 @@ def channel_dropout_perturbation(v: np.ndarray, rate: float,
         taken[rows, pick] = True
     delta = np.zeros_like(mat)
     delta[taken] = -mat[taken]
-    return delta if two_d else delta[0]
+    return delta
 
 
 def vat_perturbation(v: np.ndarray, eps: float, dec_w: np.ndarray,
                      dec_b: np.ndarray, rng: np.random.Generator,
                      xi: float = 1e-2, power_iters: int = 1) -> np.ndarray:
-    """Single-head adversarial direction via power iteration.
+    """Single-head adversarial direction of each row via power iteration.
 
     Starts from a random unit direction, probes the affine softmax decoder
     (``dec_w``, ``dec_b``) at v + xi*d, and replaces d with the normalized
@@ -154,9 +153,7 @@ def vat_perturbation(v: np.ndarray, eps: float, dec_w: np.ndarray,
     reference forms it, so the bits equal a tape gradient of the same
     objective. The returned step has length eps.
     """
-    arr = np.asarray(v, dtype=np.float64)
-    two_d = arr.ndim == 2
-    mat = arr if two_d else arr[None, :]
+    mat = np.asarray(v, dtype=np.float64)
     p = softmax(mat @ dec_w + dec_b)
     p_mass = p.sum(axis=1, keepdims=True)
     direction, _ = _normalize_rows(rng.standard_normal(mat.shape))
@@ -166,8 +163,7 @@ def vat_perturbation(v: np.ndarray, eps: float, dec_w: np.ndarray,
         if not np.isfinite(g).all():
             raise NumericError("non-finite VAT probe gradient")
         direction, _ = _normalize_rows(g)
-    delta = eps * direction
-    return delta if two_d else delta[0]
+    return eps * direction
 
 
 def generate_perturbation(v: np.ndarray, cfg: PerturbConfig, rng: np.random.Generator,

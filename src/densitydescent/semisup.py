@@ -371,10 +371,10 @@ class TrainResult:
     flow steps. A split run (see ``train_ssl``) takes the rows without
     ``L_flow``, the counters, the student and the teacher from its worker's
     loop, and the flow, the latent and ``L_flow`` from the calling process;
-    every field equals that of the same run in one process. A run without a flow (``keep_flow`` off and a perturbation
-    that reads none) has rows without an ``L_flow`` key, no ``flow_model``
-    or ``latent`` and 0 ``flow_steps``; every other field equals that of
-    the run with its flow."""
+    every field equals that of the same run in one process. A run without a
+    flow (``keep_flow`` off and a perturbation that reads none) has rows
+    without an ``L_flow`` key, no ``flow_model`` or ``latent`` and 0
+    ``flow_steps``; every other field equals that of the run with its flow."""
     rows: list[dict] = field(default_factory=list)
     final_test_acc: float = 0.0
     isolation_violations: int = 0

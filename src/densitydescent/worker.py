@@ -86,11 +86,11 @@ def _serve(conn, gen_fn, args) -> None:
 
 
 class _End:
-    """The mark after each job of an ``ordered`` worker (unpickled as itself)."""
+    """The mark after each job of an ``ordered`` stream (unpickled as itself)."""
 
 
 def _by_job(fn, jobs):
-    """An ``ordered`` worker's generator: each ``fn(job)``'s items, then ``_End``."""
+    """An ``ordered`` stream: each ``fn(job)``'s items, then ``_End``."""
     for job in jobs:
         yield from fn(job)
         yield _End
@@ -99,28 +99,23 @@ def _by_job(fn, jobs):
 def ordered(fn, jobs):
     """Yield every item of each ``fn(job)`` in job order, as one process would.
 
-    The jobs are dealt round-robin to this process, which runs its own when
-    the consumer reaches them, and to one ``streamed`` worker per further
-    usable core, up to one process per job. ``fn`` should not print: a
-    worker's writes miss a caller that captures stdout in memory (pytest's
-    ``capsys``, ``perfbench/op.py``). Errors and lost workers surface as in
-    ``streamed``, after the items before them; every worker is reaped. With
-    one job, or where ``can_fork`` fails, every job runs here.
+    The jobs are dealt round-robin to n streams of ``_by_job``, n being the
+    usable cores up to one per job: the first runs here, each of its jobs
+    when the consumer reaches it, and each other one in a ``streamed``
+    worker. With one job, or where ``can_fork`` fails, n is 1 and every job
+    runs here. ``fn`` should not print: a worker's writes miss a caller that
+    captures stdout in memory (pytest's ``capsys``, ``perfbench/op.py``).
+    Errors and lost workers surface as in ``streamed``, after the items
+    before them; every worker is reaped.
     """
     jobs = list(jobs)
-    if len(jobs) < 2 or not can_fork():
-        for job in jobs:
-            yield from fn(job)
-        return
-    n = min(len(os.sched_getaffinity(0)), len(jobs))
+    n = min(len(os.sched_getaffinity(0)), len(jobs)) if len(jobs) > 1 and can_fork() else 1
     with ExitStack() as stack:
-        workers = [stack.enter_context(closing(streamed(_by_job, fn, jobs[i::n])))
-                   for i in range(1, n)]
-        for i, job in enumerate(jobs):
-            if i % n == 0:
-                yield from fn(job)
-                continue
-            for item in workers[i % n - 1]:
+        streams = [_by_job(fn, jobs[::n])] + [
+            stack.enter_context(closing(streamed(_by_job, fn, jobs[i::n])))
+            for i in range(1, n)]
+        for i in range(len(jobs)):
+            for item in streams[i % n]:
                 if item is _End:
                     break
                 yield item

@@ -489,6 +489,43 @@ class TestConfigRejectedBeforeWork:
         assert err == "config error: unknown config key 'flow.components'"
         assert stdout == "" and not out.exists()
 
+    @pytest.mark.parametrize("command", ["train-ssl", "ablate"])
+    def test_a_later_seed_s_dataset_draw_fails_before_any_output(
+            self, command, tmp_path, capsys, monkeypatch):
+        # nine blob centers fit at run seeds 0-2, not at 3: seeds 0-2 used to
+        # train and write their metrics, then seed 3 exited 2 with no summary
+        trained = []
+        monkeypatch.setattr("densitydescent.semisup.train_ssl",
+                            lambda *a, **k: trained.append(a))
+        cfg = write_json(tmp_path / "c.json", {
+            "dataset": {"kind": "blobs", "n": 400, "classes": 9, "noise": 0.1},
+            "ssl": {"epochs": 1}, "flow": {"hidden": 8},
+            "flow_train": {"sample_budget": 64, "warm_start_epoch": 1}})
+        sweep = write_json(tmp_path / "sweep.json", {"seeds": [0, 1, 2, 3]})
+        out = tmp_path / "run"
+        argv = {"train-ssl": ["--seeds", "0,1,2,3"], "ablate": ["--sweep", sweep]}[command]
+        assert main([command, "--config", cfg, "--out", str(out), *argv]) == 2
+        err, _ = self.one_config_error(capsys)
+        assert "could not place 9 separated centers" in err
+        assert not trained and not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit-density", "train-ssl", "ablate", "verify"])
+    def test_a_class_without_train_rows_fails_before_any_output(self, command, tmp_path,
+                                                                capsys):
+        # 5 rows per class, all 5 test rows: fit-density used to end in a
+        # traceback and train-ssl to exit 2 after writing config.json
+        cfg = write_json(tmp_path / "c.json", {
+            "dataset": {"n": 10, "labeled_per_class": -1, "test_fraction": 0.95}})
+        sweep = write_json(tmp_path / "sweep.json", {"seeds": [0]})
+        out = tmp_path / "run"
+        argv = {"fit-density": ["--out", str(out)], "train-ssl": ["--out", str(out)],
+                "ablate": ["--out", str(out), "--sweep", sweep], "verify": []}[command]
+        assert main([command, "--config", cfg, *argv]) == 2
+        err, stdout = self.one_config_error(capsys)
+        assert err == ("config error: dataset.test_fraction: 0.95 leaves class 0 no "
+                       "train rows, and every class needs one")
+        assert stdout == "" and not out.exists()
+
 
 def _checkpoint_arrays(tmp_path):
     """The entries of a small, valid checkpoint file."""

@@ -67,7 +67,7 @@ class TestFlowModel:
     def test_identity_roundtrip_of_latent_mean_is_exact(self):
         flow = init_flow(4, hidden=8, seed=5)
         latent = init_latent(3, 4, seed=6)
-        mu = latent.means[1]
+        mu = latent.means[1:2]
         z, _ = flow_forward(mu, flow)
         back = flow_inverse(z.data, flow)
         np.testing.assert_array_equal(back, mu)
@@ -101,6 +101,10 @@ class TestFlowModel:
         flow = init_flow(4, hidden=8, seed=0)
         with pytest.raises(ValueError):
             flow_forward(np.zeros((3, 6)), flow)
+        # the inverse takes (N, d) batches only: a lone vector is refused too
+        for shape in [(3, 6), (4,), (1, 1, 4)]:
+            with pytest.raises(ValueError, match=r"expected an \(N, 4\) batch"):
+                flow_inverse(np.zeros(shape), flow)
 
     def test_odd_dimension_rejected_at_config_time(self):
         with pytest.raises(ConfigError):

@@ -74,9 +74,9 @@ class TestDdfpPerturbation:
         flow = init_flow(2, hidden=8, seed=8)
         latent = init_latent(1, 2, seed=9)
         mode = latent.means[0][::-1].copy()
-        delta, fallbacks = density_descent_perturbation(mode, 0.5, flow, latent)
+        delta, fallbacks = density_descent_perturbation(mode[None], 0.5, flow, latent)
         assert fallbacks == 1
-        np.testing.assert_array_equal(delta, np.zeros(2))
+        np.testing.assert_array_equal(delta, np.zeros((1, 2)))
 
     def test_descent_on_held_out_features(self):
         flow, latent, pts = trained_2d_model(10)
@@ -160,9 +160,7 @@ def _decoder(model):
 def tape_vat_perturbation(v, eps, logits_fn, rng, xi=1e-2, power_iters=1):
     """The VAT probe as a tape gradient: the reference ``vat_perturbation``
     must match bit for bit."""
-    arr = np.asarray(v, dtype=np.float64)
-    two_d = arr.ndim == 2
-    mat = arr if two_d else arr[None, :]
+    mat = np.asarray(v, dtype=np.float64)
     p = softmax(logits_fn(dc.tensor(mat)).data)
     direction, _ = _normalize_rows(rng.standard_normal(mat.shape))
     for _ in range(power_iters):
@@ -172,27 +170,26 @@ def tape_vat_perturbation(v, eps, logits_fn, rng, xi=1e-2, power_iters=1):
         objective = -dc.sum(dc.as_tensor(p) * log_q)
         g, = dc.grad(objective, [r])
         direction, _ = _normalize_rows(g)
-    delta = eps * direction
-    return delta if two_d else delta[0]
+    return eps * direction
 
 
 class TestVatMatchesTape:
     @pytest.mark.parametrize("dim,classes,rows", [
-        (1, 2, 1), (2, 2, 7), (4, 3, 64), (5, 5, 129), (8, 4, 33), (3, 2, None)])
+        (1, 2, 1), (2, 2, 7), (4, 3, 64), (5, 5, 129), (8, 4, 33)])
     @pytest.mark.parametrize("power_iters", [1, 2, 3])
     def test_bitwise_equal_to_tape(self, dim, classes, rows, power_iters):
         model = init_model(2, 8, dim, classes, seed=dim * 10 + classes)
-        data = np.random.default_rng(rows or 0)
+        data = np.random.default_rng(rows)
         # uneven weights and non-zero biases, as after training
         model.dec_w[...] *= 3.0
         model.dec_b[...] = data.standard_normal(classes)
-        v = data.standard_normal(dim if rows is None else (rows, dim)) * 2.0
+        v = data.standard_normal((rows, dim)) * 2.0
         for xi in (1e-2, 0.5):
             ref = tape_vat_perturbation(v, 0.7, model.decode, np.random.default_rng(3),
                                         xi, power_iters)
             out = vat_perturbation(v, 0.7, *_decoder(model), np.random.default_rng(3),
                                    xi, power_iters)
-            assert out.shape == np.shape(v)
+            assert out.shape == v.shape
             assert np.array_equal(out, ref)
 
     def test_non_finite_feature_is_numeric_error(self):
@@ -207,16 +204,13 @@ def per_row_channel_dropout(v, rate, rng):
     """Channel dropout with one ``rng.choice`` per row: the reference
     ``channel_dropout_perturbation`` must match bit for bit, generator
     state included."""
-    arr = np.asarray(v, dtype=np.float64)
-    two_d = arr.ndim == 2
-    mat = arr if two_d else arr[None, :]
-    n, d = mat.shape
+    n, d = v.shape
     k = int(round(rate * d))
-    delta = np.zeros_like(mat)
+    delta = np.zeros_like(v)
     for i in range(n):
         drop = rng.choice(d, size=k, replace=False)
-        delta[i, drop] = -mat[i, drop]
-    return delta if two_d else delta[0]
+        delta[i, drop] = -v[i, drop]
+    return delta
 
 
 class TestChannelDropoutMatchesPerRowChoice:
@@ -224,15 +218,15 @@ class TestChannelDropoutMatchesPerRowChoice:
     def test_bitwise_equal_with_same_stream(self, dim):
         data = np.random.default_rng(dim)
         for rate in (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
-            for rows in (None, 1, 7, 64):
-                shape = dim if rows is None else (rows, dim)
+            for rows in (1, 7, 64):
+                shape = (rows, dim)
                 ref_rng, rng = np.random.default_rng(9), np.random.default_rng(9)
                 # two calls in a row: the second starts where the first left off
                 for v in (data.standard_normal(shape), data.standard_normal(shape)):
                     ref = per_row_channel_dropout(v, rate, ref_rng)
                     out = channel_dropout_perturbation(v, rate, rng)
                     case = f"rate={rate} shape={shape}"
-                    assert out.shape == np.shape(v), case
+                    assert out.shape == v.shape, case
                     assert np.array_equal(out, ref), case
                     assert rng.bit_generator.state == ref_rng.bit_generator.state, case
 
