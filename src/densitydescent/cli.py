@@ -64,13 +64,13 @@ def cmd_fit_density(args) -> int:
     latent = init_latent(ds.n_classes, dim, s_latent)
     _log(out, f"fit-density: kind={cfg.dataset.kind} n={ds.n} dim={dim} "
               f"components={ds.n_classes} steps={cfg.fit.steps}")
-    result = fit_density(ds.x[ds.labeled_idx], ds.y[ds.labeled_idx],
-                         ds.x[ds.unlabeled_idx], model, latent, cfg.flow_train,
-                         cfg.fit.steps, cfg.fit.batch,
-                         np.random.default_rng(s_fit))
+    history = fit_density(ds.x[ds.labeled_idx], ds.y[ds.labeled_idx],
+                          ds.x[ds.unlabeled_idx], model, latent, cfg.flow_train,
+                          cfg.fit.steps, cfg.fit.batch,
+                          np.random.default_rng(s_fit))
     with open(os.path.join(out, "loss.csv"), "w") as fh:
         fh.write("iteration,flow_loss,lr\n")
-        for step, loss, lr in result.history:
+        for step, loss, lr in history:
             fh.write(f"{step},{loss!r},{lr!r}\n")
     save_checkpoint(os.path.join(out, "checkpoint.npz"), model, latent)
     if cfg.fit.grid:
@@ -95,10 +95,10 @@ def cmd_fit_density(args) -> int:
     held = ds.x[ds.test_idx]
     if len(held):
         nll = -float(np.mean(marginal_logpdf(held, model, latent)))
-        _log(out, f"fit-density done: final_loss={result.losses[-1]:.6f} "
+        _log(out, f"fit-density done: final_loss={history[-1][1]:.6f} "
                   f"heldout_nll={nll:.6f}")
     else:
-        _log(out, f"fit-density done: final_loss={result.losses[-1]:.6f}")
+        _log(out, f"fit-density done: final_loss={history[-1][1]:.6f}")
     return 0
 
 
@@ -239,17 +239,16 @@ def _pair_checks(model, latent, inputs, cfg):
 
     if logdet_points is not None:
         worst = 0.0
-        for point in logdet_points:
-            logdet = float(kernel_forward(point[None], model, keep=False)[1][0])
+        logdets = kernel_forward(logdet_points, model, keep=False)[1]
+        for point, logdet in zip(logdet_points, logdets):
             numeric = numeric_jacobian_logdet(model, point)
             # identity flows have logdet 0; floor the denominator
-            worst = max(worst, abs(logdet - numeric)
+            worst = max(worst, abs(float(logdet) - numeric)
                         / max(1e-6, abs(numeric)))
         yield f"logdet(d={d})", worst < 1e-4, f"max rel err {worst:.3e}"
 
     worst = 0.0
-    for point in grad_points:
-        g = density_gradient(point, model, latent)
+    for point, g in zip(grad_points, density_gradient(grad_points, model, latent)):
         fd = finite_diff_grad(
             lambda w: -float(marginal_logpdf(w[None], model, latent)[0]), point)
         worst = max(worst, float(np.abs(g - fd).max() / max(1.0, np.abs(fd).max())))

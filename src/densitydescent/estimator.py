@@ -8,7 +8,7 @@ parameters move; means, covariances and mixture weights stay fixed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -138,28 +138,33 @@ def _safe_mean(arr: np.ndarray) -> float:
     return float(arr.mean()) if arr.size else 0.0
 
 
-@dataclass
-class FitResult:
-    history: list[tuple[int, float, float]] = field(default_factory=list)  # (step, loss, lr)
+class FlowTrainer:
+    """The flow's one optimizer and lr policy, for offline fits and online
+    runs alike: Adam over the flow parameters only, its lr set by the
+    step-decay schedule at the fraction of the run done."""
 
-    @property
-    def losses(self) -> list[float]:
-        return [h[1] for h in self.history]
+    def __init__(self, model: FlowModel, latent: GmmLatent, cfg: FlowTrainConfig):
+        self.model, self.latent, self.cfg = model, latent, cfg
+        self.opt = Adam(model.flat, cfg.lr, (cfg.beta1, cfg.beta2), cfg.adam_eps)
+
+    def step(self, pool: FeaturePool, progress: float) -> float:
+        """One ``flow_train_step`` on ``pool`` at the lr of ``progress``;
+        returns its loss."""
+        cfg = self.cfg
+        self.opt.lr = step_decay(cfg.lr, progress, cfg.decay_fractions, cfg.decay_gamma)
+        return flow_train_step(pool, self.model, self.latent, self.opt)
 
 
 def fit_density(labeled: np.ndarray, labels: np.ndarray, unlabeled: np.ndarray,
                 model: FlowModel, latent: GmmLatent, cfg: FlowTrainConfig,
-                steps: int, batch: int, rng: np.random.Generator) -> FitResult:
-    """Offline fitting loop: subsample a pool and take one Adam step, ``steps`` times.
-
-    The learning rate follows the step-decay schedule over the run.
-    """
-    opt = Adam(model.flat, lr=cfg.lr, betas=(cfg.beta1, cfg.beta2), eps=cfg.adam_eps)
-    result = FitResult()
+                steps: int, batch: int, rng: np.random.Generator
+                ) -> list[tuple[int, float, float]]:
+    """Offline fitting loop: subsample a pool and take one ``FlowTrainer``
+    step at ``step / steps``, ``steps`` times. Returns each step's
+    (step, loss, lr), the rows of ``loss.csv``."""
+    trainer = FlowTrainer(model, latent, cfg)
+    history = []
     for step in range(steps):
-        opt.lr = step_decay(cfg.lr, step / max(steps, 1), cfg.decay_fractions,
-                            cfg.decay_gamma)
         pool = subsample_pool(labeled, labels, unlabeled, batch, rng)
-        loss = flow_train_step(pool, model, latent, opt)
-        result.history.append((step, loss, opt.lr))
-    return result
+        history.append((step, trainer.step(pool, step / steps), trainer.opt.lr))
+    return history

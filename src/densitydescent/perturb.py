@@ -44,32 +44,30 @@ def resolve_eps(cfg: PerturbConfig, feats: np.ndarray) -> float:
 
 
 def density_gradient(v, model: FlowModel, latent: GmmLatent) -> np.ndarray:
-    """Gradient of -log p(v) w.r.t. v through the full marginal.
+    """Gradient of -log p(v) w.r.t. v through the full marginal, for an
+    (N, d) batch: rows are independent samples, so each row's gradient is
+    that of its own log-density.
 
-    Works on an (N, d) batch (rows are independent samples, so each row's
-    gradient is that of its own log-density) and on a single point, the form
-    ``verify``'s gradient check calls point by point. Computed with the
-    analytic flow kernel; the tests compare it with a tape gradient of the
-    same log-density, and ``verify`` with central differences of
-    ``marginal_logpdf``.
+    Computed with the analytic flow kernel; the tests compare it with a tape
+    gradient of the same log-density, and ``verify`` with central
+    differences of ``marginal_logpdf``.
     """
-    arr = np.array(v, dtype=np.float64)
-    single = arr.ndim == 1
-    z, logdet, saved = kernel_forward(arr[None, :] if single else arr, model)
+    arr = np.asarray(v, dtype=np.float64)
+    z, logdet, saved = kernel_forward(arr, model)
     ll, gz = mixture_logpdf_grad(z, latent)
     ll += logdet
     if not np.isfinite(ll).all():
         bad = np.flatnonzero(~np.isfinite(ll))[:5]
         raise NumericError(
             f"non-finite log-density in forward pass at rows {bad.tolist()}, "
-            f"v={np.atleast_2d(arr)[bad].tolist()}")
+            f"v={arr[bad].tolist()}")
     g, _ = kernel_backward(model, saved, -gz, -1.0)
     if not np.isfinite(g).all():
         bad = np.argwhere(~np.isfinite(g).all(axis=1)).ravel()[:5]
         raise NumericError(
             f"non-finite density gradient at rows {bad.tolist()}, "
-            f"v={np.atleast_2d(arr)[bad].tolist()}")
-    return g[0] if single else g
+            f"v={arr[bad].tolist()}")
+    return g
 
 
 def _normalize_rows(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

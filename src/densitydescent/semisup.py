@@ -5,8 +5,9 @@ supervised cross-entropy, a weak-to-strong image-level consistency loss
 masked by teacher confidence, and a feature-level consistency loss on
 perturbed student features guided by the same pseudo labels. The teacher is
 an exponential moving average of the student and is never optimized
-directly. A flow density estimator trains alongside as an observer on
-detached teacher features and supplies the density-descending direction.
+directly. A flow density estimator, stepped by ``estimator.FlowTrainer``,
+trains alongside as an observer on detached teacher features and supplies
+the density-descending direction.
 
 The training loop runs in plain numpy: ``student_step`` computes the three
 losses and the parameter gradients with a hand-derived backward pass, every
@@ -18,7 +19,7 @@ differentiable reference that the tests check ``student_step`` against.
 A run whose perturbation never reads the flow (``lambda_ft`` 0, or a
 baseline kind) trains no flow when its caller reads none either (``ablate``);
 otherwise it trains the flow on a second core: ``train_ssl`` streams the
-loop's pools from one forked worker and steps the flow on them, with the
+loop's pools from one forked worker and steps its trainer on them, with the
 same bits as in one process.
 """
 
@@ -35,11 +36,11 @@ import numpy as np
 from . import diffcore as dc
 from .data import DataSpec, Dataset, make_dataset
 from .errors import ConfigError, NumericError, Valid, check_fields, knob
-from .estimator import (FeaturePool, FlowTrainConfig, flow_train_step, pool_indices,
+from .estimator import (FeaturePool, FlowTrainConfig, FlowTrainer, pool_indices,
                         subsample_pool)
 from .flow import MAX_WIDTH, FlowArch, init_flow
 from .latent import BLOCK_ROWS, init_latent, softmax
-from .optim import Adam, MomentumSGD, pack, poly_decay, step_decay
+from .optim import MomentumSGD, pack, poly_decay
 from .perturb import PerturbConfig, dropped_channels, generate_perturbation
 from .worker import can_fork, streamed
 
@@ -178,11 +179,16 @@ SEED = Valid(ge=0)   # every run seed's rule: np.random.SeedSequence rejects neg
 
 
 def check_seeds(what: str, seeds) -> None:
-    """Each seed must meet ``SEED``, and none may repeat: a repeated seed
-    would train the same run twice."""
+    """Each seed must meet ``SEED``, and none may repeat (``check_distinct``)."""
     for s in seeds:
         SEED.check(what, s)
-    repeated = [s for i, s in enumerate(seeds) if s in seeds[:i]]
+    check_distinct(what, seeds)
+
+
+def check_distinct(what: str, values) -> None:
+    """No entry may repeat: a repeated seed or sweep value would train the
+    same run twice. Entries compare by value, so 1 and 1.0 are one."""
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
     if repeated:
         raise ConfigError(f"{what} must be distinct, got {repeated[0]} more than once")
 
@@ -370,7 +376,8 @@ class TrainResult:
     fallbacks, the iterations that waited for the flow's first step, and the
     flow steps. A split run (see ``train_ssl``) takes the rows without
     ``L_flow``, the counters, the student and the teacher from its worker's
-    loop, and the flow, the latent and ``L_flow`` from the calling process;
+    loop, and the flow, the latent and ``L_flow`` from the calling process's
+    ``FlowTrainer``;
     every field equals that of the same run in one process. A run without a
     flow (``keep_flow`` off and a perturbation that reads none) has rows
     without an ``L_flow`` key, no ``flow_model`` or ``latent`` and 0
@@ -403,7 +410,8 @@ def train_ssl(cfg: SslConfig, ds: Dataset, check_isolation: bool = False,
     EMA teacher update, then (past the warm-start epoch) flow steps on
     freshly sampled detached teacher feature pools. Epochs are 1-indexed.
     With an empty unlabeled split the loop degenerates to supervised
-    training and the estimator never runs.
+    training and the estimator never runs. The run's five seeds are derived
+    here once; the loop takes its two (``_loop``).
 
     Only the density-descending perturbation at ``lambda_ft > 0`` reads the
     flow (``reads_flow``). With ``keep_flow`` off the caller reads nothing
@@ -413,31 +421,37 @@ def train_ssl(cfg: SslConfig, ds: Dataset, check_isolation: bool = False,
     models and other columns are those of the run with its flow.
     ``check_isolation`` hashes the flow, so it keeps one either way.
 
-    Otherwise the flow steps here on each iteration's pools that the loop
-    yields. Any run whose perturbation does not read the flow, and that
-    takes flow steps, runs the loop in one forked worker when the host can
-    fork onto a second core (``_splits``), through ``worker.streamed``, so
-    the worker goes on while the flow steps. The result is bit for bit that
-    of the run in one process, where ``check_isolation`` keeps every run. A
-    worker's error is raised here, unchanged, after the pools before it.
+    Otherwise an ``estimator.FlowTrainer`` steps the flow here on each pool
+    the loop yields (``_drained``), and this function keeps each epoch's
+    losses for ``L_flow``. Any run whose perturbation does not read the
+    flow, and that takes flow steps, runs the loop in one forked worker when
+    the host can fork onto a second core (``_splits``), through
+    ``worker.streamed``, so the worker goes on while the flow steps. The
+    result is bit for bit that of the run in one process, where
+    ``check_isolation`` keeps every run. A worker's error is raised here,
+    unchanged, after the pools before it.
     """
     if len(ds.labeled_idx) == 0:
         raise ConfigError("training needs a labeled split")
-    s_model, s_flow, s_latent, _, _ = derived_seeds(cfg.seed, 5)
+    s_model, s_flow, s_latent, *seeds = derived_seeds(cfg.seed, 5)
     student = init_model(ds.x.shape[1], cfg.hidden, cfg.feature_dim, ds.n_classes, s_model)
     teacher = student.clone()
     if not (keep_flow or check_isolation or reads_flow(cfg)):
-        loop = _loop(cfg, ds, student, teacher, None, pools=False)
-        return replace(_drained(loop, None), flow_steps=0)
-    flow = _Flow(cfg, ds.n_classes, s_flow, s_latent)
+        loop = _loop(cfg, ds, student, teacher, None, seeds, pools=False)
+        return replace(_drained(loop, None, []), flow_steps=0)
+    trainer = FlowTrainer(init_flow(cfg.feature_dim, cfg.flow.blocks, cfg.flow.hidden,
+                                    cfg.flow.s_max, s_flow),
+                          init_latent(ds.n_classes, cfg.feature_dim, s_latent), cfg.flow_train)
     if _splits(cfg, ds, check_isolation):
-        loop = streamed(_loop, cfg, ds, student, teacher, None)
+        loop = streamed(_loop, cfg, ds, student, teacher, None, seeds)
     else:
-        loop = _loop(cfg, ds, student, teacher, flow, check_isolation=check_isolation)
+        loop = _loop(cfg, ds, student, teacher, trainer, seeds,
+                     check_isolation=check_isolation)
+    losses = [[] for _ in range(cfg.epochs)]
     with closing(loop):   # a flow error stops and reaps a split run's worker at once
-        result = _drained(loop, flow)
-    result.rows = [_with_l_flow(row, losses) for row, losses in zip(result.rows, flow.losses)]
-    result.flow_model, result.latent = flow.model, flow.latent
+        result = _drained(loop, trainer, losses)
+    result.rows = list(map(_with_l_flow, result.rows, losses))
+    result.flow_model, result.latent = trainer.model, trainer.latent
     return result
 
 
@@ -459,39 +473,19 @@ def _splits(cfg: SslConfig, ds: Dataset, check_isolation: bool) -> bool:
     return not check_isolation and can_fork()
 
 
-class _Flow:
-    """A run's flow estimator, stepped in the calling process: the model,
-    its latent, Adam, and the loss of each iteration's last flow step, one
-    list per epoch (empty for an epoch without flow steps)."""
-
-    def __init__(self, cfg: SslConfig, n_classes: int, s_flow: int, s_latent: int):
-        self.model = init_flow(cfg.feature_dim, cfg.flow.blocks, cfg.flow.hidden,
-                               cfg.flow.s_max, s_flow)
-        self.latent = init_latent(n_classes, cfg.feature_dim, s_latent)
-        ft = cfg.flow_train
-        self.opt = Adam(self.model.flat, ft.lr, (ft.beta1, ft.beta2), ft.adam_eps)
-        self.cfg = cfg
-        self.losses: list[list[float]] = [[] for _ in range(cfg.epochs)]
-
-    def update(self, epoch: int, pools: list[FeaturePool]) -> None:
-        """One iteration's flow steps, one per pool, in order, at the lr that
-        the step-decay schedule gives 1-indexed ``epoch``."""
-        ft = self.cfg.flow_train
-        self.opt.lr = step_decay(ft.lr, (epoch - 1) / self.cfg.epochs,
-                                 ft.decay_fractions, ft.decay_gamma)
-        for pool in pools:
-            loss = flow_train_step(pool, self.model, self.latent, self.opt)
-        self.losses[epoch - 1].append(loss)
-
-
-def _drained(loop, flow: _Flow | None) -> TrainResult:
-    """Step ``flow`` on each (epoch, pools) ``loop`` yields; return its result."""
+def _drained(loop, trainer: FlowTrainer | None, losses: list[list[float]]) -> TrainResult:
+    """Step ``trainer`` once per pool of each (epoch, pools) ``loop`` yields
+    at progress ``(epoch - 1) / epochs``, ``len(losses)`` being the epochs,
+    and append each iteration's last loss to ``losses[epoch - 1]``; return
+    the loop's result."""
     while True:
         try:
             epoch, pools = next(loop)
         except StopIteration as end:
             return end.value
-        flow.update(epoch, pools)
+        for pool in pools:
+            loss = trainer.step(pool, (epoch - 1) / len(losses))
+        losses[epoch - 1].append(loss)
 
 
 def _with_l_flow(row: dict, losses: list[float]) -> dict:
@@ -507,21 +501,21 @@ def _with_l_flow(row: dict, losses: list[float]) -> dict:
 
 
 def _loop(cfg: SslConfig, ds: Dataset, student: Model, teacher: Model,
-          flow: _Flow | None, pools: bool = True, check_isolation: bool = False
+          flow: FlowTrainer | None, seeds, pools: bool = True, check_isolation: bool = False
           ) -> Generator[tuple[int, list[FeaturePool]], None, TrainResult]:
     """The teacher-student loop of ``train_ssl``, a generator that returns
     its ``TrainResult``; the rows have no ``L_flow``. The perturbation reads
-    ``flow`` (one that reads a flow fails without one). Each iteration past
-    the warm start yields its 1-indexed epoch and its pools, and resumes
-    once the consumer has stepped the flow on them; with ``pools`` off it
-    yields nothing and only makes the pools' random draws."""
+    the model and latent of the trainer ``flow`` (one that reads a flow
+    fails without one); ``seeds`` seed the loop's and the perturbation's
+    random streams. Each iteration past the warm start yields its 1-indexed
+    epoch and its pools, and resumes once the consumer has stepped the flow
+    on them; with ``pools`` off it yields nothing and only makes the pools'
+    random draws."""
     x, y = ds.x, ds.y
     xl, yl = x[ds.labeled_idx], y[ds.labeled_idx]
     xu = x[ds.unlabeled_idx]
     xt, yt = x[ds.test_idx], y[ds.test_idx]
-    _, _, _, s_loop, s_pert = derived_seeds(cfg.seed, 5)
-    rng = np.random.default_rng(s_loop)
-    prng = np.random.default_rng(s_pert)
+    rng, prng = map(np.random.default_rng, seeds)
     opt = MomentumSGD(student.flat, cfg.lr, cfg.sgd_momentum)
 
     semi = len(xu) > 0
@@ -654,6 +648,8 @@ class SweepSpec:
 
     def __post_init__(self):
         check_seeds("sweep key 'seeds' entries", self.seeds)
+        for key in ("kinds", "eps", "lambda_ft"):
+            check_distinct(f"sweep key {key!r} entries", getattr(self, key) or [])
 
 
 def ablate(cfg: SslConfig, spec: DataSpec, sweep: SweepSpec) -> list[dict]:

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from densitydescent import semisup
+from densitydescent import estimator, semisup
 from densitydescent.cli import main
 from densitydescent.estimator import FlowTrainConfig
 from densitydescent.flow import FlowArch
@@ -48,7 +48,7 @@ def flow_work(monkeypatch):
     """Counts of flow steps, of forked workers entered and of the teacher
     encodes that feed the flow's pools, in this process."""
     counts = {"flow_steps": 0, "forks": 0, "pool_encodes": 0}
-    step, streamed, features = semisup.flow_train_step, semisup.streamed, semisup.Model.features
+    step, streamed, features = estimator.flow_train_step, semisup.streamed, semisup.Model.features
 
     def counted_step(*args, **kw):
         counts["flow_steps"] += 1
@@ -64,7 +64,7 @@ def flow_work(monkeypatch):
             counts["pool_encodes"] += 1
         return features(model, x)
 
-    monkeypatch.setattr(semisup, "flow_train_step", counted_step)
+    monkeypatch.setattr(estimator, "flow_train_step", counted_step)
     monkeypatch.setattr(semisup, "streamed", counted_streamed)
     monkeypatch.setattr(semisup.Model, "features", counted_features)
     return counts
@@ -135,7 +135,8 @@ def test_loop_without_a_flow_fails_a_perturbation_that_reads_the_flow():
     ds = semisup.dataset_for_run(SPEC, 0)
     student = semisup.init_model(2, cfg.hidden, cfg.feature_dim, 2, 0)
     with pytest.raises(ValueError, match="needs flow and latent"):
-        list(semisup._loop(cfg, ds, student, student.clone(), None, pools=False))
+        list(semisup._loop(cfg, ds, student, student.clone(), None,
+                           semisup.derived_seeds(cfg.seed, 5)[3:], pools=False))
 
 
 def test_sweep_csv_is_the_train_ssl_accuracies(tmp_path, flow_work):

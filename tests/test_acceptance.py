@@ -123,7 +123,7 @@ def test_criterion_3_gradient_exactness(moons_estimator):
     pts = held[rng.choice(len(held), 200, replace=False)]
     worst = 0.0
     for v in pts:
-        g = density_gradient(v, flow, latent)
+        g = density_gradient(v[None], flow, latent)[0]
         fd = finite_diff_grad(
             lambda w: -float(marginal_loglik(w, flow, latent).data), v, h=1e-4)
         worst = max(worst, float(np.abs(g - fd).max() / max(1.0, np.abs(fd).max())))

@@ -417,8 +417,12 @@ class TestConfigRejectedBeforeWork:
         {"kinds": ["density-descending", "bogus"]},
         {"eps": [0.5, -1.0]},
         {"seeds": [0, 0]},
+        {"kinds": ["vat-lite", "vat-lite"], "seeds": [0]},
+        {"eps": [0.25, 0.25]},
+        {"lambda_ft": [1, 1.0]},
     ], ids=["eps-text", "lambda-null", "seed-float", "kind-number", "kind-unknown",
-            "eps-negative", "seed-repeated"])
+            "eps-negative", "seed-repeated", "kind-repeated", "eps-repeated",
+            "lambda-repeated"])
     def test_bad_sweep_fails_before_any_cell_trains(self, sweep, small_ssl_config,
                                                     tmp_path, capsys, monkeypatch):
         trained = []
@@ -431,8 +435,11 @@ class TestConfigRejectedBeforeWork:
         err, _ = self.one_config_error(capsys)
         assert not trained
         assert not (out / "sweep.csv").exists()
-        if sweep == {"seeds": [0, 0]}:   # rejected when the sweep file is read
-            assert "sweep key 'seeds'" in err and not out.exists()
+        repeated = [key for key, values in sweep.items()
+                    if len(set(values)) < len(values)]
+        if repeated:   # rejected when the sweep file is read
+            assert f"sweep key {repeated[0]!r}" in err and "distinct" in err
+            assert not out.exists()
 
     def test_repeated_seeds_option(self, small_ssl_config, tmp_path, capsys,
                                    monkeypatch):

@@ -177,19 +177,19 @@ class TestFitDensity:
         v = flow_inverse(z, gen_flow)
         flow = init_flow(2, hidden=16, seed=11)
         cfg = FlowTrainConfig(lr=1e-3)
-        res = fit_density(v[:128], comp[:128], v[128:], flow, latent, cfg,
-                          steps=500, batch=256, rng=rng)
-        ma = np.convolve(res.losses, np.ones(5) / 5, mode="valid")
+        history = fit_density(v[:128], comp[:128], v[128:], flow, latent, cfg,
+                              steps=500, batch=256, rng=rng)
+        ma = np.convolve([h[1] for h in history], np.ones(5) / 5, mode="valid")
         assert np.all(np.diff(ma) < 1e-9)
 
     def test_history_records_schedule(self):
         flow, latent, pool = _fit_setup(12)
         cfg = FlowTrainConfig(lr=1e-3, decay_fractions=(0.5,), decay_gamma=0.1)
-        res = fit_density(pool.labeled, pool.labels, pool.unlabeled, flow, latent,
-                          cfg, steps=10, batch=16, rng=np.random.default_rng(13))
-        lrs = [h[2] for h in res.history]
+        history = fit_density(pool.labeled, pool.labels, pool.unlabeled, flow, latent,
+                              cfg, steps=10, batch=16, rng=np.random.default_rng(13))
+        lrs = [h[2] for h in history]
         assert lrs[0] == pytest.approx(1e-3) and lrs[-1] == pytest.approx(1e-4)
-        assert len(res.history) == 10
+        assert len(history) == 10
 
 
 class TestConfigValidation:

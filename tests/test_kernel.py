@@ -92,9 +92,7 @@ def test_density_gradient_matches_tape(blocks, hidden, rows, d):
 
     single = dc.tensor(v[0].copy())
     reference, = dc.grad(-marginal_loglik(single, flow, latent), [single])
-    g = density_gradient(v[0], flow, latent)
-    assert g.shape == (d,)
-    assert_close(g, reference)
+    assert_close(density_gradient(v[0][None], flow, latent)[0], reference)
 
 
 @pytest.mark.parametrize("blocks,d", [(2, 2), (3, 6)])
@@ -155,8 +153,6 @@ def test_density_gradient_overflow_raises_numeric_error():
     v = np.random.default_rng(33).standard_normal((8, 2))
     with pytest.raises(NumericError):
         density_gradient(v, flow, latent)
-    with pytest.raises(NumericError):
-        density_gradient(v[0], flow, latent)
 
 
 def test_marginal_logpdf_bitwise_inside_one_block():

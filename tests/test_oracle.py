@@ -74,7 +74,7 @@ class TestFiniteDiffGrad:
         v = np.random.default_rng(6).standard_normal(2)
         fd = finite_diff_grad(
             lambda w: -float(marginal_loglik(w, flow, latent).data), v)
-        np.testing.assert_allclose(density_gradient(v, flow, latent), fd,
+        np.testing.assert_allclose(density_gradient(v[None], flow, latent)[0], fd,
                                    atol=1e-6)
 
     def test_rejects_bad_step(self):

@@ -35,20 +35,20 @@ class TestDensityGradient:
         latent = init_latent(1, 2, seed=1)
         a = 0.73
         v = latent.means[0][::-1] + np.array([a, 0.0])
-        g = density_gradient(v, flow, latent)
+        g = density_gradient(v[None], flow, latent)[0]
         np.testing.assert_allclose(g, [a, 0.0], atol=1e-12)
 
     def test_zero_at_mode(self):
         flow = init_flow(2, hidden=8, seed=2)
         latent = init_latent(1, 2, seed=3)
-        g = density_gradient(latent.means[0][::-1].copy(), flow, latent)
+        g = density_gradient(latent.means[0][::-1][None], flow, latent)[0]
         np.testing.assert_allclose(g, 0.0, atol=1e-12)
 
     def test_matches_finite_differences_on_trained_model(self):
         flow, latent, pts = trained_2d_model(4)
         rng = np.random.default_rng(5)
         for v in pts[rng.choice(len(pts), 10, replace=False)]:
-            g = density_gradient(v, flow, latent)
+            g = density_gradient(v[None], flow, latent)[0]
             fd = finite_diff_grad(
                 lambda w: -float(marginal_loglik(w, flow, latent).data), v, h=1e-4)
             assert np.abs(g - fd).max() / max(1.0, np.abs(fd).max()) < 1e-3
@@ -58,7 +58,7 @@ class TestDensityGradient:
         batch = pts[:5]
         gb = density_gradient(batch, flow, latent)
         for i, v in enumerate(batch):
-            np.testing.assert_allclose(gb[i], density_gradient(v, flow, latent),
+            np.testing.assert_allclose(gb[i], density_gradient(v[None], flow, latent)[0],
                                        atol=1e-12)
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from recipe import two_moons_benchmark
 
 from densitydescent import diffcore as dc
-from densitydescent import semisup
+from densitydescent import estimator, semisup
 from densitydescent.data import DataSpec, make_dataset
 from densitydescent.errors import ConfigError
 from densitydescent.estimator import FlowTrainConfig
@@ -224,7 +224,7 @@ class TestTrainSsl:
 
     def test_isolation_check_counts_a_flow_step_that_writes_to_the_student(self, monkeypatch):
         students = []
-        init, step = semisup.init_model, semisup.flow_train_step
+        init, step = semisup.init_model, estimator.flow_train_step
 
         def recorded(*args, **kw):
             students.append(init(*args, **kw))
@@ -235,7 +235,7 @@ class TestTrainSsl:
             return step(*args, **kw)
 
         monkeypatch.setattr(semisup, "init_model", recorded)
-        monkeypatch.setattr(semisup, "flow_train_step", leaking)
+        monkeypatch.setattr(estimator, "flow_train_step", leaking)
         cfg = tiny_config(lambda_ft=0.0)
         res = train_ssl(cfg, tiny_data(), check_isolation=True)
         iterations = res.flow_steps // cfg.flow_train.updates_per_iteration

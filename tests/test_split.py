@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from densitydescent import semisup
+from densitydescent import estimator, semisup
 from densitydescent.cli import main
 from densitydescent.errors import NumericError
 from densitydescent.estimator import FlowTrainConfig
@@ -102,13 +102,13 @@ def test_split_run_equals_in_process_run(arm, workers):
 @pytest.mark.parametrize("check_isolation", [False, True], ids=["split", "in-process"])
 def test_l_flow_sums_each_iterations_last_loss_in_order(check_isolation, monkeypatch):
     losses = []
-    step = semisup.flow_train_step
+    step = estimator.flow_train_step
 
     def recorded(*args, **kw):
         losses.append(step(*args, **kw))
         return losses[-1]
 
-    monkeypatch.setattr(semisup, "flow_train_step", recorded)
+    monkeypatch.setattr(estimator, "flow_train_step", recorded)
     cfg = config(lambda_ft=0.0, batch_unlabeled=8)
     result = semisup.train_ssl(cfg, dataset(), check_isolation=check_isolation)
     per_epoch, updates = 11, cfg.flow_train.updates_per_iteration
@@ -163,14 +163,14 @@ def test_worker_error_comes_after_the_finished_iterations_pools(monkeypatch, wor
 
     calls = fail_at_call(monkeypatch, 8, fail)
     stepped = []
-    step = semisup.flow_train_step
+    step = estimator.flow_train_step
 
     def recorded(pool, model, *args, **kw):
         loss = step(pool, model, *args, **kw)
         stepped.append(model.flat.copy())
         return loss
 
-    monkeypatch.setattr(semisup, "flow_train_step", recorded)
+    monkeypatch.setattr(estimator, "flow_train_step", recorded)
     cfg, ds = config(lambda_ft=0.0), dataset()
     with pytest.raises(NumericError, match="^student failed at call 8$"):
         semisup.train_ssl(cfg, ds)
