@@ -39,7 +39,10 @@ def _resolve_out(out: str) -> str:
     root = os.environ.get(OUT_ROOT_ENV)
     if root and not os.path.isabs(out):
         out = os.path.join(root, out)
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"--out {out}: {e.strerror}")
     return out
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffcore as dc
-from .errors import NumericError, Valid, check_fields, knob
+from .errors import ConfigError, NumericError, Valid, check_fields, knob
 from .flow import FlowModel, kernel_backward, kernel_forward
 from .latent import (GmmLatent, class_conditional_loglik, component_means,
                      gaussian_logpdf_grad, marginal_loglik, mixture_logpdf_grad)
@@ -36,6 +36,14 @@ class FlowTrainConfig:
 
     def __post_init__(self):
         check_fields(self, "flow_train")
+        # every lr the step decay can set, as ``step_decay`` computes it
+        with np.errstate(over="ignore"):
+            lrs = self.lr * np.float64(self.decay_gamma) ** np.arange(
+                len(self.decay_fractions) + 1)
+        if not np.isfinite(lrs).all():
+            raise ConfigError(f"flow_train.decay_gamma: lr {self.lr!r} times "
+                              f"{self.decay_gamma!r} ** {len(self.decay_fractions)} (one "
+                              f"factor per decay fraction) is not a finite float")
 
 
 @dataclass

@@ -201,12 +201,16 @@ def parse_config(doc: dict) -> RunConfig:
 
 def _load_json(path, what: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"{what} file not found: {path}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: line {e.lineno}, column {e.colno}: {e.msg}")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{what} file {path}: not UTF-8 text ({e.reason} at byte {e.start})")
+    except OSError as e:
+        raise ConfigError(f"{what} file {path}: {e.strerror}")
 
 
 def load_config(path) -> RunConfig:

@@ -18,9 +18,10 @@ differentiable reference that the tests check ``student_step`` against.
 
 A run whose perturbation never reads the flow (``lambda_ft`` 0, or a
 baseline kind) trains no flow when its caller reads none either (``ablate``);
-otherwise it trains the flow on a second core: ``train_ssl`` streams the
-loop's pools from one forked worker and steps its trainer on them, with the
-same bits as in one process.
+otherwise, when the run is its command's only one, it trains the flow on
+a second core: ``train_ssl`` streams the loop's pools from one forked worker
+and steps its trainer on them, with the same bits as in one process. The
+runs of a multi-run command each step their flow in this process.
 """
 
 from __future__ import annotations
@@ -403,7 +404,7 @@ def write_metrics_csv(result: TrainResult, path) -> None:
 
 
 def train_ssl(cfg: SslConfig, ds: Dataset, check_isolation: bool = False,
-              keep_flow: bool = True) -> TrainResult:
+              keep_flow: bool = True, may_split: bool = True) -> TrainResult:
     """Run the full interleaved loop and return per-epoch metrics.
 
     Each iteration: student step on the unified objective (``student_step``),
@@ -429,7 +430,10 @@ def train_ssl(cfg: SslConfig, ds: Dataset, check_isolation: bool = False,
     ``worker.streamed``, so the worker goes on while the flow steps. The
     result is bit for bit that of the run in one process, where
     ``check_isolation`` keeps every run. A worker's error is raised here,
-    unchanged, after the pools before it.
+    unchanged, after the pools before it. ``may_split`` off keeps the run
+    in this process whatever the host; ``run_seeds`` leaves it on only for
+    a command's single run, so the runs of a multi-run command, not the
+    phases of one run, are what may share the cores.
     """
     if len(ds.labeled_idx) == 0:
         raise ConfigError("training needs a labeled split")
@@ -442,7 +446,7 @@ def train_ssl(cfg: SslConfig, ds: Dataset, check_isolation: bool = False,
     trainer = FlowTrainer(init_flow(cfg.feature_dim, cfg.flow.blocks, cfg.flow.hidden,
                                     cfg.flow.s_max, s_flow),
                           init_latent(ds.n_classes, cfg.feature_dim, s_latent), cfg.flow_train)
-    if _splits(cfg, ds, check_isolation):
+    if may_split and _splits(cfg, ds, check_isolation):
         loop = streamed(_loop, cfg, ds, student, teacher, None, seeds)
     else:
         loop = _loop(cfg, ds, student, teacher, trainer, seeds,
@@ -631,12 +635,12 @@ def run_seeds(cfg: SslConfig, spec: DataSpec, seeds: list[int],
               keep_flow: bool = True) -> Iterator[TrainResult]:
     """Train one run per seed, each on its own dataset draw; yields the
     results in seed order, each as soon as its run finishes. The runs go
-    one after another, each on one core or, when it splits, two; with
-    ``keep_flow`` off, a run whose perturbation reads no flow trains none
-    and does not split (``train_ssl``)."""
+    one after another in this process; only a lone run may split onto a
+    second core (``train_ssl``). With ``keep_flow`` off, a run whose
+    perturbation reads no flow trains none and does not split."""
     for s in seeds:
         yield train_ssl(replace(cfg, seed=s), dataset_for_run(spec, s),
-                        keep_flow=keep_flow)
+                        keep_flow=keep_flow, may_split=len(seeds) == 1)
 
 
 @dataclass

@@ -1,8 +1,8 @@
-"""Generators run in forked workers on the other cores (``streamed``): a
-split ``semisup.train_ssl`` run's loop, and ``verify``'s (flow, latent) pairs
-through ``ordered``. ``multiprocessing`` is imported only once a command
-splits, so importing the package, and every command that stays in one
-process, never pays for it.
+"""Generators run in forked workers on the other cores (``streamed``): the
+loop of a lone ``semisup.train_ssl`` run that splits, and ``verify``'s
+(flow, latent) pairs through ``ordered``. ``multiprocessing`` is imported
+only once a command splits, so importing the package, and every command
+that stays in one process, never pays for it.
 """
 
 from __future__ import annotations

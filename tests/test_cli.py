@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 
 import numpy as np
@@ -9,6 +10,7 @@ from densitydescent.cli import main
 from densitydescent.flow import load_checkpoint
 from densitydescent.latent import marginal_loglik
 from densitydescent.oracle import grid_density_dump
+from densitydescent.perturb import KINDS
 from recipe import CONFIG
 
 
@@ -313,6 +315,58 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")]) == 3
 
 
+no_fork = "fork" not in multiprocessing.get_all_start_methods()
+
+
+def forks(cores):
+    return pytest.mark.skipif(no_fork and cores > 1, reason="needs fork")
+
+
+@pytest.mark.parametrize("command,kind,seeds,cores,started", [
+    pytest.param("train-ssl", None, "0,1", 4, 0, id="train-ssl-lambda0"),
+    *[pytest.param("train-ssl", kind, "0,1", 4, 0, id=f"train-ssl-{kind}") for kind in KINDS],
+    *[pytest.param("train-ssl", None, "0", cores, min(cores, 2) - 1, marks=forks(cores),
+                   id=f"train-ssl-one-run-{cores}-cores") for cores in (1, 2, 4)],
+    pytest.param("train-ssl", "density-descending", "0", 4, 0, id="train-ssl-one-run-reads-flow"),
+    pytest.param("ablate", None, None, 4, 0, id="ablate"),
+    pytest.param("fit-density", None, None, 4, 0, id="fit-density"),
+    *[pytest.param("verify", None, None, cores, cores - 1, marks=forks(cores),
+                   id=f"verify-{cores}-cores") for cores in (1, 2, 4)],
+])
+def test_no_command_starts_more_processes_than_usable_cores(command, kind, seeds, cores,
+                                                            started, tmp_path, monkeypatch):
+    # a run at lambda_ft 0 (kind None) or of a baseline kind splits onto a
+    # second core only when it is its command's one run; verify deals its
+    # pairs to one worker per usable core past this one
+    count = [0]
+    start = multiprocessing.process.BaseProcess.start
+
+    def counted_start(process):
+        count[0] += 1
+        return start(process)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counted_start)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
+                        raising=False)
+    config = CONFIG if command == "verify" else write_json(tmp_path / "c.json", {
+        "dataset": {"n": 120, "noise": 0.1, "test_fraction": 0.25},
+        "flow": {"hidden": 16},
+        "flow_train": {"sample_budget": 64, "warm_start_epoch": 1},
+        "fit": {"steps": 5, "batch": 64},
+        "perturb": {"kind": kind or "density-descending"},
+        "ssl": {"epochs": 2, "batch_unlabeled": 32, "hidden": 16,
+                "lambda_ft": 0.0 if kind is None else 1.0}})
+    argv = {"train-ssl": ["--seeds", str(seeds)], "verify": [],
+            "ablate": ["--sweep", write_json(tmp_path / "sweep.json", {
+                "kinds": list(KINDS), "lambda_ft": [0.0, 1.0], "seeds": [0, 1]})],
+            "fit-density": []}[command]
+    if command != "verify":
+        argv += ["--out", str(tmp_path / "run")]
+    assert main([command, "--config", config, *argv]) in (0, 1)   # verify's known FAIL
+    assert count[0] == started
+    assert multiprocessing.active_children() == []
+
+
 def test_out_root_env_override(small_fit_config, tmp_path, monkeypatch):
     root = tmp_path / "root"
     monkeypatch.setenv("DENSITYDESCENT_OUT_ROOT", str(root))
@@ -343,6 +397,8 @@ class TestConfigRejectedBeforeWork:
         ("flow_train", "beta2", 1.0),
         ("flow_train", "adam_eps", 0),
         ("flow_train", "decay_gamma", 0),
+        # 1e155 ** 2 overflows, at the second of the two default decay fractions
+        ("flow_train", "decay_gamma", 1e155),
         ("ssl", "tau", 1.0),
         ("ssl", "lambda_ft", -0.1),
         ("ssl", "ema_momentum", 1.5),
@@ -495,6 +551,37 @@ class TestConfigRejectedBeforeWork:
         err, stdout = self.one_config_error(capsys)
         assert err == "config error: unknown config key 'flow.components'"
         assert stdout == "" and not out.exists()
+
+    @pytest.mark.parametrize("command,option,unreadable", [
+        (command, "--config", unreadable)
+        for command in ("fit-density", "train-ssl", "ablate", "verify")
+        for unreadable in ("directory", "not-utf8")
+    ] + [("ablate", "--sweep", unreadable) for unreadable in ("directory", "not-utf8")] + [
+        (command, "--out", "file") for command in ("fit-density", "train-ssl", "ablate")
+    ])
+    def test_unreadable_input_is_a_config_error(self, command, option, unreadable,
+                                                small_ssl_config, tmp_path, capsys):
+        # each used to end in a traceback: IsADirectoryError, UnicodeDecodeError,
+        # or FileExistsError from making --out
+        path = tmp_path / "input"
+        if unreadable == "directory":
+            path.mkdir()
+        elif unreadable == "not-utf8":
+            path.write_bytes(b"\xff\xfe{}")
+        else:
+            path.write_text("")
+        files = {"--config": small_ssl_config,
+                 "--sweep": write_json(tmp_path / "sweep.json", {"seeds": [0]}),
+                 "--out": str(tmp_path / "run"), option: str(path)}
+        argv = [command, "--config", files["--config"]]
+        if command != "verify":
+            argv += ["--out", files["--out"]]
+        if command == "ablate":
+            argv += ["--sweep", files["--sweep"]]
+        assert main(argv) == 2
+        err, stdout = self.one_config_error(capsys)
+        assert str(path) in err
+        assert stdout == "" and not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("command", ["train-ssl", "ablate"])
     def test_a_later_seed_s_dataset_draw_fails_before_any_output(
