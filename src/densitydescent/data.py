@@ -45,7 +45,8 @@ class DataSpec:
         check_fields(self, "dataset")
 
 
-def generate(kind: str, n: int, noise: float, seed: int, n_classes: int = 2) -> Dataset:
+def generate(kind: str, n: int, noise: float, seed: int,
+             n_classes: int = DataSpec.n_classes) -> Dataset:
     """Sample one of the parametric generators (splits left empty).
 
     ``DataSpec`` checks each argument; moons and circles have two classes by

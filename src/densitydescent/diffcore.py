@@ -2,8 +2,8 @@
 
 A deliberately small primitive set: enough for affine coupling nets,
 Gaussian-mixture log-densities, logsumexp and softmax classifiers.
-Everything is float64, CPU-only, single-threaded per tape. Broadcasting
-is supported only as far as matrix/vector alignment needs it.
+Everything is float64, CPU-only, single-threaded per tape. Matrix
+products and column gathers take 2-D operands: the forwards run on batches.
 """
 
 from __future__ import annotations
@@ -47,9 +47,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, tid={self.tid})"
 
@@ -83,6 +80,14 @@ def tensor(data) -> Tensor:
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def as_batch(x) -> Tensor:
+    """``as_tensor`` of an (N, d) batch; any other shape is refused."""
+    t = as_tensor(x)
+    if t.ndim != 2:
+        raise ValueError(f"expected an (N, d) batch, got shape {t.shape}")
+    return t
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -134,22 +139,11 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product for the 2-D/1-D combinations the artifact needs."""
+    """Product of two matrices; any other operand shape is refused."""
     ad, bd = a.data, b.data
-    if ad.ndim not in (1, 2) or bd.ndim not in (1, 2):
-        raise ValueError(f"matmul supports 1-D/2-D operands, got {ad.ndim}-D @ {bd.ndim}-D")
-    out = ad @ bd
-
-    def vjp(g):
-        if ad.ndim == 2 and bd.ndim == 2:
-            return g @ bd.T, ad.T @ g
-        if ad.ndim == 2 and bd.ndim == 1:
-            return np.outer(g, bd), ad.T @ g
-        if ad.ndim == 1 and bd.ndim == 2:
-            return bd @ g, np.outer(ad, g)
-        return g * bd, g * ad  # 1-D dot
-
-    return Tensor(out, (a, b), vjp)
+    if ad.ndim != 2 or bd.ndim != 2:
+        raise ValueError(f"matmul takes 2-D @ 2-D operands, got {ad.ndim}-D @ {bd.ndim}-D")
+    return Tensor(ad @ bd, (a, b), lambda g: (g @ bd.T, ad.T @ g))
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -207,26 +201,16 @@ def mean(x: Tensor, axis: int | None = None) -> Tensor:
     return mul(sum(x, axis=axis), as_tensor(1.0 / n))
 
 
-def reshape(x: Tensor, shape) -> Tensor:
-    old = x.data.shape
-    return Tensor(x.data.reshape(shape), (x,), lambda g: (g.reshape(old),))
-
-
 def take_cols(x: Tensor, idx) -> Tensor:
-    """Gather columns (2-D) or elements (1-D); backward scatter-adds."""
+    """Gather columns of a 2-D tensor; backward scatter-adds."""
     idx = np.asarray(idx, dtype=np.intp)
-    two_d = x.data.ndim == 2
-    out = x.data[:, idx] if two_d else x.data[idx]
 
     def vjp(g):
         z = np.zeros_like(x.data)
-        if two_d:
-            np.add.at(z, (slice(None), idx), g)
-        else:
-            np.add.at(z, idx, g)
+        np.add.at(z, (slice(None), idx), g)
         return (z,)
 
-    return Tensor(out, (x,), vjp)
+    return Tensor(x.data[:, idx], (x,), vjp)
 
 
 def concat_cols(a: Tensor, b: Tensor) -> Tensor:

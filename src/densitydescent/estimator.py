@@ -19,6 +19,10 @@ from .latent import (GmmLatent, class_conditional_loglik, component_means,
                      gaussian_logpdf_grad, marginal_loglik, mixture_logpdf_grad)
 from .optim import Adam, step_decay
 
+# Upper bound on ``flow_train.updates_per_iteration``, far above every shipped
+# value (2): an absurd count is a config error, not a failed allocation.
+MAX_UPDATES_PER_ITERATION = 256
+
 
 @dataclass
 class FlowTrainConfig:
@@ -32,7 +36,8 @@ class FlowTrainConfig:
     decay_gamma: float = knob(0.5, gt=0)
     sample_budget: int = knob(2048, ge=2, even=True)   # 2 pools; 20000 at full scale
     warm_start_epoch: int = knob(2, ge=1)        # estimator begins at this main-model epoch
-    updates_per_iteration: int = knob(1, ge=1)   # flow steps per main-model iteration
+    # flow steps per main-model iteration
+    updates_per_iteration: int = knob(1, ge=1, le=MAX_UPDATES_PER_ITERATION)
 
     def __post_init__(self):
         check_fields(self, "flow_train")

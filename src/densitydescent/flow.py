@@ -44,17 +44,18 @@ from .optim import pack
 CHECKPOINT_FORMAT = 1
 PARAM_NAMES = ("w1", "b1", "w2", "b2")   # a block's parameters, in ``params()`` order
 
-# Upper bound on ``flow.hidden`` and ``ssl.hidden``, far above every shipped
-# width (256): an absurd width fails as a config error instead of when numpy
-# allocates.
+# Upper bounds on ``flow.hidden`` and ``ssl.hidden``, far above every shipped
+# width (256), and on ``flow.blocks``, far above every shipped depth (2): an
+# absurd size fails as a config error instead of when numpy allocates.
 MAX_WIDTH = 4096
+MAX_BLOCKS = 64
 
 
 @dataclass
 class FlowArch:
     """The flow's shape: a run config's ``flow`` section, and the sizes
     ``init_flow`` checks for every flow it builds, checkpoints included."""
-    blocks: int = knob(2, ge=1)
+    blocks: int = knob(2, ge=1, le=MAX_BLOCKS)
     hidden: int = knob(256, ge=1, le=MAX_WIDTH)
     s_max: float = knob(2.0, gt=0)   # a NaN read from a checkpoint fails too
 
@@ -140,22 +141,12 @@ def _conditioner(block: CouplingBlock, va: dc.Tensor) -> tuple[dc.Tensor, dc.Ten
     return s, t
 
 
-def _as_batch(v) -> tuple[dc.Tensor, bool]:
-    t = dc.as_tensor(v)
-    if t.ndim == 1:
-        return dc.reshape(t, (1, t.shape[0])), True
-    if t.ndim != 2:
-        raise ValueError(f"expected vector or (N, d) batch, got shape {t.shape}")
-    return t, False
-
-
 def coupling_forward(v, block: CouplingBlock):
-    """One block forward: (v_a, v_b) -> (v_a, v_b * exp(s(v_a)) + t(v_a)).
+    """One block forward on an (N, d) batch: (v_a, v_b) -> (v_a, v_b * exp(s(v_a)) + t(v_a)).
 
-    Returns the transformed vector/batch and the per-sample log-determinant
-    (scalar for a single vector).
+    Returns the transformed batch and the per-row log-determinant.
     """
-    t2, single = _as_batch(v)
+    t2 = dc.as_batch(v)
     d = t2.shape[1]
     if d % 2 != 0:
         raise ConfigError(f"coupling blocks need an even dimension, got {d}")
@@ -163,11 +154,7 @@ def coupling_forward(v, block: CouplingBlock):
     va = dc.take_cols(t2, np.arange(half))
     vb = dc.take_cols(t2, np.arange(half, d))
     s, t = _conditioner(block, va)
-    out = dc.concat_cols(va, vb * dc.exp(s) + t)
-    logdet = dc.sum(s, axis=1)
-    if single:
-        return dc.reshape(out, (d,)), dc.reshape(logdet, ())
-    return out, logdet
+    return dc.concat_cols(va, vb * dc.exp(s) + t), dc.sum(s, axis=1)
 
 
 def coupling_inverse(v_out: np.ndarray, block: CouplingBlock) -> np.ndarray:
@@ -180,24 +167,21 @@ def coupling_inverse(v_out: np.ndarray, block: CouplingBlock) -> np.ndarray:
 
 
 def flow_forward(v, model: FlowModel):
-    """Full forward map v -> z with total log-determinant.
+    """Full forward map of an (N, d) batch v -> z with per-row log-determinant.
 
     Applies block 1, the fixed channel reversal, block 2 (and so on for
     deeper stacks). Differentiable w.r.t. both the input and all block
     parameters; the permutation contributes nothing to the log-det.
     """
-    t2, single = _as_batch(v)
-    if t2.shape[1] != model.d:
-        raise ValueError(f"expected dimension {model.d}, got {t2.shape[1]}")
+    z = dc.as_tensor(v)
+    if z.ndim != 2 or z.shape[1] != model.d:
+        raise ValueError(f"expected an (N, {model.d}) batch, got shape {z.shape}")
     total = None
-    z = t2
     for i, block in enumerate(model.blocks):
         if i:
             z = dc.take_cols(z, model.perm)
         z, ld = coupling_forward(z, block)
         total = ld if total is None else total + ld
-    if single:
-        return dc.reshape(z, (model.d,)), dc.reshape(total, ())
     return z, total
 
 

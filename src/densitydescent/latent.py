@@ -53,20 +53,14 @@ def init_latent(n_components: int, dim: int, seed: int = 0) -> GmmLatent:
 
 
 def gaussian_logpdf(z, mean) -> dc.Tensor:
-    """log N(z | mean, I) = -d/2 log(2 pi) - ||z - mean||^2 / 2.
+    """log N(z | mean, I) = -d/2 log(2 pi) - ||z - mean||^2 / 2 per row.
 
-    z may be a vector, a batch, or a graph tensor; mean may be a single
-    vector or per-row means aligned with a batch.
+    z is an (N, d) array or graph tensor; mean is one vector or per-row
+    means aligned with it.
     """
-    zt = dc.as_tensor(z)
-    mu = np.asarray(mean, dtype=np.float64)
-    d = zt.shape[-1]
-    diff = zt - dc.as_tensor(mu)
-    if diff.ndim == 1:
-        q = dc.sum(diff * diff)
-    else:
-        q = dc.sum(diff * diff, axis=1)
-    return q * (-0.5) + (-0.5 * d * LOG_2PI)
+    zt = dc.as_batch(z)
+    diff = zt - dc.as_tensor(np.asarray(mean, dtype=np.float64))
+    return dc.sum(diff * diff, axis=1) * (-0.5) + (-0.5 * zt.shape[1] * LOG_2PI)
 
 
 def _row_const(latent: GmmLatent) -> np.ndarray:
@@ -82,17 +76,13 @@ def mixture_logpdf(z, latent: GmmLatent) -> dc.Tensor:
 
     Expands the squared distance so a batch against all K components is one
     matrix product; equal to stacking ``gaussian_logpdf`` per component up
-    to float roundoff.
+    to float roundoff. z is an (N, d) array or graph tensor.
     """
-    zt = dc.as_tensor(z)
-    single = zt.ndim == 1
-    if single:
-        zt = dc.reshape(zt, (1, zt.shape[0]))
+    zt = dc.as_batch(z)
     cross = dc.matmul(zt, dc.as_tensor(latent.means.T))  # (N, K)
     sq = dc.sum(zt * zt, axis=1, keepdims=True)          # (N, 1)
     comp = cross + sq * (-0.5) + dc.as_tensor(_row_const(latent))
-    out = dc.logsumexp(comp, axis=1)
-    return dc.reshape(out, ()) if single else out
+    return dc.logsumexp(comp, axis=1)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -139,22 +129,17 @@ def component_means(labels, latent: GmmLatent) -> np.ndarray:
 
 
 def class_conditional_loglik(v, labels, flow_model, latent: GmmLatent) -> dc.Tensor:
-    """log p(v | y=k): likelihood under the class's own latent component.
-
-    ``labels`` is one class index for a single vector or an aligned vector
-    of indices for a batch (0-based).
-    """
+    """log p(v | y=k) of each row of an (N, d) batch under its class's own
+    latent component; ``labels`` holds one 0-based class index per row."""
     from .flow import flow_forward
 
     mu = component_means(labels, latent)
     z, logdet = flow_forward(v, flow_model)
-    if z.ndim == 1:
-        mu = mu[0]
     return gaussian_logpdf(z, mu) + logdet
 
 
 def marginal_loglik(v, flow_model, latent: GmmLatent) -> dc.Tensor:
-    """log p(v) through the full mixture; differentiable w.r.t. v."""
+    """log p(v) of an (N, d) batch through the full mixture; differentiable in v."""
     from .flow import flow_forward
 
     z, logdet = flow_forward(v, flow_model)

@@ -26,8 +26,7 @@ def _flat_grad(flat: np.ndarray, grads: list[np.ndarray]) -> np.ndarray:
 class Adam:
     """Adam with bias correction; ``lr`` is mutable for schedules."""
 
-    def __init__(self, flat: np.ndarray, lr: float = 1e-3,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
+    def __init__(self, flat: np.ndarray, lr: float, betas: tuple[float, float], eps: float):
         self.flat = flat
         self.lr = float(lr)
         self.beta1, self.beta2 = betas
@@ -53,7 +52,7 @@ class Adam:
 class MomentumSGD:
     """Heavy-ball SGD: v <- mu*v + g; p <- p - lr*v."""
 
-    def __init__(self, flat: np.ndarray, lr: float, momentum: float = 0.9):
+    def __init__(self, flat: np.ndarray, lr: float, momentum: float):
         self.flat = flat
         self.lr = float(lr)
         self.momentum = float(momentum)
@@ -66,7 +65,7 @@ class MomentumSGD:
         self.flat -= self.lr * self.v
 
 
-def poly_decay(lr0: float, step: int, total: int, power: float = 0.9) -> float:
+def poly_decay(lr0: float, step: int, total: int, power: float) -> float:
     """Polynomial decay from lr0 to ~0 across ``total`` steps."""
     frac = min(max(step, 0), max(total, 1)) / max(total, 1)
     return lr0 * (1.0 - frac) ** power

@@ -140,7 +140,8 @@ def channel_dropout_perturbation(v: np.ndarray, rate: float,
 
 def vat_perturbation(v: np.ndarray, eps: float, dec_w: np.ndarray,
                      dec_b: np.ndarray, rng: np.random.Generator,
-                     xi: float = 1e-2, power_iters: int = 1) -> np.ndarray:
+                     xi: float = PerturbConfig.vat_xi,
+                     power_iters: int = PerturbConfig.vat_power_iters) -> np.ndarray:
     """Single-head adversarial direction of each row via power iteration.
 
     Starts from a random unit direction, probes the affine softmax decoder

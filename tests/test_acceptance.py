@@ -105,9 +105,9 @@ def test_criterion_2_logdet_exactness():
             fit_density(feats[:64], comp[:64], feats[64:], flow, latent,
                         FlowTrainConfig(), steps=25, batch=128, rng=rng)
             for v in rng.standard_normal((2, d)):
-                _, logdet = flow_forward(v, flow)
+                _, logdet = flow_forward(v[None], flow)
                 numeric = numeric_jacobian_logdet(flow, v)
-                rel = abs(float(logdet.data) - numeric) / max(1e-12, abs(numeric))
+                rel = abs(float(logdet.data[0]) - numeric) / max(1e-12, abs(numeric))
                 worst = max(worst, rel)
                 count += 1
     elapsed = time.time() - t0
@@ -125,7 +125,8 @@ def test_criterion_3_gradient_exactness(moons_estimator):
     for v in pts:
         g = density_gradient(v[None], flow, latent)[0]
         fd = finite_diff_grad(
-            lambda w: -float(marginal_loglik(w, flow, latent).data), v, h=1e-4)
+            lambda w: -float(marginal_loglik(w[None], flow, latent).data[0]), v,
+            h=1e-4)
         worst = max(worst, float(np.abs(g - fd).max() / max(1.0, np.abs(fd).max())))
     elapsed = time.time() - t0
     report(3, worst < 1e-3 and elapsed < 10.0,

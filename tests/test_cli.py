@@ -56,7 +56,7 @@ class TestFitDensity:
         assert grid[0] == "x,y,logp" and len(grid) == 17
         model, latent = load_checkpoint(out / "checkpoint.npz")
         assert model.d == 2 and latent.n_components == 2
-        assert np.isfinite(marginal_loglik(np.zeros(2), model, latent).data)
+        assert np.isfinite(marginal_loglik(np.zeros((1, 2)), model, latent).data[0])
 
     def test_grid_csv_output(self, small_fit_config, tmp_path):
         # a header and one row per cell of repr() values, each ended by \r\n,
@@ -737,6 +737,8 @@ class TestBadRunInputsRejected:
         ("verify", "verify", "dims", [2, 10**15]),
         ("fit-density", "fit", "grid_resolution", 10**15),
         ("fit-density", "dataset", "n", 10**15),
+        ("fit-density", "flow", "blocks", 10**15),
+        ("train-ssl", "flow_train", "updates_per_iteration", 10**15),
     ])
     def test_size_above_its_cap(self, command, section, key, value, small_ssl_config,
                                 tmp_path, capsys):

@@ -13,6 +13,12 @@ from densitydescent.semisup import init_model, params_digest
 LOG_2PI = np.log(2 * np.pi)
 
 
+def adam(flat, lr):
+    """``Adam`` over ``flat`` with the flow_train section's betas and eps."""
+    cfg = FlowTrainConfig()
+    return Adam(flat, lr, (cfg.beta1, cfg.beta2), cfg.adam_eps)
+
+
 class TestFlowLoss:
     def test_single_labeled_feature_at_component_mode(self):
         flow = init_flow(2, hidden=8, seed=0)
@@ -120,7 +126,7 @@ def _fit_setup(seed=0):
 class TestFlowTrainStep:
     def test_zero_learning_rate_keeps_params(self):
         flow, latent, pool = _fit_setup()
-        opt = Adam(flow.flat, lr=0.0)
+        opt = adam(flow.flat, 0.0)
         before = [p.copy() for p in flow.params()]
         flow_train_step(pool, flow, latent, opt)
         for b, p in zip(before, flow.params()):
@@ -130,7 +136,7 @@ class TestFlowTrainStep:
         flow, latent, pool = _fit_setup(3)
         means = latent.means.copy()
         logw = latent.log_weights.copy()
-        opt = Adam(flow.flat, lr=1e-3)
+        opt = adam(flow.flat, 1e-3)
         for _ in range(20):
             flow_train_step(pool, flow, latent, opt)
         np.testing.assert_array_equal(latent.means, means)
@@ -140,7 +146,7 @@ class TestFlowTrainStep:
         wins = 0
         for seed in range(20):
             flow, latent, pool = _fit_setup(seed)
-            opt = Adam(flow.flat, lr=1e-4)
+            opt = adam(flow.flat, 1e-4)
             before = float(flow_loss(pool.labeled, pool.labels, pool.unlabeled,
                                      flow, latent).data)
             flow_train_step(pool, flow, latent, opt)
@@ -153,13 +159,13 @@ class TestFlowTrainStep:
     def test_nan_loss_aborts_with_diagnostics(self):
         flow, latent, pool = _fit_setup(5)
         flow.blocks[0].b2[:] = 1e308   # forces an overflow in the forward pass
-        opt = Adam(flow.flat, lr=1e-3)
+        opt = adam(flow.flat, 1e-3)
         with pytest.raises(NumericError):
             flow_train_step(pool, flow, latent, opt)
 
     def test_returns_loss_value(self):
         flow, latent, pool = _fit_setup(6)
-        opt = Adam(flow.flat, lr=1e-3)
+        opt = adam(flow.flat, 1e-3)
         value = flow_train_step(pool, flow, latent, opt)
         assert np.isfinite(value)
 

@@ -8,7 +8,8 @@ from densitydescent.flow import (CouplingBlock, coupling_forward, coupling_inver
                                  flow_forward, flow_inverse, init_flow,
                                  load_checkpoint, randomize_conditioners,
                                  save_checkpoint)
-from densitydescent.latent import init_latent
+from densitydescent.latent import (class_conditional_loglik, gaussian_logpdf, init_latent,
+                                   marginal_loglik, mixture_logpdf)
 from densitydescent.oracle import numeric_jacobian_logdet
 
 
@@ -37,9 +38,9 @@ class TestCouplingBlock:
         flow = random_flow(4)
         flow.blocks = flow.blocks[:1]
         v = np.random.default_rng(2).standard_normal(4)
-        _, logdet = coupling_forward(v, flow.blocks[0])
+        _, logdet = coupling_forward(v[None], flow.blocks[0])
         numeric = numeric_jacobian_logdet(flow, v)
-        assert abs(float(logdet.data) - numeric) / max(1e-12, abs(numeric)) < 1e-4
+        assert abs(logdet.data[0] - numeric) / max(1e-12, abs(numeric)) < 1e-4
 
     def test_scale_clamp_bounds(self):
         flow = random_flow(4, scale=50.0)  # huge weights force saturation
@@ -50,7 +51,7 @@ class TestCouplingBlock:
 
     def test_odd_dimension_rejected(self):
         with pytest.raises(ConfigError):
-            coupling_forward(np.zeros(5), CouplingBlock(
+            coupling_forward(np.zeros((1, 5)), CouplingBlock(
                 w1=dc.tensor(np.zeros((2, 4))), b1=dc.tensor(np.zeros(4)),
                 w2=dc.tensor(np.zeros((4, 5))), b2=dc.tensor(np.zeros(5)), s_max=2.0))
 
@@ -84,18 +85,25 @@ class TestFlowModel:
         rng = np.random.default_rng(10)
         for _ in range(5):
             v = rng.standard_normal(6)
-            _, logdet = flow_forward(v, flow)
+            _, logdet = flow_forward(v[None], flow)
             numeric = numeric_jacobian_logdet(flow, v)
-            assert abs(float(logdet.data) - numeric) / max(1e-12, abs(numeric)) < 1e-4
+            assert abs(logdet.data[0] - numeric) / max(1e-12, abs(numeric)) < 1e-4
 
-    def test_single_vector_and_batch_agree(self):
+    @pytest.mark.parametrize("forward", [
+        lambda v, flow, latent: flow_forward(v, flow),
+        lambda v, flow, latent: coupling_forward(v, flow.blocks[0]),
+        lambda v, flow, latent: marginal_loglik(v, flow, latent),
+        lambda v, flow, latent: class_conditional_loglik(v, [0], flow, latent),
+        lambda v, flow, latent: mixture_logpdf(v, latent),
+        lambda v, flow, latent: gaussian_logpdf(v, latent.means[0]),
+    ], ids=["flow_forward", "coupling_forward", "marginal_loglik",
+            "class_conditional_loglik", "mixture_logpdf", "gaussian_logpdf"])
+    def test_tape_forward_rejects_a_single_vector(self, forward):
+        # the tape reference takes (N, d) batches only, like the kernel
         flow = random_flow(4, seed=11)
-        v = np.random.default_rng(11).standard_normal(4)
-        z_single, ld_single = flow_forward(v, flow)
-        z_batch, ld_batch = flow_forward(v[None, :], flow)
-        np.testing.assert_array_equal(z_single.data, z_batch.data[0])
-        assert float(ld_single.data) == float(ld_batch.data[0])
-        assert ld_single.data.shape == ()
+        latent = init_latent(2, 4, seed=11)
+        with pytest.raises(ValueError, match=r"batch, got shape \(4,\)"):
+            forward(np.random.default_rng(11).standard_normal(4), flow, latent)
 
     def test_dimension_mismatch_rejected(self):
         flow = init_flow(4, hidden=8, seed=0)
@@ -146,7 +154,6 @@ class TestCheckpoint:
         assert latent2.seed == latent.seed
 
     def test_checkpoint_reproduces_densities(self, tmp_path):
-        from densitydescent.latent import marginal_loglik
         flow = random_flow(4, seed=23)
         latent = init_latent(2, 4, seed=24)
         path = tmp_path / "model.npz"

@@ -13,7 +13,8 @@ import pytest
 
 from densitydescent import diffcore as dc
 from densitydescent.errors import NumericError
-from densitydescent.estimator import FeaturePool, flow_loss, flow_train_step
+from densitydescent.estimator import (FeaturePool, FlowTrainConfig, flow_loss,
+                                      flow_train_step)
 from densitydescent.flow import (flow_forward, init_flow, kernel_backward, kernel_forward,
                                  randomize_conditioners)
 from densitydescent.latent import (BLOCK_ROWS, init_latent, marginal_logpdf,
@@ -29,6 +30,12 @@ RTOL = 1e-10
 # shapes at d = 2, plus a wider feature dimension
 SHAPES = [(2, 256, 64, 2), (2, 128, 256, 2), (4, 256, 256, 2), (2, 64, 48, 8)]
 POOLS = ["labeled", "unlabeled", "mixed"]
+
+
+def adam(flat, lr):
+    """``Adam`` over ``flat`` with the flow_train section's betas and eps."""
+    cfg = FlowTrainConfig()
+    return Adam(flat, lr, (cfg.beta1, cfg.beta2), cfg.adam_eps)
 
 
 def assert_close(actual, reference):
@@ -90,9 +97,9 @@ def test_density_gradient_matches_tape(blocks, hidden, rows, d):
     reference, = dc.grad(-dc.sum(marginal_loglik(leaf, flow, latent)), [leaf])
     assert_close(density_gradient(v, flow, latent), reference)
 
-    single = dc.tensor(v[0].copy())
-    reference, = dc.grad(-marginal_loglik(single, flow, latent), [single])
-    assert_close(density_gradient(v[0][None], flow, latent)[0], reference)
+    row = dc.tensor(v[:1].copy())
+    reference, = dc.grad(-marginal_loglik(row, flow, latent), [row])
+    assert_close(density_gradient(v[:1], flow, latent), reference)
 
 
 @pytest.mark.parametrize("blocks,d", [(2, 2), (3, 6)])
@@ -129,10 +136,10 @@ def test_flow_step_updates_like_tape_adam():
     flow_t = random_flow(2, 64, 2, seed=21)
     latent = init_latent(2, 2, seed=22)
     pool = make_pool("mixed", 40, 2, 2, np.random.default_rng(23))
-    flow_train_step(pool, flow_k, latent, Adam(flow_k.flat, lr=1e-2))
+    flow_train_step(pool, flow_k, latent, adam(flow_k.flat, 1e-2))
     twin_t = leaf_twin(flow_t)
     loss = flow_loss(pool.labeled, pool.labels, pool.unlabeled, twin_t, latent)
-    Adam(flow_t.flat, lr=1e-2).step(dc.grad(loss, twin_t.params()))
+    adam(flow_t.flat, 1e-2).step(dc.grad(loss, twin_t.params()))
     for pk, pt in zip(flow_k.params(), flow_t.params()):
         assert_close(pk, pt)
 
@@ -213,7 +220,7 @@ def test_marginal_logpdf_keeps_one_block_of_activations(d):
 class LoopAdam:
     """The per-array Adam loop that the flat-buffer ``Adam`` replaced."""
 
-    def __init__(self, params, lr, betas=(0.9, 0.999), eps=1e-8):
+    def __init__(self, params, lr, betas, eps):
         self.params, self.lr, self.eps = list(params), lr, eps
         self.beta1, self.beta2 = betas
         self.t = 0
@@ -236,7 +243,8 @@ class LoopAdam:
 def test_flat_adam_matches_per_array_loop_bitwise():
     flow, twin = random_flow(2, 64, 2, seed=51), random_flow(2, 64, 2, seed=51)
     latent = init_latent(2, 2, seed=52)
-    opt, ref = Adam(flow.flat, lr=1e-2), LoopAdam(twin.params(), lr=1e-2)
+    opt = adam(flow.flat, 1e-2)
+    ref = LoopAdam(twin.params(), 1e-2, (opt.beta1, opt.beta2), opt.eps)
     rng = np.random.default_rng(53)
     for _ in range(50):
         pool = make_pool("mixed", 40, 2, 2, rng)

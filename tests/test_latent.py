@@ -36,16 +36,16 @@ class TestInitLatent:
 
 class TestGaussianLogpdf:
     def test_at_mode_2d(self):
-        mu = np.array([0.3, -1.2])
-        assert float(gaussian_logpdf(mu, mu).data) == pytest.approx(-LOG_2PI)
-        assert float(gaussian_logpdf(mu, mu).data) == pytest.approx(-1.837877, abs=1e-6)
+        mu = np.array([[0.3, -1.2]])
+        assert gaussian_logpdf(mu, mu).data[0] == pytest.approx(-LOG_2PI)
+        assert gaussian_logpdf(mu, mu).data[0] == pytest.approx(-1.837877, abs=1e-6)
 
     def test_standard_normal_mode_1d(self):
-        val = float(gaussian_logpdf(np.zeros(1), np.zeros(1)).data)
+        val = gaussian_logpdf(np.zeros((1, 1)), np.zeros(1)).data[0]
         assert val == pytest.approx(-0.918939, abs=1e-6)
 
     def test_unit_offset(self):
-        val = float(gaussian_logpdf(np.array([1.0, 0.0]), np.zeros(2)).data)
+        val = gaussian_logpdf(np.array([[1.0, 0.0]]), np.zeros(2)).data[0]
         assert val == pytest.approx(-1.837877 - 0.5, abs=1e-6)
 
     def test_batch_rows(self):
@@ -75,13 +75,13 @@ class TestMixtureLogpdf:
     def test_hand_evaluated_1d_two_component(self):
         latent = GmmLatent(means=np.array([[-3.0], [3.0]]),
                            log_weights=np.log([0.5, 0.5]))
-        val = float(mixture_logpdf(np.zeros(1), latent).data)
+        val = mixture_logpdf(np.zeros((1, 1)), latent).data[0]
         assert val == pytest.approx(-5.418939, abs=1e-6)
 
     def test_well_separated_components_stay_finite(self):
         latent = GmmLatent(means=np.array([[-300.0, 0.0], [300.0, 0.0]]),
                            log_weights=np.log([0.5, 0.5]))
-        val = float(mixture_logpdf(np.array([-300.0, 0.0]), latent).data)
+        val = mixture_logpdf(np.array([[-300.0, 0.0]]), latent).data[0]
         assert np.isfinite(val)
         assert val == pytest.approx(-LOG_2PI + np.log(0.5), abs=1e-9)
 
@@ -90,15 +90,15 @@ class TestFlowLikelihoods:
     def test_class_conditional_identity_flow_at_mean(self):
         flow = init_flow(2, hidden=8, seed=6)
         latent = init_latent(3, 2, seed=7)
-        v = latent.means[2][::-1].copy()   # reversal maps it onto mu_2
-        val = float(class_conditional_loglik(v, 2, flow, latent).data)
+        v = latent.means[2:3, ::-1].copy()   # reversal maps it onto mu_2
+        val = class_conditional_loglik(v, [2], flow, latent).data[0]
         assert val == pytest.approx(-LOG_2PI)
 
     def test_marginal_identity_flow_k1(self):
         flow = init_flow(2, hidden=8, seed=8)
         latent = init_latent(1, 2, seed=9)
-        v = latent.means[0][::-1].copy()
-        assert float(marginal_loglik(v, flow, latent).data) == pytest.approx(-1.837877, abs=1e-6)
+        v = latent.means[:1, ::-1].copy()
+        assert marginal_loglik(v, flow, latent).data[0] == pytest.approx(-1.837877, abs=1e-6)
 
     def test_class_conditional_equals_marginal_when_k1(self):
         flow = randomize_conditioners(init_flow(4, hidden=16, seed=10), seed=11)
@@ -123,16 +123,16 @@ class TestFlowLikelihoods:
         flow = init_flow(2, hidden=8, seed=18)
         latent = init_latent(2, 2, seed=19)
         with pytest.raises(ValueError):
-            class_conditional_loglik(np.zeros(2), 2, flow, latent)
+            class_conditional_loglik(np.zeros((1, 2)), [2], flow, latent)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 1000), k=st.integers(0, 3))
     def test_marginal_dominates_weighted_component(self, seed, k):
         flow = randomize_conditioners(init_flow(4, hidden=8, seed=1), seed=2)
         latent = init_latent(4, 4, seed=3)
-        v = np.random.default_rng(seed).uniform(-3, 3, size=4)
-        marg = float(marginal_loglik(v, flow, latent).data)
-        cond = float(class_conditional_loglik(v, k, flow, latent).data)
+        v = np.random.default_rng(seed).uniform(-3, 3, size=(1, 4))
+        marg = marginal_loglik(v, flow, latent).data[0]
+        cond = class_conditional_loglik(v, [k], flow, latent).data[0]
         assert marg >= cond + latent.log_weights[k] - 1e-10
 
     def test_translation_symmetry_at_init(self):
@@ -142,10 +142,10 @@ class TestFlowLikelihoods:
         mu = latent.means[0]
         offset = np.array([0.6, -0.8])           # |offset| = 1
         rot = np.array([1.0, 0.0])
-        v1 = (mu + offset)[::-1].copy()
-        v2 = (mu + rot)[::-1].copy()
-        a = float(marginal_loglik(v1, flow, latent).data)
-        b = float(marginal_loglik(v2, flow, latent).data)
+        v1 = (mu + offset)[None, ::-1].copy()
+        v2 = (mu + rot)[None, ::-1].copy()
+        a = marginal_loglik(v1, flow, latent).data[0]
+        b = marginal_loglik(v2, flow, latent).data[0]
         assert a == pytest.approx(b, abs=1e-12)
 
 

@@ -46,9 +46,9 @@ class TestNumericJacobianLogdet:
             rng = np.random.default_rng(d + 2)
             for _ in range(3):
                 v = rng.standard_normal(d)
-                _, logdet = flow_forward(v, flow)
+                _, logdet = flow_forward(v[None], flow)
                 numeric = numeric_jacobian_logdet(flow, v)
-                rel = abs(float(logdet.data) - numeric) / max(1e-12, abs(numeric))
+                rel = abs(float(logdet.data[0]) - numeric) / max(1e-12, abs(numeric))
                 assert rel < 1e-4
 
     def test_dimension_cap(self):
@@ -73,7 +73,7 @@ class TestFiniteDiffGrad:
         latent = init_latent(2, 2, seed=5)
         v = np.random.default_rng(6).standard_normal(2)
         fd = finite_diff_grad(
-            lambda w: -float(marginal_loglik(w, flow, latent).data), v)
+            lambda w: -float(marginal_loglik(w[None], flow, latent).data[0]), v)
         np.testing.assert_allclose(density_gradient(v[None], flow, latent)[0], fd,
                                    atol=1e-6)
 

@@ -75,11 +75,12 @@ def test_fresh_and_loaded_flow_tile_their_vector(tmp_path):
 
 def test_optimizer_step_moves_views_and_vector():
     rng = np.random.default_rng(4)
-    for model, opt_class in ((init_model(2, 5, 2, 2, seed=5), MomentumSGD),
-                             (small_flow(), Adam)):
+    for model, make_opt in ((init_model(2, 5, 2, 2, seed=5),
+                             lambda flat: MomentumSGD(flat, 0.1, 0.9)),
+                            (small_flow(), lambda flat: Adam(flat, 0.1, (0.9, 0.999), 1e-8))):
         before = [p.copy() for p in model.params()]
         flat_before = model.flat.copy()
-        opt = opt_class(model.flat, lr=0.1)
+        opt = make_opt(model.flat)
         opt.step([rng.standard_normal(p.shape) for p in model.params()])
         assert not np.array_equal(model.flat, flat_before)
         for b, p in zip(before, model.params()):

@@ -50,7 +50,8 @@ class TestDensityGradient:
         for v in pts[rng.choice(len(pts), 10, replace=False)]:
             g = density_gradient(v[None], flow, latent)[0]
             fd = finite_diff_grad(
-                lambda w: -float(marginal_loglik(w, flow, latent).data), v, h=1e-4)
+                lambda w: -float(marginal_loglik(w[None], flow, latent).data[0]), v,
+                h=1e-4)
             assert np.abs(g - fd).max() / max(1.0, np.abs(fd).max()) < 1e-3
 
     def test_batch_rows_match_single_calls(self):
