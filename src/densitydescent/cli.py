@@ -109,15 +109,14 @@ def cmd_fit_density(args) -> int:
 # train-ssl
 
 
-def _ssl_config(cfg, seeds):
-    """The SSL config of the runs on ``seeds``. Each run's dataset is drawn
-    here first, so that a draw that fails ends the command before any
-    output; each run's test accuracy needs at least one test row."""
+def _check_test_rows(cfg, seeds) -> None:
+    """Draw the dataset of the run on each of ``seeds`` first, so that a
+    draw that fails ends the command before any output; each run's test
+    accuracy needs at least one test row."""
     for s in seeds:
         if len(dataset_for_run(cfg.dataset, s).test_idx) == 0:
             raise ConfigError(f"dataset.test_fraction: {cfg.dataset.test_fraction:g} "
                               f"leaves no test rows, and test_acc needs at least one")
-    return cfg.ssl
 
 
 def _parse_seeds(text: str | None, default: int) -> list[int]:
@@ -134,16 +133,17 @@ def _parse_seeds(text: str | None, default: int) -> list[int]:
 def cmd_train_ssl(args) -> int:
     cfg = load_config(args.config)
     seeds = _parse_seeds(args.seeds, cfg.seed)
-    ssl_cfg = _ssl_config(cfg, seeds)
+    _check_test_rows(cfg, seeds)
     out = _resolve_out(args.out)
     echo_config(cfg, os.path.join(out, "config.json"))
     accs = {}
-    for s, result in zip(seeds, run_seeds(ssl_cfg, cfg.dataset, seeds)):
+    for s, result in zip(seeds, run_seeds(cfg.ssl, cfg.dataset, seeds)):
         write_metrics_csv(result, os.path.join(out, f"metrics_seed{s}.csv"))
         accs[s] = result.final_test_acc
         _log(out, f"train-ssl seed={s}: test_acc={result.final_test_acc:.4f} "
                   f"flow_steps={result.flow_steps} "
-                  f"fallbacks={result.perturb_fallbacks}")
+                  f"fallbacks={result.perturb_fallbacks} "
+                  f"isolation_violations={result.isolation_violations}")
     summary = {
         "config": cfg.effective,
         "seeds": seeds,
@@ -164,12 +164,12 @@ def cmd_train_ssl(args) -> int:
 def cmd_ablate(args) -> int:
     cfg = load_config(args.config)
     sweep = load_sweep(args.sweep)
-    ssl_cfg = _ssl_config(cfg, sweep.seeds)
+    _check_test_rows(cfg, sweep.seeds)
     out = _resolve_out(args.out)
     echo_config(cfg, os.path.join(out, "config.json"))
     _log(out, f"ablate: kinds={sweep.kinds} eps={sweep.eps} "
               f"lambda_ft={sweep.lambda_ft} seeds={sweep.seeds}")
-    rows = ablate(ssl_cfg, cfg.dataset, sweep)
+    rows = ablate(cfg.ssl, cfg.dataset, sweep)
     with open(os.path.join(out, "sweep.csv"), "w") as fh:
         fh.write("kind,eps,lambda_ft,seed,test_acc\n")
         for r in rows:

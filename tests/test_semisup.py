@@ -201,7 +201,7 @@ class TestAugmentations:
 
 class TestTrainSsl:
     def test_smoke_and_metrics_shape(self):
-        res = train_ssl(tiny_config(), tiny_data(), check_isolation=True)
+        res = train_ssl(tiny_config(), tiny_data())
         assert len(res.rows) == 4
         assert set(res.rows[0]) == set(METRIC_COLUMNS)
         assert res.isolation_violations == 0
@@ -218,11 +218,13 @@ class TestTrainSsl:
             return perturbation(v, cfg, rng, flow_model=flow_model, **kw)
 
         monkeypatch.setattr(semisup, "generate_perturbation", leaking)
-        res = train_ssl(tiny_config(), tiny_data(), check_isolation=True)
+        res = train_ssl(tiny_config(), tiny_data())
         assert calls[0] > 0
         assert res.isolation_violations == calls[0]   # one per iteration it ran in
 
-    def test_isolation_check_counts_a_flow_step_that_writes_to_the_student(self, monkeypatch):
+    @staticmethod
+    def leak_flow_steps_into_the_student(monkeypatch):
+        """Make every flow step write to the student of the latest run."""
         students = []
         init, step = semisup.init_model, estimator.flow_train_step
 
@@ -236,11 +238,29 @@ class TestTrainSsl:
 
         monkeypatch.setattr(semisup, "init_model", recorded)
         monkeypatch.setattr(estimator, "flow_train_step", leaking)
+
+    def test_isolation_check_counts_a_flow_step_that_writes_to_the_student(self, monkeypatch):
+        self.leak_flow_steps_into_the_student(monkeypatch)
         cfg = tiny_config(lambda_ft=0.0)
-        res = train_ssl(cfg, tiny_data(), check_isolation=True)
+        # in this process: a split run's worker holds a student no flow step reaches
+        res = train_ssl(cfg, tiny_data(), may_split=False)
         iterations = res.flow_steps // cfg.flow_train.updates_per_iteration
         assert iterations > 0
         assert res.isolation_violations == iterations   # every iteration with flow steps
+
+    def test_isolation_check_counts_in_every_run_of_a_multi_seed_command(self, monkeypatch):
+        # train-ssl --seeds 0,1 at lambda_ft 0: both runs step their flow in
+        # this process, and each checks isolation without being asked to
+        self.leak_flow_steps_into_the_student(monkeypatch)
+        cfg = tiny_config(lambda_ft=0.0)
+        spec = DataSpec(kind="moons", n=120, noise=0.1, labeled_per_class=4,
+                        test_fraction=0.25)
+        results = list(run_seeds(cfg, spec, [0, 1]))
+        assert len(results) == 2
+        for res in results:
+            iterations = res.flow_steps // cfg.flow_train.updates_per_iteration
+            assert iterations > 0
+            assert res.isolation_violations == iterations
 
     def test_deterministic_given_seed(self):
         a = train_ssl(tiny_config(), tiny_data())

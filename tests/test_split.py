@@ -17,8 +17,8 @@ from densitydescent import estimator, semisup
 from densitydescent.cli import main
 from densitydescent.errors import NumericError
 from densitydescent.estimator import FlowTrainConfig
-from densitydescent.flow import FlowArch
 from densitydescent.perturb import PerturbConfig
+from recipe import SMALL_SPEC, small_config
 
 pytestmark = pytest.mark.skipif(
     not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2
@@ -26,23 +26,8 @@ pytestmark = pytest.mark.skipif(
     reason="a run splits only where it can fork onto a second core")
 
 
-def config(**kw):
-    # tau 0.6 lets pseudo labels pass, so every perturbation kind moves the
-    # feature loss; two flow updates per iteration
-    defaults = dict(
-        epochs=3, batch_labeled=8, batch_unlabeled=16, lr=0.05, feature_dim=2,
-        hidden=16, flow=FlowArch(hidden=16), sigma_weak=0.02, sigma_strong=0.1,
-        drop_prob=0.05, ema_momentum=0.95, tau=0.6, lambda_ft=0.5,
-        flow_train=FlowTrainConfig(sample_budget=64, warm_start_epoch=1,
-                                   updates_per_iteration=2),
-        seed=0)
-    defaults.update(kw)
-    return semisup.SslConfig(**defaults)
-
-
 def dataset():
-    return semisup.dataset_for_run(
-        semisup.DataSpec(n=120, noise=0.1, labeled_per_class=4, test_fraction=0.25), 0)
+    return semisup.dataset_for_run(SMALL_SPEC, 0)
 
 
 ARMS = {
@@ -74,10 +59,10 @@ def workers(monkeypatch):
 
 @pytest.mark.parametrize("arm", list(ARMS))
 def test_split_run_equals_in_process_run(arm, workers):
-    cfg, ds = config(**ARMS[arm]), dataset()
+    cfg, ds = small_config(**ARMS[arm]), dataset()
     split = semisup.train_ssl(cfg, ds)
     assert workers == {"splits": 1, "starts": 1}
-    alone = semisup.train_ssl(cfg, ds, check_isolation=True)
+    alone = semisup.train_ssl(cfg, ds, may_split=False)
     assert workers["splits"] == 1 and alone.isolation_violations == 0
 
     assert len(split.rows) == cfg.epochs
@@ -91,7 +76,7 @@ def test_split_run_equals_in_process_run(arm, workers):
     assert split.latent.means.tobytes() == alone.latent.means.tobytes()
     assert split.latent.log_weights.tobytes() == alone.latent.log_weights.tobytes()
     for name in ("flow_steps", "perturb_fallbacks", "warming_iterations",
-                 "final_test_acc"):
+                 "isolation_violations", "final_test_acc"):
         assert getattr(split, name) == getattr(alone, name), name
     assert split.flow_steps == cfg.epochs * 6 * 2
     if cfg.lambda_ft > 0:
@@ -99,8 +84,8 @@ def test_split_run_equals_in_process_run(arm, workers):
         assert any(row["L_ft"] > 0 for row in split.rows)
 
 
-@pytest.mark.parametrize("check_isolation", [False, True], ids=["split", "in-process"])
-def test_l_flow_sums_each_iterations_last_loss_in_order(check_isolation, monkeypatch):
+@pytest.mark.parametrize("may_split", [True, False], ids=["split", "in-process"])
+def test_l_flow_sums_each_iterations_last_loss_in_order(may_split, monkeypatch):
     losses = []
     step = estimator.flow_train_step
 
@@ -109,8 +94,8 @@ def test_l_flow_sums_each_iterations_last_loss_in_order(check_isolation, monkeyp
         return losses[-1]
 
     monkeypatch.setattr(estimator, "flow_train_step", recorded)
-    cfg = config(lambda_ft=0.0, batch_unlabeled=8)
-    result = semisup.train_ssl(cfg, dataset(), check_isolation=check_isolation)
+    cfg = small_config(lambda_ft=0.0, batch_unlabeled=8)
+    result = semisup.train_ssl(cfg, dataset(), may_split=may_split)
     per_epoch, updates = 11, cfg.flow_train.updates_per_iteration
     assert len(losses) == cfg.epochs * per_epoch * updates
     last = losses[updates - 1::updates]
@@ -123,21 +108,20 @@ def test_l_flow_sums_each_iterations_last_loss_in_order(check_isolation, monkeyp
 
 def test_runs_that_read_the_flow_or_take_no_flow_step_stay_in_process(monkeypatch):
     ds = dataset()
-    assert semisup._splits(config(lambda_ft=0.0), ds, False)
-    dd = config(perturb=PerturbConfig(kind="density-descending"))
-    assert not semisup._splits(dd, ds, False)
-    assert semisup._splits(replace(dd, lambda_ft=0.0), ds, False)
-    assert not semisup._splits(config(lambda_ft=0.0), ds, True)
-    late = config(lambda_ft=0.0, flow_train=FlowTrainConfig(sample_budget=64,
-                                                            warm_start_epoch=4))
-    assert not semisup._splits(late, ds, False)
+    assert semisup._splits(small_config(lambda_ft=0.0), ds)
+    dd = small_config(perturb=PerturbConfig(kind="density-descending"))
+    assert not semisup._splits(dd, ds)
+    assert semisup._splits(replace(dd, lambda_ft=0.0), ds)
+    late = small_config(lambda_ft=0.0,
+                        flow_train=FlowTrainConfig(sample_budget=64, warm_start_epoch=4))
+    assert not semisup._splits(late, ds)
     supervised = replace(ds, unlabeled_idx=ds.unlabeled_idx[:0])
-    assert not semisup._splits(config(lambda_ft=0.0), supervised, False)
+    assert not semisup._splits(small_config(lambda_ft=0.0), supervised)
     with monkeypatch.context() as m:   # a multiprocessing.Pool worker
         m.setattr(multiprocessing.current_process(), "daemon", True)
-        assert not semisup._splits(config(lambda_ft=0.0), ds, False)
+        assert not semisup._splits(small_config(lambda_ft=0.0), ds)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert not semisup._splits(config(lambda_ft=0.0), ds, False)
+    assert not semisup._splits(small_config(lambda_ft=0.0), ds)
 
 
 def fail_at_call(monkeypatch, n, fail):
@@ -171,13 +155,13 @@ def test_worker_error_comes_after_the_finished_iterations_pools(monkeypatch, wor
         return loss
 
     monkeypatch.setattr(estimator, "flow_train_step", recorded)
-    cfg, ds = config(lambda_ft=0.0), dataset()
+    cfg, ds = small_config(lambda_ft=0.0), dataset()
     with pytest.raises(NumericError, match="^student failed at call 8$"):
         semisup.train_ssl(cfg, ds)
     assert workers["splits"] == 1 and calls[0] == 0   # the worker took every call
     split, stepped[:] = stepped[:], []
     with pytest.raises(NumericError, match="^student failed at call 8$"):
-        semisup.train_ssl(cfg, ds, check_isolation=True)
+        semisup.train_ssl(cfg, ds, may_split=False)
     assert len(stepped) == 7 * cfg.flow_train.updates_per_iteration
     assert len(split) == len(stepped)
     assert split[-1].tobytes() == stepped[-1].tobytes()
