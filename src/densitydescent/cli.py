@@ -143,7 +143,8 @@ def cmd_train_ssl(args) -> int:
         _log(out, f"train-ssl seed={s}: test_acc={result.final_test_acc:.4f} "
                   f"flow_steps={result.flow_steps} "
                   f"fallbacks={result.perturb_fallbacks} "
-                  f"isolation_violations={result.isolation_violations}")
+                  f"isolation_violations={result.isolation_violations} "
+                  f"warming_iterations={result.warming_iterations}")
     summary = {
         "config": cfg.effective,
         "seeds": seeds,

@@ -320,31 +320,3 @@ def grad(objective: Tensor, wrt: Sequence[Tensor]) -> list[np.ndarray]:
         g = table.get(id(w))
         out.append(np.zeros_like(w.data) if g is None else np.array(g, dtype=np.float64))
     return out
-
-
-def finite_check(fn: Callable[..., Tensor], wrt: Sequence[Tensor], h: float = 1e-4) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    ``fn`` rebuilds the scalar objective from the given leaf tensors; their
-    ``data`` buffers are perturbed in place one coordinate at a time.
-    Relative error per coordinate is |g_a - g_fd| / max(1, |g_fd|).
-    """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    analytic = grad(fn(*wrt), wrt)
-    worst = 0.0
-    for w, ga in zip(wrt, analytic):
-        flat = w.data.reshape(-1)
-        gflat = ga.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            fp = float(fn(*wrt).data)
-            flat[i] = orig - h
-            fm = float(fn(*wrt).data)
-            flat[i] = orig
-            gfd = (fp - fm) / (2.0 * h)
-            err = abs(gflat[i] - gfd) / max(1.0, abs(gfd))
-            if err > worst:
-                worst = err
-    return worst

@@ -15,13 +15,18 @@ class WorkerLost(RuntimeError):
     """A forked worker exited before it finished its stream."""
 
 
+def usable_cores() -> int:
+    """The cores this process may run on: its affinity set, or 1 where the
+    host does not say."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
 def can_fork() -> bool:
     """Whether this process may fork one worker onto a second core: it has at
     least two usable cores, the host offers the ``fork`` start method, and
     this process is not daemonic (a ``multiprocessing.Pool`` worker may not
     start children). Decided by the host alone."""
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if cores < 2:
+    if usable_cores() < 2:
         return False
     import multiprocessing
     return ("fork" in multiprocessing.get_all_start_methods()
@@ -109,7 +114,7 @@ def ordered(fn, jobs):
     before them; every worker is reaped.
     """
     jobs = list(jobs)
-    n = min(len(os.sched_getaffinity(0)), len(jobs)) if len(jobs) > 1 and can_fork() else 1
+    n = min(usable_cores(), len(jobs)) if len(jobs) > 1 and can_fork() else 1
     with ExitStack() as stack:
         streams = [_by_job(fn, jobs[::n])] + [
             stack.enter_context(closing(streamed(_by_job, fn, jobs[i::n])))

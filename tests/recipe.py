@@ -1,7 +1,8 @@
 """The desk-scale two-moons benchmark recipe: the shipped
 ``configs/moons_ssl.json``, read the way ``train-ssl`` reads it; the
-shipped configs with some keys replaced, for tests that run the CLI; and
-one small run that tests hold to itself under other process layouts."""
+shipped configs with some keys replaced, and one small config document, for
+tests that run the CLI; and one small run that tests hold to itself under
+other process layouts."""
 
 import json
 import os
@@ -10,6 +11,7 @@ from dataclasses import replace
 from densitydescent.data import DataSpec
 from densitydescent.estimator import FlowTrainConfig
 from densitydescent.flow import FlowArch
+from densitydescent.perturb import PerturbConfig
 from densitydescent.runconfig import load_config
 from densitydescent.semisup import SslConfig
 
@@ -37,6 +39,29 @@ def shipped_config(tmp_path, shipped, name, **sections):
     return str(path)
 
 
+SMALL_DOC = {
+    "dataset": {"n": 120, "noise": 0.1, "test_fraction": 0.25},
+    "flow": {"hidden": 16},
+    "flow_train": {"sample_budget": 64, "warm_start_epoch": 1},
+    "ssl": {"epochs": 3, "batch_unlabeled": 32, "hidden": 16, "feature_dim": 2},
+}
+
+
+def small_doc(tmp_path, name="small.json", **sections):
+    """The path of ``SMALL_DOC``, a 3-epoch run on 120 two-moons points,
+    written to ``tmp_path`` as ``name``, with some of its sections' keys
+    replaced; a value that is not a dict sets a top-level key (``seed``)."""
+    doc = json.loads(json.dumps(SMALL_DOC))
+    for key, value in sections.items():
+        if isinstance(value, dict):
+            doc.setdefault(key, {}).update(value)
+        else:
+            doc[key] = value
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 def small_config(**kw):
     """A 3-epoch run on ``SMALL_SPEC``, with some fields replaced. tau 0.6
     lets pseudo labels pass, so every perturbation kind moves the feature
@@ -52,4 +77,11 @@ def small_config(**kw):
     return SslConfig(**defaults)
 
 
+# the runs whose perturbation reads no flow, as ``small_config`` keywords
+NO_FLOW_ARMS = {
+    "lambda0": dict(lambda_ft=0.0),
+    "uniform-noise": dict(perturb=PerturbConfig(kind="uniform-noise")),
+    "channel-dropout": dict(perturb=PerturbConfig(kind="channel-dropout")),
+    "vat-lite": dict(perturb=PerturbConfig(kind="vat-lite")),
+}
 SMALL_SPEC = DataSpec(n=120, noise=0.1, labeled_per_class=4, test_fraction=0.25)

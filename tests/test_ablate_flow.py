@@ -14,33 +14,24 @@ import pytest
 from densitydescent import estimator, semisup
 from densitydescent.cli import main
 from densitydescent.perturb import KINDS, PerturbConfig
-from recipe import SMALL_SPEC, small_config
+from layouts import starts  # noqa: F401  (a fixture)
+from recipe import NO_FLOW_ARMS, SMALL_SPEC, small_config, small_doc
 
 
-NO_FLOW_ARMS = {
-    "lambda0": dict(lambda_ft=0.0),
-    "uniform-noise": dict(perturb=PerturbConfig(kind="uniform-noise")),
-    "channel-dropout": dict(perturb=PerturbConfig(kind="channel-dropout")),
-    "vat-lite": dict(perturb=PerturbConfig(kind="vat-lite")),
-}
 COUNTERS = ("perturb_fallbacks", "warming_iterations", "isolation_violations",
             "final_test_acc")
 
 
 @pytest.fixture
 def flow_work(monkeypatch):
-    """Counts of flow steps, of forked workers entered and of the teacher
-    encodes that feed the flow's pools, in this process."""
-    counts = {"flow_steps": 0, "forks": 0, "pool_encodes": 0}
-    step, streamed, features = estimator.flow_train_step, semisup.streamed, semisup.Model.features
+    """Counts of flow steps and of the teacher encodes that feed the flow's
+    pools, in this process."""
+    counts = {"flow_steps": 0, "pool_encodes": 0}
+    step, features = estimator.flow_train_step, semisup.Model.features
 
     def counted_step(*args, **kw):
         counts["flow_steps"] += 1
         return step(*args, **kw)
-
-    def counted_streamed(*args):
-        counts["forks"] += 1
-        return streamed(*args)
 
     def counted_features(model, x):
         # the loop's own calls encode pools; predictions go through logits
@@ -49,7 +40,6 @@ def flow_work(monkeypatch):
         return features(model, x)
 
     monkeypatch.setattr(estimator, "flow_train_step", counted_step)
-    monkeypatch.setattr(semisup, "streamed", counted_streamed)
     monkeypatch.setattr(semisup.Model, "features", counted_features)
     return counts
 
@@ -60,12 +50,12 @@ def bits(row, columns):
 
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("arm", list(NO_FLOW_ARMS))
-def test_no_flow_run_equals_the_run_with_its_flow(arm, seed, flow_work):
+def test_no_flow_run_equals_the_run_with_its_flow(arm, seed, flow_work, starts):
     cfg = small_config(seed=seed, **NO_FLOW_ARMS[arm])
     ds = semisup.dataset_for_run(SMALL_SPEC, seed)
     assert not semisup.reads_flow(cfg)
     bare = semisup.train_ssl(cfg, ds, keep_flow=False)
-    assert flow_work == {"flow_steps": 0, "forks": 0, "pool_encodes": 0}
+    assert flow_work == {"flow_steps": 0, "pool_encodes": 0} and starts[0] == 0
     kept = semisup.train_ssl(cfg, ds)
     assert flow_work["flow_steps"] == kept.flow_steps == cfg.epochs * 6 * 2
 
@@ -85,14 +75,14 @@ def test_no_flow_run_equals_the_run_with_its_flow(arm, seed, flow_work):
         assert any(row["L_ft"] > 0 for row in bare.rows)
 
 
-def test_density_descending_run_keeps_its_flow(flow_work):
+def test_density_descending_run_keeps_its_flow(flow_work, starts):
     cfg = small_config(perturb=PerturbConfig(kind="density-descending"))
     ds = semisup.dataset_for_run(SMALL_SPEC, 0)
     assert semisup.reads_flow(cfg)
     asked = semisup.train_ssl(cfg, ds, keep_flow=False)
     # two encodes an iteration, feeding two flow steps
-    assert flow_work == {"flow_steps": asked.flow_steps, "forks": 0,
-                         "pool_encodes": asked.flow_steps}
+    assert flow_work == {"flow_steps": asked.flow_steps, "pool_encodes": asked.flow_steps}
+    assert starts[0] == 0
     kept = semisup.train_ssl(cfg, ds)
     assert asked.flow_steps == kept.flow_steps == cfg.epochs * 6 * 2
     for a, b in zip(asked.rows, kept.rows):
@@ -116,31 +106,22 @@ def test_loop_without_a_flow_fails_a_perturbation_that_reads_the_flow():
 def test_sweep_csv_is_the_train_ssl_accuracies(tmp_path, flow_work):
     # every kind at lambda_ft 0 and 0.5, two seeds: 16 cells, of which only
     # the two density-descending cells at 0.5 train a flow
-    doc = {
-        "seed": 0,
-        "dataset": {"n": 120, "noise": 0.1, "test_fraction": 0.25},
-        "flow": {"hidden": 16},
-        "flow_train": {"sample_budget": 64, "warm_start_epoch": 1},
-        "ssl": {"epochs": 3, "batch_unlabeled": 32, "hidden": 16, "feature_dim": 2,
-                "tau": 0.6},
-    }
-    config_path, sweep_path = tmp_path / "ssl.json", tmp_path / "sweep.json"
-    config_path.write_text(json.dumps(doc))
+    sweep_path = tmp_path / "sweep.json"
     lambdas = [0.0, 0.5]
     sweep_path.write_text(json.dumps({"kinds": list(KINDS), "lambda_ft": lambdas,
                                       "seeds": [0, 1]}))
     out = tmp_path / "ablate"
-    assert main(["ablate", "--config", str(config_path), "--sweep", str(sweep_path),
-                 "--out", str(out)]) == 0
+    assert main(["ablate", "--config", small_doc(tmp_path, ssl={"tau": 0.6}),
+                 "--sweep", str(sweep_path), "--out", str(out)]) == 0
     assert flow_work["flow_steps"] == 2 * 3 * 3   # 3 epochs of 3 iterations, 1 update
 
     lines = ["kind,eps,lambda_ft,seed,test_acc"]
     for kind in KINDS:
         for lam in lambdas:
-            doc["perturb"], doc["ssl"]["lambda_ft"] = {"kind": kind}, lam
-            config_path.write_text(json.dumps(doc))
+            config = small_doc(tmp_path, f"{kind}-{lam}.json", perturb={"kind": kind},
+                               ssl={"tau": 0.6, "lambda_ft": lam})
             run = tmp_path / f"{kind}-{lam}"
-            assert main(["train-ssl", "--config", str(config_path), "--out", str(run),
+            assert main(["train-ssl", "--config", config, "--out", str(run),
                          "--seeds", "0,1"]) == 0
             summary = json.loads((run / "summary.json").read_text())
             eps = summary["config"]["perturb"]["eps"]

@@ -1,6 +1,4 @@
 import json
-import multiprocessing
-import os
 
 import numpy as np
 import pytest
@@ -10,8 +8,7 @@ from densitydescent.cli import main
 from densitydescent.flow import load_checkpoint
 from densitydescent.latent import marginal_loglik
 from densitydescent.oracle import grid_density_dump
-from densitydescent.perturb import KINDS
-from recipe import CONFIG
+from recipe import CONFIG, small_doc
 
 
 def write_json(path, doc):
@@ -32,14 +29,7 @@ def small_fit_config(tmp_path):
 
 @pytest.fixture
 def small_ssl_config(tmp_path):
-    return write_json(tmp_path / "ssl.json", {
-        "seed": 0,
-        "dataset": {"n": 120, "noise": 0.1, "test_fraction": 0.25},
-        "flow": {"hidden": 16},
-        "flow_train": {"sample_budget": 64, "warm_start_epoch": 1},
-        "ssl": {"epochs": 3, "batch_unlabeled": 32, "hidden": 16,
-                "feature_dim": 2},
-    })
+    return small_doc(tmp_path)
 
 
 class TestFitDensity:
@@ -147,18 +137,9 @@ class TestTrainSsl:
 
     def test_lambda_zero_runs_differ_only_in_branch(self, tmp_path):
         # same seed, lambda_ft=0: perturbation kind must not matter
-        base = {
-            "seed": 1,
-            "dataset": {"n": 120, "noise": 0.1, "test_fraction": 0.25},
-            "flow": {"hidden": 16},
-            "flow_train": {"sample_budget": 64, "warm_start_epoch": 1},
-            "ssl": {"epochs": 3, "batch_unlabeled": 32, "hidden": 16,
-                    "feature_dim": 2, "lambda_ft": 0.0},
-        }
-        cfg_dd = write_json(tmp_path / "dd.json", base)
-        base2 = json.loads(json.dumps(base))
-        base2["perturb"] = {"kind": "uniform-noise"}
-        cfg_un = write_json(tmp_path / "un.json", base2)
+        cfg_dd = small_doc(tmp_path, "dd.json", seed=1, ssl={"lambda_ft": 0.0})
+        cfg_un = small_doc(tmp_path, "un.json", seed=1, ssl={"lambda_ft": 0.0},
+                           perturb={"kind": "uniform-noise"})
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
         main(["train-ssl", "--config", cfg_dd, "--out", str(out1)])
         main(["train-ssl", "--config", cfg_un, "--out", str(out2)])
@@ -252,10 +233,7 @@ class TestAblate:
 
 class TestVerify:
     def test_identity_and_randomized_flows_pass(self, tmp_path):
-        cfg = write_json(tmp_path / "v.json", {
-            "flow": {"hidden": 16},
-            "verify": {"dims": [2, 4], "mc_samples": 60_000},
-        })
+        cfg = small_doc(tmp_path, verify={"dims": [2, 4], "mc_samples": 60_000})
         assert main(["verify", "--config", cfg]) == 0
 
     def test_checks_the_kernel_not_the_tape(self, tmp_path, capsys, monkeypatch):
@@ -268,21 +246,15 @@ class TestVerify:
                 monkeypatch.setattr(f"densitydescent.{module}.{name}", tape,
                                     raising=False)
         monkeypatch.setattr("densitydescent.diffcore.grad", tape)
-        cfg = write_json(tmp_path / "v.json", {
-            "flow": {"hidden": 16},
-            "verify": {"dims": [2, 4], "mc_samples": 20_000},
-        })
+        cfg = small_doc(tmp_path, verify={"dims": [2, 4], "mc_samples": 20_000})
         assert main(["verify", "--config", cfg]) == 0
         assert "verify: 14/14 checks passed" in capsys.readouterr().out
 
     def test_verify_loaded_checkpoint(self, small_fit_config, tmp_path):
         out = tmp_path / "fitrun"
         main(["fit-density", "--config", small_fit_config, "--out", str(out)])
-        cfg = write_json(tmp_path / "v.json", {
-            "flow": {"hidden": 16},
-            "verify": {"checkpoint": str(out / "checkpoint.npz"),
-                       "mc_samples": 60_000},
-        })
+        cfg = small_doc(tmp_path, verify={"checkpoint": str(out / "checkpoint.npz"),
+                                          "mc_samples": 60_000})
         assert main(["verify", "--config", cfg]) == 0
 
 
@@ -303,68 +275,9 @@ class TestExitCodes:
     def test_numeric_abort_exit_code(self, tmp_path):
         # an absurd flow learning rate overflows the conditioner shift, so
         # the flow loss goes non-finite and the run must abort with code 3
-        cfg = write_json(tmp_path / "c.json", {
-            "dataset": {"n": 120, "noise": 0.1, "test_fraction": 0.25},
-            "flow": {"hidden": 16},
-            "flow_train": {"lr": 1e200, "sample_budget": 64,
-                           "warm_start_epoch": 1},
-            "ssl": {"epochs": 4, "batch_unlabeled": 32, "hidden": 16,
-                    "feature_dim": 2},
-        })
+        cfg = small_doc(tmp_path, flow_train={"lr": 1e200}, ssl={"epochs": 4})
         assert main(["train-ssl", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 3
-
-
-no_fork = "fork" not in multiprocessing.get_all_start_methods()
-
-
-def forks(cores):
-    return pytest.mark.skipif(no_fork and cores > 1, reason="needs fork")
-
-
-@pytest.mark.parametrize("command,kind,seeds,cores,started", [
-    pytest.param("train-ssl", None, "0,1", 4, 0, id="train-ssl-lambda0"),
-    *[pytest.param("train-ssl", kind, "0,1", 4, 0, id=f"train-ssl-{kind}") for kind in KINDS],
-    *[pytest.param("train-ssl", None, "0", cores, min(cores, 2) - 1, marks=forks(cores),
-                   id=f"train-ssl-one-run-{cores}-cores") for cores in (1, 2, 4)],
-    pytest.param("train-ssl", "density-descending", "0", 4, 0, id="train-ssl-one-run-reads-flow"),
-    pytest.param("ablate", None, None, 4, 0, id="ablate"),
-    pytest.param("fit-density", None, None, 4, 0, id="fit-density"),
-    *[pytest.param("verify", None, None, cores, cores - 1, marks=forks(cores),
-                   id=f"verify-{cores}-cores") for cores in (1, 2, 4)],
-])
-def test_no_command_starts_more_processes_than_usable_cores(command, kind, seeds, cores,
-                                                            started, tmp_path, monkeypatch):
-    # a run at lambda_ft 0 (kind None) or of a baseline kind splits onto a
-    # second core only when it is its command's one run; verify deals its
-    # pairs to one worker per usable core past this one
-    count = [0]
-    start = multiprocessing.process.BaseProcess.start
-
-    def counted_start(process):
-        count[0] += 1
-        return start(process)
-
-    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counted_start)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
-                        raising=False)
-    config = CONFIG if command == "verify" else write_json(tmp_path / "c.json", {
-        "dataset": {"n": 120, "noise": 0.1, "test_fraction": 0.25},
-        "flow": {"hidden": 16},
-        "flow_train": {"sample_budget": 64, "warm_start_epoch": 1},
-        "fit": {"steps": 5, "batch": 64},
-        "perturb": {"kind": kind or "density-descending"},
-        "ssl": {"epochs": 2, "batch_unlabeled": 32, "hidden": 16,
-                "lambda_ft": 0.0 if kind is None else 1.0}})
-    argv = {"train-ssl": ["--seeds", str(seeds)], "verify": [],
-            "ablate": ["--sweep", write_json(tmp_path / "sweep.json", {
-                "kinds": list(KINDS), "lambda_ft": [0.0, 1.0], "seeds": [0, 1]})],
-            "fit-density": []}[command]
-    if command != "verify":
-        argv += ["--out", str(tmp_path / "run")]
-    assert main([command, "--config", config, *argv]) in (0, 1)   # verify's known FAIL
-    assert count[0] == started
-    assert multiprocessing.active_children() == []
 
 
 def test_out_root_env_override(small_fit_config, tmp_path, monkeypatch):

@@ -4,10 +4,8 @@ back (``worker.streamed``), and the calling process steps the flow on them.
 These tests hold the split run to the same run in one process, bit for bit,
 and pin the order in which errors surface."""
 
-import json
 import multiprocessing
 import os
-import signal
 from dataclasses import replace
 
 import numpy as np
@@ -18,52 +16,26 @@ from densitydescent.cli import main
 from densitydescent.errors import NumericError
 from densitydescent.estimator import FlowTrainConfig
 from densitydescent.perturb import PerturbConfig
-from recipe import SMALL_SPEC, small_config
+from densitydescent.worker import can_fork
+from layouts import deadline, starts  # noqa: F401  (fixtures)
+from layouts import installed
+from recipe import NO_FLOW_ARMS, SMALL_SPEC, small_config, small_doc
 
-pytestmark = pytest.mark.skipif(
-    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2
-    or "fork" not in multiprocessing.get_all_start_methods(),
-    reason="a run splits only where it can fork onto a second core")
+pytestmark = pytest.mark.skipif(not can_fork(),
+                                reason="a run splits only where it can fork onto a second core")
 
 
 def dataset():
     return semisup.dataset_for_run(SMALL_SPEC, 0)
 
 
-ARMS = {
-    "lambda0": dict(lambda_ft=0.0),
-    "uniform-noise": dict(perturb=PerturbConfig(kind="uniform-noise")),
-    "channel-dropout": dict(perturb=PerturbConfig(kind="channel-dropout")),
-    "vat-lite": dict(perturb=PerturbConfig(kind="vat-lite")),
-}
-
-
-@pytest.fixture
-def workers(monkeypatch):
-    """Counts of split runs (streamed loops) and of started worker processes."""
-    counts = {"splits": 0, "starts": 0}
-    split, start = semisup.streamed, multiprocessing.process.BaseProcess.start
-
-    def counted_split(*args):
-        counts["splits"] += 1
-        return split(*args)
-
-    def counted_start(self):
-        counts["starts"] += 1
-        return start(self)
-
-    monkeypatch.setattr(semisup, "streamed", counted_split)
-    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counted_start)
-    return counts
-
-
-@pytest.mark.parametrize("arm", list(ARMS))
-def test_split_run_equals_in_process_run(arm, workers):
-    cfg, ds = small_config(**ARMS[arm]), dataset()
+@pytest.mark.parametrize("arm", list(NO_FLOW_ARMS))
+def test_split_run_equals_in_process_run(arm, starts):
+    cfg, ds = small_config(**NO_FLOW_ARMS[arm]), dataset()
     split = semisup.train_ssl(cfg, ds)
-    assert workers == {"splits": 1, "starts": 1}
+    assert starts[0] == 1
     alone = semisup.train_ssl(cfg, ds, may_split=False)
-    assert workers["splits"] == 1 and alone.isolation_violations == 0
+    assert starts[0] == 1 and alone.isolation_violations == 0
 
     assert len(split.rows) == cfg.epochs
     for a, b in zip(split.rows, alone.rows):
@@ -120,8 +92,8 @@ def test_runs_that_read_the_flow_or_take_no_flow_step_stay_in_process(monkeypatc
     with monkeypatch.context() as m:   # a multiprocessing.Pool worker
         m.setattr(multiprocessing.current_process(), "daemon", True)
         assert not semisup._splits(small_config(lambda_ft=0.0), ds)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert not semisup._splits(small_config(lambda_ft=0.0), ds)
+    with installed("cores1"):
+        assert not semisup._splits(small_config(lambda_ft=0.0), ds)
 
 
 def fail_at_call(monkeypatch, n, fail):
@@ -139,7 +111,7 @@ def fail_at_call(monkeypatch, n, fail):
     return calls
 
 
-def test_worker_error_comes_after_the_finished_iterations_pools(monkeypatch, workers):
+def test_worker_error_comes_after_the_finished_iterations_pools(monkeypatch, starts):
     # the 8th student step is epoch 2's second iteration: the flow must have
     # taken the steps of the seven before it, as in one process
     def fail():
@@ -158,7 +130,7 @@ def test_worker_error_comes_after_the_finished_iterations_pools(monkeypatch, wor
     cfg, ds = small_config(lambda_ft=0.0), dataset()
     with pytest.raises(NumericError, match="^student failed at call 8$"):
         semisup.train_ssl(cfg, ds)
-    assert workers["splits"] == 1 and calls[0] == 0   # the worker took every call
+    assert starts[0] == 1 and calls[0] == 0   # the worker took every call
     split, stepped[:] = stepped[:], []
     with pytest.raises(NumericError, match="^student failed at call 8$"):
         semisup.train_ssl(cfg, ds, may_split=False)
@@ -169,7 +141,7 @@ def test_worker_error_comes_after_the_finished_iterations_pools(monkeypatch, wor
 
 
 def test_worker_that_dies_without_a_message_exits_4_promptly(tmp_path, monkeypatch, capsys,
-                                                            workers):
+                                                            starts, deadline):
     parent = os.getpid()
 
     def die():
@@ -177,54 +149,10 @@ def test_worker_that_dies_without_a_message_exits_4_promptly(tmp_path, monkeypat
             os._exit(7)
 
     fail_at_call(monkeypatch, 5, die)
-
-    def timeout(signum, frame):
-        raise TimeoutError("the caller waited on a dead worker")
-
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({
-        "dataset": {"n": 120, "noise": 0.1, "test_fraction": 0.25},
-        "flow": {"hidden": 16},
-        "flow_train": {"sample_budget": 64, "warm_start_epoch": 1},
-        "ssl": {"epochs": 3, "batch_unlabeled": 16, "hidden": 16, "feature_dim": 2,
-                "lambda_ft": 0.0},
-    }))
-    previous = signal.signal(signal.SIGALRM, timeout)
-    signal.alarm(30)
-    try:
-        code = main(["train-ssl", "--config", str(cfg), "--out", str(tmp_path / "run")])
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+    cfg = small_doc(tmp_path, ssl={"batch_unlabeled": 16, "lambda_ft": 0.0})
+    code = main(["train-ssl", "--config", cfg, "--out", str(tmp_path / "run")])
     err = capsys.readouterr().err
     assert code == 4
     assert err == "worker lost: a forked worker exited with code 7 before it finished\n"
-    assert workers["splits"] == 1
+    assert starts[0] == 1
     assert multiprocessing.active_children() == []
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("where,lr,warm_start", [
-    ("student", 1e250, 2),   # the worker's loss overflows before any flow step
-    ("flow", 1e200, 1),      # the caller's flow loss overflows on huge features
-])
-def test_numeric_abort_is_the_in_process_one(where, lr, warm_start, tmp_path,
-                                            monkeypatch, capsys, workers):
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({
-        "dataset": {"n": 120, "noise": 0.1, "test_fraction": 0.25},
-        "flow": {"hidden": 16},
-        "flow_train": {"sample_budget": 64, "warm_start_epoch": warm_start},
-        "ssl": {"epochs": 4, "batch_unlabeled": 32, "hidden": 16, "feature_dim": 2,
-                "lambda_ft": 0.0, "lr": lr},
-    }))
-    assert main(["train-ssl", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 3
-    split = capsys.readouterr().err
-    assert workers["splits"] == 1
-    assert multiprocessing.active_children() == []
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert main(["train-ssl", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 3
-    assert workers["splits"] == 1
-    assert split == capsys.readouterr().err
-    assert split.startswith("numeric abort: non-finite " + (
-        "training loss" if where == "student" else "flow loss"))

@@ -16,7 +16,8 @@ import os
 import pytest
 
 from densitydescent import cli, diffcore, estimator, semisup
-from densitydescent.runconfig import parse_config
+from densitydescent.runconfig import load_config, parse_config
+from recipe import small_doc
 
 TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "perfbench", "tracing.py")
@@ -68,13 +69,12 @@ def test_every_fit_density_step_is_traced_with_its_flops(tracing, tmp_path):
 
 
 @pytest.mark.parametrize("lambda_ft", [1.0, 0.0], ids=["in-process", "split"])
-def test_every_train_ssl_flow_step_is_traced_with_its_flops(lambda_ft, tracing):
+def test_every_train_ssl_flow_step_is_traced_with_its_flops(lambda_ft, tracing, tmp_path):
     # at lambda_ft 0 the loop runs in a forked worker where the host can
     # fork, and the flow still steps in this process
-    cfg = parse_config({
-        "dataset": {"n": 120, "noise": 0.1, "test_fraction": 0.25},
-        "flow": {"hidden": 8}, "flow_train": {"sample_budget": 32, "warm_start_epoch": 1},
-        "ssl": {"epochs": 2, "batch_unlabeled": 32, "hidden": 8, "lambda_ft": lambda_ft}})
+    cfg = load_config(small_doc(tmp_path, flow={"hidden": 8},
+                                flow_train={"sample_budget": 32},
+                                ssl={"epochs": 2, "hidden": 8, "lambda_ft": lambda_ft}))
     ds = semisup.dataset_for_run(cfg.dataset, 0)
     tracer = tracing.Tracer()
     with tracer.installed():

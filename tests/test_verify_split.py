@@ -3,25 +3,27 @@ items in the caller. ``worker.ordered`` deals jobs round-robin to the calling
 process and to such workers on the other cores, and yields every job's items
 in job order. ``verify`` checks its (flow, latent) pairs through it and prints
 every row in the caller. These tests pin ``streamed``'s items, return value,
-errors and reaping, ``ordered``'s order, errors and in-caller path, hold the
-split ``verify``'s stdout, stderr and exit code to the same command run in one
-process, byte for byte, and check that a broken check fails."""
+errors and reaping, ``ordered``'s order, errors and in-caller path, and
+``verify``'s errors and lost workers, and check that a broken check fails.
+``tests/test_layouts.py`` holds ``verify``'s output under every layout to
+its output on one core."""
 
-import json
 import multiprocessing
 import os
-import signal
 import subprocess
 import sys
 import time
-from contextlib import closing
+from contextlib import closing, nullcontext
 
 import pytest
 
-from densitydescent import cli, worker
+import layouts
+from densitydescent import cli
 from densitydescent.cli import main
 from densitydescent.errors import NumericError
 from densitydescent.worker import WorkerLost, can_fork, ordered, streamed
+from layouts import deadline, starts  # noqa: F401  (fixtures)
+from recipe import small_doc
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -29,69 +31,8 @@ needs_fork = pytest.mark.skipif(not can_fork(),
                                 reason="verify splits only where it can fork onto a second core")
 
 
-def verify_config(tmp_path, dims=(2, 8), **verify):
-    path = tmp_path / "verify.json"
-    path.write_text(json.dumps({"flow": {"hidden": 16},
-                                "verify": {"dims": list(dims), "mc_samples": 20_000,
-                                           **verify}}))
-    return str(path)
-
-
-@pytest.fixture
-def starts(monkeypatch):
-    """The number of worker processes started."""
-    count = [0]
-    start = multiprocessing.process.BaseProcess.start
-
-    def counted_start(self):
-        count[0] += 1
-        return start(self)
-
-    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counted_start)
-    return count
-
-
-def workers_for(jobs):
-    """The workers ``ordered`` forks for ``jobs`` jobs: one per usable core
-    past the caller's, up to one process per job."""
-    return min(len(os.sched_getaffinity(0)), jobs) - 1
-
-
-def run_both(argv, monkeypatch, capsys, starts, pairs=4):
-    """``main(argv)`` split, then in one process: each run's (code, stdout,
-    stderr). The split run must start ``workers_for(pairs)`` workers and
-    leave none."""
-    split = main(argv), *capsys.readouterr()
-    assert starts[0] == workers_for(pairs)
-    assert multiprocessing.active_children() == []
-    with monkeypatch.context() as m:
-        m.setattr(worker, "can_fork", lambda: False)
-        alone = main(argv), *capsys.readouterr()
-    assert starts[0] == workers_for(pairs)
-    return split, alone
-
-
-@needs_fork
-@pytest.mark.parametrize("dims", [(2, 8), (2,), (2, 4, 8)])
-def test_split_stdout_equals_in_process_stdout(dims, tmp_path, monkeypatch, capsys, starts):
-    split, alone = run_both(["verify", "--config", verify_config(tmp_path, dims)],
-                            monkeypatch, capsys, starts, pairs=2 * len(dims))
-    assert split == alone
-    assert split[0] in (0, 1)
-    assert split[1].count("\n") == sum(4 if d == 2 else 3 for d in dims) * 2 + 1
-
-
-def test_checkpoint_stays_in_process(tmp_path, capsys, starts):
-    fit = tmp_path / "fit.json"
-    fit.write_text(json.dumps({
-        "seed": 3, "dataset": {"n": 200, "noise": 0.1, "test_fraction": 0.3},
-        "flow": {"hidden": 16}, "fit": {"steps": 20, "batch": 64, "grid": False}}))
-    assert main(["fit-density", "--config", str(fit), "--out", str(tmp_path / "run")]) == 0
-    capsys.readouterr()
-    checkpoint = str(tmp_path / "run" / "checkpoint.npz")
-    assert main(["verify", "--config", verify_config(tmp_path, checkpoint=checkpoint)]) == 0
-    assert "verify: 4/4 checks passed" in capsys.readouterr().out
-    assert starts[0] == 0
+def verify_config(tmp_path):
+    return small_doc(tmp_path, verify={"dims": [2, 8], "mc_samples": 20_000})
 
 
 def fail_in_pairs(monkeypatch, failing):
@@ -123,23 +64,24 @@ def fail_in_pairs(monkeypatch, failing):
     {1, 2},   # both: the earlier pair's error wins
     {3},      # the worker's last pair, after every caller pair
 ])
-def test_error_output_is_the_in_process_one(failing, tmp_path, monkeypatch, capsys, starts):
+def test_error_output_is_the_in_process_one(failing, tmp_path, monkeypatch, deadline):
     models = fail_in_pairs(monkeypatch, failing)
-    split, alone = run_both(["verify", "--config", verify_config(tmp_path)],
-                            monkeypatch, capsys, starts)
+    argv = ["verify", "--config", verify_config(tmp_path)]
+    split, alone = layouts.run(argv, "cores2"), layouts.run(argv, "no-fork")
     assert len(models) == 8   # four pairs, each built once per run
-    assert split == alone
+    assert (split.started, alone.started) == (1, 0)
+    assert multiprocessing.active_children() == []
+    assert split[:3] == alone[:3]
     first = min(failing)
-    assert split[0] == 3
-    assert split[2] == f"numeric abort: pair {first} failed\n"
-    rows = split[1].splitlines()
+    assert split.code == 3
+    assert split.stderr == f"numeric abort: pair {first} failed\n"
+    rows = split.stdout.splitlines()
     assert len(rows) == sum(4 if i < 2 else 3 for i in range(first)) + 2
-    assert "checks passed" not in split[1]
+    assert "checks passed" not in split.stdout
 
 
 @needs_fork
-def test_worker_that_dies_without_a_message_exits_4_promptly(monkeypatch, capsys, starts,
-                                                            tmp_path):
+def test_worker_that_dies_without_a_message_exits_4_promptly(monkeypatch, tmp_path, deadline):
     parent, checks = os.getpid(), cli._pair_checks
 
     def dying_checks(*args):
@@ -148,22 +90,12 @@ def test_worker_that_dies_without_a_message_exits_4_promptly(monkeypatch, capsys
         return checks(*args)
 
     monkeypatch.setattr(cli, "_pair_checks", dying_checks)
-
-    def timeout(signum, frame):
-        raise TimeoutError("the caller waited on a dead worker")
-
-    previous = signal.signal(signal.SIGALRM, timeout)
-    signal.alarm(30)
-    try:
-        code = main(["verify", "--config", verify_config(tmp_path)])
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    out, err = capsys.readouterr()
-    assert code == 4
-    assert err == "worker lost: a forked worker exited with code 7 before it finished\n"
-    assert "checks passed" not in out
-    assert starts[0] == workers_for(4)
+    result = layouts.run(["verify", "--config", verify_config(tmp_path)], "cores2")
+    assert result.code == 4
+    assert result.stderr == ("worker lost: a forked worker exited with code 7 "
+                             "before it finished\n")
+    assert "checks passed" not in result.stdout
+    assert result.started == 1
     assert multiprocessing.active_children() == []
 
 
@@ -172,19 +104,6 @@ def test_importing_the_cli_does_not_import_multiprocessing():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": SRC}, check=True).stdout
     assert out == "False\n"
-
-
-@pytest.fixture
-def deadline():
-    """Fail a test that waits on its workers for more than 30 s."""
-    def timeout(signum, frame):
-        raise TimeoutError("the caller waited on its workers for 30 s")
-
-    previous = signal.signal(signal.SIGALRM, timeout)
-    signal.alarm(30)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
 
 
 def numbered(n, stop_at=None, stop=None):
@@ -305,19 +224,19 @@ def expected(jobs, upto=None):
 
 
 @needs_fork
-@pytest.mark.parametrize("cores", [None, 4], ids=["host", "four_cores"])
-def test_ordered_keeps_job_order_under_uneven_times(cores, monkeypatch, starts, deadline):
+@pytest.mark.parametrize("cores", [None, "cores4"], ids=["host", "four_cores"])
+def test_ordered_keeps_job_order_under_uneven_times(cores, starts, deadline):
     # the caller's first job is the slowest, and the workers' jobs take
     # different times: every item still arrives in job order, and job j runs
     # in process j % n, the caller being process 0
-    if cores:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
-    jobs, processes = 7, workers_for(7) + 1
-    slow = {0: 0.3, 1: 0.05, 2: 0.0, 3: 0.15, 4: 0.0, 5: 0.1}
-    items = list(ordered(pid_items(slow), range(jobs)))
-    assert [(j, k) for j, k, _ in items] == expected(jobs)
+    with layouts.installed(cores) if cores else nullcontext():
+        items = list(ordered(pid_items({0: 0.3, 1: 0.05, 3: 0.15, 5: 0.1}), range(7)))
+    assert [(j, k) for j, k, _ in items] == expected(7)
     pids = {j: pid for j, _, pid in items}
-    assert len(set(pids.values())) == processes and pids[0] == os.getpid()
+    processes = len(set(pids.values()))
+    if cores:
+        assert processes == 4
+    assert pids[0] == os.getpid()
     assert all(pids[j] == pids[j % processes] for j in pids)
     assert starts[0] == processes - 1
     assert multiprocessing.active_children() == []
@@ -327,12 +246,12 @@ def test_ordered_keeps_job_order_under_uneven_times(cores, monkeypatch, starts, 
 @pytest.mark.parametrize("fail", [1, 2, 5])
 def test_ordered_raises_a_mid_job_error_after_the_items_before_it(fail, starts, deadline):
     items = []
-    with pytest.raises(ValueError, match=f"^job {fail} failed$"):
+    with layouts.installed("cores2"), pytest.raises(ValueError, match=f"^job {fail} failed$"):
         for j, k, _ in ordered(pid_items({0: 0.1}, fail=fail), range(6)):
             items.append((j, k))
     # the failing job's first item comes before its error
     assert items == expected(6, upto=(fail, 0))
-    assert starts[0] == workers_for(6)
+    assert starts[0] == 1
     assert multiprocessing.active_children() == []
 
 
@@ -346,9 +265,9 @@ def test_ordered_names_a_worker_s_exit_code(starts, deadline):
     assert multiprocessing.active_children() == []
 
 
-def test_ordered_runs_every_job_in_the_caller_where_it_cannot_fork(monkeypatch, starts):
-    monkeypatch.setattr(worker, "can_fork", lambda: False)
-    items = list(ordered(pid_items({}), range(5)))
+def test_ordered_runs_every_job_in_the_caller_where_it_cannot_fork(starts):
+    with layouts.installed("no-fork"):
+        items = list(ordered(pid_items({}), range(5)))
     assert [(j, k) for j, k, _ in items] == expected(5)
     assert {pid for _, _, pid in items} == {os.getpid()}
     assert starts[0] == 0
@@ -393,10 +312,11 @@ def test_a_broken_quantity_fails_its_check(name, broken, check, fails, tmp_path,
     # patched before the fork, so the workers check the broken function too;
     # unpatched, every check of this config passes
     monkeypatch.setattr(cli, name, broken(getattr(cli, name)))
-    assert main(["verify", "--config", verify_config(tmp_path)]) == 1
+    with layouts.installed("cores2"):
+        assert main(["verify", "--config", verify_config(tmp_path)]) == 1
     rows = capsys.readouterr().out.splitlines()
     failed = [row for row in rows if row.startswith("FAIL")]
     assert len(failed) == fails
     assert all(row.startswith(f"FAIL  {check}(d=") for row in failed)
     assert rows[-1] == f"verify: {14 - fails}/14 checks passed"
-    assert starts[0] == workers_for(4)
+    assert starts[0] == 1
