@@ -1,13 +1,16 @@
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
 
+import layouts
 from densitydescent import semisup
 from densitydescent.cli import main
 from densitydescent.flow import load_checkpoint
 from densitydescent.latent import marginal_loglik
 from densitydescent.oracle import grid_density_dump
+from densitydescent.perturb import KINDS
 from recipe import CONFIG, small_doc
 
 
@@ -278,6 +281,19 @@ class TestExitCodes:
         cfg = small_doc(tmp_path, flow_train={"lr": 1e200}, ssl={"epochs": 4})
         assert main(["train-ssl", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 3
+
+
+@pytest.mark.parametrize("kind", [None, *KINDS],
+                         ids=["train-ssl-lambda0", *[f"train-ssl-{kind}" for kind in KINDS]])
+def test_no_command_starts_more_processes_than_usable_cores(kind, tmp_path):
+    # a train-ssl of two runs, at lambda_ft 0 (kind None) or of any kind,
+    # keeps each flow in its run's process on 4 usable cores too
+    cfg = small_doc(tmp_path, perturb={"kind": kind or "density-descending"},
+                    ssl={"epochs": 2, "lambda_ft": 0.0 if kind is None else 1.0})
+    result = layouts.run(["train-ssl", "--config", cfg, "--seeds", "0,1"], "cores4",
+                         tmp_path / "run")
+    assert (result.code, result.started, multiprocessing.active_children()) == (0, 0, []), \
+        result.stderr
 
 
 def test_out_root_env_override(small_fit_config, tmp_path, monkeypatch):
