@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .oracle import (finite_diff_grad, grid_density_dump, mc_normalization,
                      numeric_jacobian_logdet)
 from .perturb import density_gradient
 from .runconfig import echo_config, load_config, load_sweep
-from .semisup import (ablate, check_seeds, dataset_for_run, derived_seeds, run_seeds,
+from .semisup import (cells, check_seeds, dataset_for_run, derived_seeds, runs,
                       write_metrics_csv)
 from .worker import WorkerLost, ordered
 
@@ -137,7 +138,8 @@ def cmd_train_ssl(args) -> int:
     out = _resolve_out(args.out)
     echo_config(cfg, os.path.join(out, "config.json"))
     accs = {}
-    for s, result in zip(seeds, run_seeds(cfg.ssl, cfg.dataset, seeds)):
+    for run, result in runs([replace(cfg.ssl, seed=s) for s in seeds], cfg.dataset):
+        s = run.seed
         write_metrics_csv(result, os.path.join(out, f"metrics_seed{s}.csv"))
         accs[s] = result.final_test_acc
         _log(out, f"train-ssl seed={s}: test_acc={result.final_test_acc:.4f} "
@@ -165,17 +167,20 @@ def cmd_train_ssl(args) -> int:
 def cmd_ablate(args) -> int:
     cfg = load_config(args.config)
     sweep = load_sweep(args.sweep)
+    cfgs = cells(cfg.ssl, sweep)
     _check_test_rows(cfg, sweep.seeds)
     out = _resolve_out(args.out)
     echo_config(cfg, os.path.join(out, "config.json"))
     _log(out, f"ablate: kinds={sweep.kinds} eps={sweep.eps} "
               f"lambda_ft={sweep.lambda_ft} seeds={sweep.seeds}")
-    rows = ablate(cfg.ssl, cfg.dataset, sweep)
+    # a row holds only the run's test accuracy, so a cell whose
+    # perturbation never reads the flow trains none
+    rows = [f"{run.perturb.kind},{run.perturb.eps!r},{run.lambda_ft!r},"
+            f"{run.seed},{result.final_test_acc!r}\n"
+            for run, result in runs(cfgs, cfg.dataset, keep_flow=False)]
     with open(os.path.join(out, "sweep.csv"), "w") as fh:
         fh.write("kind,eps,lambda_ft,seed,test_acc\n")
-        for r in rows:
-            fh.write(f"{r['kind']},{r['eps']!r},{r['lambda_ft']!r},"
-                     f"{r['seed']},{r['test_acc']!r}\n")
+        fh.writelines(rows)
     _log(out, f"ablate done: {len(rows)} rows")
     return 0
 

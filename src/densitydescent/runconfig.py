@@ -226,8 +226,8 @@ def echo_config(cfg: RunConfig, path) -> None:
 
 
 def load_sweep(path) -> SweepSpec:
-    """Parse a sweep file, type-checking every entry; ``ablate`` checks the
-    values themselves when it builds the cells, before the first one trains."""
+    """Parse a sweep file, type-checking every entry; ``semisup.cells``
+    checks the values themselves as it builds the cells, before any output."""
     doc = _load_json(path, "sweep")
     if not isinstance(doc, dict):
         raise ConfigError("sweep root must be a JSON object")

@@ -20,10 +20,10 @@ A run whose perturbation never reads the flow (``lambda_ft`` 0, or a
 baseline kind) trains no flow when its caller reads none either (``ablate``);
 otherwise, when the run is its command's only one, it trains the flow on
 a second core: ``train_ssl`` streams the loop's pools from one forked worker
-and steps its trainer on them, with the same bits as in one process. The
-runs of a multi-run command each step their flow in this process. Every loop
-that holds its flow checks that the flow and the student never write each
-other's parameters (``_loop``).
+and steps its trainer on them, with the same bits as in one process. A
+multi-run command hands its list of seeded configs to ``runs``, and each run
+steps its flow in this process. Every loop that holds its flow checks that
+the flow and the student never write each other's parameters (``_loop``).
 """
 
 from __future__ import annotations
@@ -424,9 +424,9 @@ def train_ssl(cfg: SslConfig, ds: Dataset, keep_flow: bool = True,
     ``worker.streamed``, so the worker goes on while the flow steps. The
     result is bit for bit that of the run in one process. A worker's error
     is raised here, unchanged, after the pools before it. ``may_split`` off
-    keeps the run in this process whatever the host; ``run_seeds`` leaves it
-    on only for a command's single run, so the runs of a multi-run command,
-    not the phases of one run, are what may share the cores. Every run whose
+    keeps the run in this process whatever the host; ``runs`` leaves it on
+    only for a list of one config, so the runs of a multi-run command, not
+    the phases of one run, are what may share the cores. Every run whose
     loop runs here with its flow checks isolation (``_loop``).
     """
     if len(ds.labeled_idx) == 0:
@@ -616,7 +616,7 @@ def _batch_indices(order: np.ndarray, it: int, batch: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# multi-seed runs and the ablation harness
+# run lists: a run is its seeded config
 
 
 def dataset_for_run(spec: DataSpec, run_seed: int) -> Dataset:
@@ -626,16 +626,16 @@ def dataset_for_run(spec: DataSpec, run_seed: int) -> Dataset:
     return make_dataset(spec, seed=mixed)
 
 
-def run_seeds(cfg: SslConfig, spec: DataSpec, seeds: list[int],
-              keep_flow: bool = True) -> Iterator[TrainResult]:
-    """Train one run per seed, each on its own dataset draw; yields the
-    results in seed order, each as soon as its run finishes. The runs go
-    one after another in this process; only a lone run may split onto a
-    second core (``train_ssl``). With ``keep_flow`` off, a run whose
+def runs(cfgs: list[SslConfig], spec: DataSpec, keep_flow: bool = True
+         ) -> Iterator[tuple[SslConfig, TrainResult]]:
+    """Train each seeded config on its own dataset draw; yields each config
+    with its result in list order, as soon as its run finishes. The runs go
+    one after another in this process; only a list of one config may split
+    onto a second core (``train_ssl``). With ``keep_flow`` off, a run whose
     perturbation reads no flow trains none and does not split."""
-    for s in seeds:
-        yield train_ssl(replace(cfg, seed=s), dataset_for_run(spec, s),
-                        keep_flow=keep_flow, may_split=len(seeds) == 1)
+    for cfg in cfgs:
+        yield cfg, train_ssl(cfg, dataset_for_run(spec, cfg.seed),
+                             keep_flow=keep_flow, may_split=len(cfgs) == 1)
 
 
 @dataclass
@@ -651,23 +651,15 @@ class SweepSpec:
             check_distinct(f"sweep key {key!r} entries", getattr(self, key) or [])
 
 
-def ablate(cfg: SslConfig, spec: DataSpec, sweep: SweepSpec) -> list[dict]:
-    """Train every sweep cell with shared seeds; one row per run.
-
-    Axes left unset fall back to the base config's value. Every (kind, eps,
-    lambda_ft) group's config is built, and so validated, before the first
-    run trains; each group then trains its seeds through ``run_seeds``, so
-    all groups see the same dataset draw at a given seed. A row holds only
-    the run's test accuracy, so a cell whose perturbation never reads the
-    flow trains none.
-    """
+def cells(cfg: SslConfig, sweep: SweepSpec) -> list[SslConfig]:
+    """The seeded config of every sweep cell, in (kind, eps, lambda_ft,
+    seed) order; building each one validates it. Axes left unset fall back
+    to the base config's value, and every cell at a seed shares its
+    dataset draw."""
     kinds = sweep.kinds if sweep.kinds else [cfg.perturb.kind]
     eps_values = sweep.eps if sweep.eps else [cfg.perturb.eps]
     lambdas = sweep.lambda_ft if sweep.lambda_ft else [cfg.lambda_ft]
-    groups = [replace(cfg, lambda_ft=lam, perturb=replace(cfg.perturb, kind=kind, eps=eps))
-              for kind in kinds for eps in eps_values for lam in lambdas]
-    return [{"kind": group.perturb.kind, "eps": group.perturb.eps,
-             "lambda_ft": group.lambda_ft, "seed": s, "test_acc": res.final_test_acc}
-            for group in groups
-            for s, res in zip(sweep.seeds,
-                              run_seeds(group, spec, sweep.seeds, keep_flow=False))]
+    return [replace(cfg, seed=s, lambda_ft=lam,
+                    perturb=replace(cfg.perturb, kind=kind, eps=eps))
+            for kind in kinds for eps in eps_values for lam in lambdas
+            for s in sweep.seeds]

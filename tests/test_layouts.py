@@ -29,7 +29,7 @@ def train(seeds=None, **sections):
     return argv
 
 
-def ablate(tmp):
+def every_kind_sweep(tmp):
     sweep = tmp / "sweep.json"
     sweep.write_text(json.dumps({"kinds": list(KINDS), "lambda_ft": [0.0, 1.0],
                                  "seeds": [0, 1]}))
@@ -90,7 +90,7 @@ ROWS = {
                          each(0, 1, 1, 0), OVERFLOWS, "numeric abort: non-finite training loss"),
     "flow-abort": Row(train(ssl={"epochs": 4, "lambda_ft": 0.0, "lr": 1e200}), 3,
                       each(0, 1, 1, 0), OVERFLOWS, "numeric abort: non-finite flow loss"),
-    "ablate": Row(ablate, 0, each(0, 0, 0, 0)),
+    "ablate": Row(every_kind_sweep, 0, each(0, 0, 0, 0)),
     "fit-density": Row(fit_density, 0, each(0, 0, 0, 0)),
     # one pair per process at most, the caller's included
     "verify-2-8": Row(verify(2, 8), 0, each(0, 1, 3, 0)),

@@ -14,12 +14,12 @@ from densitydescent.estimator import FlowTrainConfig
 from densitydescent.flow import FlowArch
 from densitydescent.latent import BLOCK_ROWS
 from densitydescent.perturb import PerturbConfig
-from densitydescent.semisup import (Model, SslConfig, SweepSpec, ablate,
-                                    augment_strong, augment_weak, dataset_for_run,
+from densitydescent.semisup import (Model, SslConfig, SweepSpec,
+                                    augment_strong, augment_weak, cells, dataset_for_run,
                                     ema_update,
                                     evaluate, init_model,
                                     masked_consistency_loss, pseudo_labels,
-                                    run_seeds, sup_loss, train_ssl, unified_loss,
+                                    runs, sup_loss, train_ssl, unified_loss,
                                     write_metrics_csv, METRIC_COLUMNS,
                                     PseudoLabelBatch)
 
@@ -255,7 +255,7 @@ class TestTrainSsl:
         cfg = tiny_config(lambda_ft=0.0)
         spec = DataSpec(kind="moons", n=120, noise=0.1, labeled_per_class=4,
                         test_fraction=0.25)
-        results = list(run_seeds(cfg, spec, [0, 1]))
+        results = [res for _, res in runs([replace(cfg, seed=s) for s in (0, 1)], spec)]
         assert len(results) == 2
         for res in results:
             iterations = res.flow_steps // cfg.flow_train.updates_per_iteration
@@ -324,22 +324,25 @@ class TestConfigValidation:
             tiny_config(**kw)
 
 
+def cell_axes(cfgs):
+    return [(c.perturb.kind, c.perturb.eps, c.lambda_ft, c.seed) for c in cfgs]
+
+
 class TestHarness:
-    def test_run_seeds_shares_dataset_draw_per_seed(self):
+    def test_runs_share_dataset_draw_per_seed(self):
         cfg = tiny_config(epochs=2)
         spec = DataSpec(n=120, labeled_per_class=4, test_fraction=0.25, seed=3)
-        a = run_seeds(cfg, spec, [0, 1])
-        b = run_seeds(cfg, spec, [0, 1])
-        assert [r.final_test_acc for r in a] == [r.final_test_acc for r in b]
+        cfgs = [replace(cfg, seed=s) for s in (0, 1)]
+        a, b = list(runs(cfgs, spec)), list(runs(cfgs, spec))
+        assert [run for run, _ in a] == cfgs
+        assert [r.final_test_acc for _, r in a] == [r.final_test_acc for _, r in b]
 
     def test_ablate_grid_row_count(self):
+        # the eps axis, seeds innermost; unset axes keep the base config's value
         cfg = tiny_config(epochs=2)
-        spec = DataSpec(n=120, labeled_per_class=4, test_fraction=0.25, seed=3)
-        sweep = SweepSpec(eps=[0.1, 0.25, 0.5, 1.0, 2.0], seeds=[0, 1])
-        rows = ablate(cfg, spec, sweep)
-        assert len(rows) == 10
-        assert {r["eps"] for r in rows} == {0.1, 0.25, 0.5, 1.0, 2.0}
-        assert all(r["kind"] == "density-descending" for r in rows)
+        grid = [0.1, 0.25, 0.5, 1.0, 2.0]
+        assert cell_axes(cells(cfg, SweepSpec(eps=grid, seeds=[0, 1]))) == [
+            ("density-descending", eps, cfg.lambda_ft, s) for eps in grid for s in (0, 1)]
 
     def test_ablate_kind_axis(self, monkeypatch):
         # each cell's per-epoch rows are those of its kind's own run, on the
@@ -348,33 +351,44 @@ class TestHarness:
         # the flow, so the cells train none: every column but L_flow
         cfg, spec = two_moons_benchmark()
         cfg = replace(cfg, epochs=3, tau=0.6)
-        runs = []
+        trained = []
         train = semisup.train_ssl
 
         def recorded(cfg, ds, **kw):
             result = train(cfg, ds, **kw)
-            runs.append((cfg.perturb.kind, cfg.seed, result.rows))
+            trained.append((cfg.perturb.kind, cfg.seed, result.rows))
             return result
 
         monkeypatch.setattr(semisup, "train_ssl", recorded)
         kinds = ["uniform-noise", "channel-dropout"]
-        rows = ablate(cfg, spec, SweepSpec(kinds=kinds, seeds=[0]))
-        assert len(rows) == 2
-        assert {r["kind"] for r in rows} == {"uniform-noise", "channel-dropout"}
+        results = list(runs(cells(cfg, SweepSpec(kinds=kinds, seeds=[0])), spec,
+                            keep_flow=False))
+        assert [run.perturb.kind for run, _ in results] == kinds
         own = [(kind, 0, train(replace(cfg, perturb=replace(cfg.perturb, kind=kind)),
                                dataset_for_run(spec, 0)).rows) for kind in kinds]
-        assert all("L_flow" not in row for *_, cell in runs for row in cell)
-        assert runs == [(kind, seed, [{c: v for c, v in row.items() if c != "L_flow"}
-                                      for row in rows]) for kind, seed, rows in own]
-        assert runs[0][2] != runs[1][2]
+        assert all("L_flow" not in row for *_, cell in trained for row in cell)
+        assert trained == [(kind, seed, [{c: v for c, v in row.items() if c != "L_flow"}
+                                         for row in rows]) for kind, seed, rows in own]
+        assert trained[0][2] != trained[1][2]
 
     def test_ablate_loss_weight_axis(self):
         cfg = tiny_config(epochs=2)
-        spec = DataSpec(n=120, labeled_per_class=4, test_fraction=0.25, seed=3)
-        rows = ablate(cfg, spec, SweepSpec(lambda_ft=[0.2, 0.5, 1.0, 1.5, 2.0],
-                                           seeds=[0]))
-        assert len(rows) == 5
-        assert [r["lambda_ft"] for r in rows] == [0.2, 0.5, 1.0, 1.5, 2.0]
+        lambdas = [0.2, 0.5, 1.0, 1.5, 2.0]
+        assert cell_axes(cells(cfg, SweepSpec(lambda_ft=lambdas, seeds=[0]))) == [
+            ("density-descending", cfg.perturb.eps, lam, 0) for lam in lambdas]
+
+    def test_cells_order_on_all_four_axes(self):
+        # sweep.csv's row order: kind outermost, then eps, lambda_ft and the
+        # seed, each axis in its list's order; every other field is the base's
+        cfg = tiny_config(epochs=2)
+        sweep = SweepSpec(kinds=["uniform-noise", "vat-lite"], eps=[0.5, 0.1],
+                          lambda_ft=[1.0, 0.0], seeds=[3, 1])
+        got = cells(cfg, sweep)
+        assert cell_axes(got) == [(kind, eps, lam, s) for kind in sweep.kinds
+                                  for eps in sweep.eps for lam in sweep.lambda_ft
+                                  for s in sweep.seeds]
+        assert all(replace(c, seed=cfg.seed, lambda_ft=cfg.lambda_ft,
+                           perturb=cfg.perturb) == cfg for c in got)
 
 
 def test_evaluate_on_separable_data():
