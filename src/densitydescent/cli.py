@@ -47,9 +47,12 @@ def _resolve_out(out: str) -> str:
     return out
 
 
-def _log(out_dir: str, message: str) -> None:
+def _log(out_dir: str, message: str, log_only: str = "") -> None:
+    """Print ``message``, and append it with ``log_only`` to ``run.log``:
+    stdout is the same under every process layout, and what depends on the
+    layout goes only to the sidecar, as the timestamps do."""
     with open(os.path.join(out_dir, "run.log"), "a") as fh:
-        fh.write(f"[{time.strftime('%Y-%m-%dT%H:%M:%S')}] {message}\n")
+        fh.write(f"[{time.strftime('%Y-%m-%dT%H:%M:%S')}] {message}{log_only}\n")
     print(message)
 
 
@@ -142,11 +145,13 @@ def cmd_train_ssl(args) -> int:
         s = run.seed
         write_metrics_csv(result, os.path.join(out, f"metrics_seed{s}.csv"))
         accs[s] = result.final_test_acc
+        # None: the loop held no flow (a split run's worker), so it checked nothing
+        violations = result.isolation_violations
         _log(out, f"train-ssl seed={s}: test_acc={result.final_test_acc:.4f} "
                   f"flow_steps={result.flow_steps} "
                   f"fallbacks={result.perturb_fallbacks} "
-                  f"isolation_violations={result.isolation_violations} "
-                  f"warming_iterations={result.warming_iterations}")
+                  f"warming_iterations={result.warming_iterations}",
+             f" isolation_violations={'n/a' if violations is None else violations}")
     summary = {
         "config": cfg.effective,
         "seeds": seeds,

@@ -1,9 +1,10 @@
 """Tape-based reverse-mode autodiff over dense float64 arrays.
 
-A deliberately small primitive set: enough for affine coupling nets,
-Gaussian-mixture log-densities, logsumexp and softmax classifiers.
-Everything is float64, CPU-only, single-threaded per tape. Matrix
-products and column gathers take 2-D operands: the forwards run on batches.
+A deliberately small primitive set: enough for affine coupling nets and
+Gaussian-mixture log-densities. Everything is float64, CPU-only,
+single-threaded per tape. Matrix products and column gathers take 2-D
+operands: the forwards run on batches. The student's tape reference adds
+its own cross-entropy and mean on ``Tensor`` (``tests/reference/student.py``).
 """
 
 from __future__ import annotations
@@ -156,10 +157,6 @@ def exp(x: Tensor) -> Tensor:
     return Tensor(y, (x,), lambda g: (g * y,))
 
 
-def log(x: Tensor) -> Tensor:
-    return Tensor(np.log(x.data), (x,), lambda g: (g / x.data,))
-
-
 def logsumexp(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     """Stable log-sum-exp via max subtraction; gradient is the softmax."""
     m = np.max(x.data, axis=axis, keepdims=True)
@@ -196,11 +193,6 @@ def sum(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:  
     return Tensor(out, (x,), vjp)
 
 
-def mean(x: Tensor, axis: int | None = None) -> Tensor:
-    n = x.data.size if axis is None else x.data.shape[axis]
-    return mul(sum(x, axis=axis), as_tensor(1.0 / n))
-
-
 def take_cols(x: Tensor, idx) -> Tensor:
     """Gather columns of a 2-D tensor; backward scatter-adds."""
     idx = np.asarray(idx, dtype=np.intp)
@@ -222,35 +214,6 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
         return g[..., :na], g[..., na:]
 
     return Tensor(out, (a, b), vjp)
-
-
-def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Per-sample cross-entropy between softmax(logits) and integer labels.
-
-    logits: (N, K); labels: (N,) ints in [0, K). Returns the (N,) vector of
-    losses so callers can mask/weight before reducing.
-    """
-    ld = logits.data
-    if ld.ndim != 2:
-        raise ValueError("softmax_cross_entropy expects (N, K) logits")
-    lab = np.asarray(labels, dtype=np.int64)
-    n, k = ld.shape
-    if lab.shape != (n,):
-        raise ValueError("labels must align with the logit rows")
-    if lab.min(initial=0) < 0 or lab.max(initial=0) >= k:
-        raise ValueError("label outside [0, n_classes)")
-    m = ld.max(axis=1, keepdims=True)
-    e = np.exp(ld - m)
-    lse = m[:, 0] + np.log(e.sum(axis=1))
-    ce = lse - ld[np.arange(n), lab]
-    soft = e / e.sum(axis=1, keepdims=True)
-
-    def vjp(g):
-        gr = soft.copy()
-        gr[np.arange(n), lab] -= 1.0
-        return (gr * np.asarray(g)[:, None],)
-
-    return Tensor(ce, (logits,), vjp)
 
 
 # ---------------------------------------------------------------------------

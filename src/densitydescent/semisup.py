@@ -12,9 +12,9 @@ the density-descending direction.
 The training loop runs in plain numpy: ``student_step`` computes the three
 losses and the parameter gradients with a hand-derived backward pass, every
 perturbation kind (the ``vat-lite`` probe included) is hand-derived too, and
-the teacher and evaluation use the numpy forward pass. The tape losses
-(``sup_loss``, ``masked_consistency_loss``, ``unified_loss``) are the
-differentiable reference that the tests check ``student_step`` against.
+the teacher and evaluation use the numpy forward pass. The tests hold
+``student_step`` bit for bit to the same losses built on the autodiff tape,
+in ``tests/reference/student.py``.
 
 A run whose perturbation never reads the flow (``lambda_ft`` 0, or a
 baseline kind) trains no flow when its caller reads none either (``ablate``);
@@ -35,11 +35,9 @@ from typing import Callable, Generator, Iterator
 
 import numpy as np
 
-from . import diffcore as dc
 from .data import DataSpec, Dataset, make_dataset
 from .errors import ConfigError, NumericError, Valid, check_fields, knob
-from .estimator import (FeaturePool, FlowTrainConfig, FlowTrainer, pool_indices,
-                        subsample_pool)
+from .estimator import FeaturePool, FlowTrainConfig, FlowTrainer, pool_indices
 from .flow import MAX_WIDTH, FlowArch, init_flow
 from .latent import BLOCK_ROWS, init_latent, softmax
 from .optim import MomentumSGD, pack, poly_decay
@@ -53,9 +51,9 @@ class Model:
 
     The parameters are views into one vector ``flat``, in ``params()`` order.
     ``features``, ``predict_proba`` and ``predict`` run the forward pass in
-    plain numpy; ``encode`` and ``decode`` build it on the tape, as the
-    reference for ``student_step`` and the ``vat-lite`` probe (tape gradients
-    with respect to the parameters need a copy whose arrays are leaf tensors).
+    plain numpy. Its tape form, the reference for ``student_step`` and the
+    ``vat-lite`` probe, is ``encode`` and ``decode`` in
+    ``tests/reference/student.py``.
     """
     flat: np.ndarray
     enc_w1: np.ndarray
@@ -68,13 +66,6 @@ class Model:
     def params(self) -> list[np.ndarray]:
         return [self.enc_w1, self.enc_b1, self.enc_w2, self.enc_b2,
                 self.dec_w, self.dec_b]
-
-    def encode(self, x) -> dc.Tensor:
-        h = dc.tanh(dc.matmul(dc.as_tensor(x), dc.as_tensor(self.enc_w1)) + self.enc_b1)
-        return dc.matmul(h, dc.as_tensor(self.enc_w2)) + self.enc_b2
-
-    def decode(self, v) -> dc.Tensor:
-        return dc.matmul(dc.as_tensor(v), dc.as_tensor(self.dec_w)) + self.dec_b
 
     def features(self, x: np.ndarray) -> np.ndarray:
         return _encode(self, x)[2]
@@ -227,32 +218,6 @@ def pseudo_labels(probs: np.ndarray, tau: float) -> PseudoLabelBatch:
                             mask=(top > tau).astype(np.float64))
 
 
-def sup_loss(logits: dc.Tensor, labels: np.ndarray) -> dc.Tensor:
-    """Mean cross-entropy over the labeled batch."""
-    return dc.mean(dc.softmax_cross_entropy(logits, labels))
-
-
-def masked_consistency_loss(logits: dc.Tensor, pseudo: PseudoLabelBatch) -> dc.Tensor:
-    """Cross-entropy vs pseudo labels, masked entries zeroed, mean over batch.
-
-    The image-level term applies it to predictions on the strong view, the
-    feature-level term to predictions on the perturbed features."""
-    ce = dc.softmax_cross_entropy(logits, pseudo.labels)
-    n = ce.shape[0]
-    return dc.sum(ce * dc.as_tensor(pseudo.mask)) * (1.0 / n)
-
-
-def unified_loss(l_sup: dc.Tensor, l_im: dc.Tensor | None,
-                 l_ft: dc.Tensor | None, lambda_ft: float) -> dc.Tensor:
-    """L = L_sup + L_im + lambda_ft * L_ft, skipping absent terms."""
-    total = l_sup
-    if l_im is not None:
-        total = total + l_im
-    if l_ft is not None and lambda_ft > 0:
-        total = total + lambda_ft * l_ft
-    return total
-
-
 @dataclass
 class StudentStep:
     """Loss values of one student step and the gradient of their sum."""
@@ -293,10 +258,11 @@ def student_step(model: Model, x_l: np.ndarray, y_l: np.ndarray,
     the image term scores its features against ``pseudo``, and with
     ``perturb`` (called once on those features, returning a constant
     delta) and ``lambda_ft > 0`` the feature term scores the perturbed
-    features. Values and gradients equal those of ``dc.grad`` on
-    ``unified_loss`` bit for bit: every sum is taken in the order the tape
-    accumulates it (feature, image, supervised at the decoder; perturbed,
-    image at the strong features; strong, labeled at the encoder).
+    features. Values and gradients equal those of the tape reference
+    (``tests/reference/student.py``) bit for bit: every sum is taken in the
+    order the tape accumulates it (feature, image, supervised at the
+    decoder; perturbed, image at the strong features; strong, labeled at
+    the encoder).
     """
     dec_w, dec_b = model.dec_w, model.dec_b
     x_l, h_l, v_l = _encode(model, x_l)
@@ -368,19 +334,20 @@ class TrainResult:
     final models. The counters are the isolation check's violations (the
     iterations whose student step, perturbation included, changed the flow
     or whose flow steps changed the student or teacher; counted by every
-    loop that holds its flow, 0 in one that holds none), the perturbation's
-    fallbacks, the iterations that waited for the flow's first step, and the
-    flow steps. A split run (see ``train_ssl``) takes the rows without
-    ``L_flow``, the counters, the student and the teacher from its worker's
-    loop, and the flow, the latent and ``L_flow`` from the calling process's
-    ``FlowTrainer``;
-    every field equals that of the same run in one process. A run without a
-    flow (``keep_flow`` off and a perturbation that reads none) has rows
-    without an ``L_flow`` key, no ``flow_model`` or ``latent`` and 0
-    ``flow_steps``; every other field equals that of the run with its flow."""
+    loop that holds its flow, None from one that holds none and so checks
+    nothing), the perturbation's fallbacks, the iterations that waited for
+    the flow's first step, and the flow steps. A split run (see
+    ``train_ssl``) takes the rows without ``L_flow``, the counters, the
+    student and the teacher from its worker's loop, and the flow, the latent
+    and ``L_flow`` from the calling process's ``FlowTrainer``; every field
+    but ``isolation_violations`` equals that of the same run in one process.
+    A run without a flow (``keep_flow`` off and a perturbation that reads
+    none) has rows without an ``L_flow`` key, no ``flow_model`` or
+    ``latent``, 0 ``flow_steps`` and None ``isolation_violations``; every
+    other field equals that of the run with its flow."""
     rows: list[dict] = field(default_factory=list)
     final_test_acc: float = 0.0
-    isolation_violations: int = 0
+    isolation_violations: int | None = None
     perturb_fallbacks: int = 0
     warming_iterations: int = 0
     flow_steps: int = 0
@@ -507,7 +474,8 @@ def _loop(cfg: SslConfig, ds: Dataset, student: Model, teacher: Model,
     random draws. A loop that holds its flow checks isolation each iteration
     on exact bytes: the flow's around the student step, perturbation
     included, and the student's and teacher's around the yield of pools;
-    each change counts one violation. A loop with no flow counts 0."""
+    each change counts one violation. A loop with no flow checks nothing,
+    and its count is None."""
     x, y = ds.x, ds.y
     xl, yl = x[ds.labeled_idx], y[ds.labeled_idx]
     xu = x[ds.unlabeled_idx]
@@ -522,7 +490,7 @@ def _loop(cfg: SslConfig, ds: Dataset, student: Model, teacher: Model,
     ft_start = (cfg.ft_start_epoch if cfg.ft_start_epoch is not None
                 else cfg.flow_train.warm_start_epoch + 1)
 
-    result = TrainResult()
+    result = TrainResult(isolation_violations=None if flow is None else 0)
     flow_model, latent = (flow.model, flow.latent) if flow is not None else (None, None)
 
     def feature_delta(v_s: np.ndarray) -> np.ndarray:
@@ -573,20 +541,17 @@ def _loop(cfg: SslConfig, ds: Dataset, student: Model, teacher: Model,
                 result.isolation_violations += 1
 
             if semi and epoch >= cfg.flow_train.warm_start_epoch:
-                budget, updates = (cfg.flow_train.sample_budget,
-                                   cfg.flow_train.updates_per_iteration)
+                draws = [pool_indices(len(xb_l), len(xw), cfg.flow_train.sample_budget, rng)
+                         for _ in range(cfg.flow_train.updates_per_iteration)]
                 if pools:
                     models_bytes = snapshot(student, teacher)
                     # the teacher is fixed across the updates: encode its pools once
                     feats_l, feats_u = teacher.features(xb_l), teacher.features(xw)
-                    yield epoch, [subsample_pool(feats_l, yl[li], feats_u, budget, rng)
-                                  for _ in range(updates)]
+                    yield epoch, [FeaturePool(labeled=feats_l[il], labels=yl[li][il],
+                                              unlabeled=feats_u[iu]) for il, iu in draws]
                     if snapshot(student, teacher) != models_bytes:
                         result.isolation_violations += 1
-                else:
-                    for _ in range(updates):   # subsample_pool's draws
-                        pool_indices(len(xb_l), len(xw), budget, rng)
-                result.flow_steps += updates
+                result.flow_steps += len(draws)
 
             sums["L_sup"] += step.l_sup
             sums["L_im"] += step.l_im if step.l_im is not None else 0.0

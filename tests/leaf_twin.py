@@ -1,10 +1,11 @@
 """Tape leaves over a model's parameter arrays.
 
 Parameters are plain arrays, views into the model's ``flat`` vector; the
-tape forwards (``Model.encode``/``decode``, ``flow.flow_forward``) wrap each
-one in a fresh tensor, which no gradient can be asked of afterwards. A test
-that needs tape gradients with respect to the parameters builds its forward
-on ``leaf_twin(model)`` and passes ``twin.params()`` to ``dc.grad``.
+tape forwards (``encode`` and ``decode`` in ``reference/student.py``,
+``flow.flow_forward``) wrap each one in a fresh tensor, which no gradient can
+be asked of afterwards. A test that needs tape gradients with respect to the
+parameters builds its forward on ``leaf_twin(model)`` and passes
+``twin.params()`` to ``dc.grad``.
 """
 
 from dataclasses import fields, replace

@@ -18,8 +18,7 @@ from layouts import starts  # noqa: F401  (a fixture)
 from recipe import NO_FLOW_ARMS, SMALL_SPEC, small_config, small_doc
 
 
-COUNTERS = ("perturb_fallbacks", "warming_iterations", "isolation_violations",
-            "final_test_acc")
+COUNTERS = ("perturb_fallbacks", "warming_iterations", "final_test_acc")
 
 
 @pytest.fixture
@@ -68,6 +67,10 @@ def test_no_flow_run_equals_the_run_with_its_flow(arm, seed, flow_work, starts):
     assert bare.teacher.flat.tobytes() == kept.teacher.flat.tobytes()
     for name in COUNTERS:
         assert getattr(bare, name) == getattr(kept, name), name
+    # a loop without its flow checks no isolation: the bare run's, and a
+    # split run's worker's
+    assert bare.isolation_violations is None
+    assert kept.isolation_violations == (None if starts[0] else 0)
     assert bare.flow_steps == 0
     assert bare.flow_model is None and bare.latent is None
     if cfg.lambda_ft > 0:

@@ -5,15 +5,15 @@ from densitydescent import diffcore as dc
 from densitydescent.errors import ConfigError, NumericError
 from densitydescent.estimator import FlowTrainConfig, fit_density
 from densitydescent.flow import init_flow
-from densitydescent.latent import init_latent, marginal_loglik, softmax
+from densitydescent.latent import init_latent, marginal_loglik
 from densitydescent.oracle import finite_diff_grad
-from densitydescent.perturb import (PerturbConfig, _normalize_rows,
-                                    channel_dropout_perturbation,
+from densitydescent.perturb import (PerturbConfig, channel_dropout_perturbation,
                                     density_descent_perturbation, density_gradient,
                                     generate_perturbation, resolve_eps,
                                     uniform_noise_perturbation, vat_perturbation)
 from densitydescent.semisup import init_model
 from leaf_twin import leaf_twin
+from reference.student import decode, softmax_cross_entropy, tape_vat_perturbation
 
 
 def trained_2d_model(seed=0):
@@ -138,8 +138,8 @@ class TestBaselinePerturbations:
         delta = vat_perturbation(v, eps, *_decoder(model), np.random.default_rng(8))
 
         def kl(base, pert):
-            p = _soft(model.decode(dc.tensor(base)).data)
-            q = _soft(model.decode(dc.tensor(pert)).data)
+            p = _soft(decode(model, dc.tensor(base)).data)
+            q = _soft(decode(model, dc.tensor(pert)).data)
             return (p * (np.log(p + 1e-300) - np.log(q + 1e-300))).sum(axis=1)
 
         rand_dir = rng.standard_normal(v.shape)
@@ -158,22 +158,6 @@ def _decoder(model):
     return model.dec_w, model.dec_b
 
 
-def tape_vat_perturbation(v, eps, logits_fn, rng, xi=1e-2, power_iters=1):
-    """The VAT probe as a tape gradient: the reference ``vat_perturbation``
-    must match bit for bit."""
-    mat = np.asarray(v, dtype=np.float64)
-    p = softmax(logits_fn(dc.tensor(mat)).data)
-    direction, _ = _normalize_rows(rng.standard_normal(mat.shape))
-    for _ in range(power_iters):
-        r = dc.tensor(xi * direction)
-        logits = logits_fn(dc.tensor(mat) + r)
-        log_q = logits - dc.logsumexp(logits, axis=1, keepdims=True)
-        objective = -dc.sum(dc.as_tensor(p) * log_q)
-        g, = dc.grad(objective, [r])
-        direction, _ = _normalize_rows(g)
-    return eps * direction
-
-
 class TestVatMatchesTape:
     @pytest.mark.parametrize("dim,classes,rows", [
         (1, 2, 1), (2, 2, 7), (4, 3, 64), (5, 5, 129), (8, 4, 33)])
@@ -186,8 +170,8 @@ class TestVatMatchesTape:
         model.dec_b[...] = data.standard_normal(classes)
         v = data.standard_normal((rows, dim)) * 2.0
         for xi in (1e-2, 0.5):
-            ref = tape_vat_perturbation(v, 0.7, model.decode, np.random.default_rng(3),
-                                        xi, power_iters)
+            ref = tape_vat_perturbation(v, 0.7, lambda u: decode(model, u),
+                                        np.random.default_rng(3), xi, power_iters)
             out = vat_perturbation(v, 0.7, *_decoder(model), np.random.default_rng(3),
                                    xi, power_iters)
             assert out.shape == v.shape
@@ -245,8 +229,8 @@ class TestGenerateDispatch:
         feats = dc.tensor(pts[:16])
         delta, _ = generate_perturbation(feats.data, cfg, np.random.default_rng(0),
                                          flow_model=flow, latent=latent)
-        loss = dc.sum(dc.softmax_cross_entropy(
-            model.decode(feats + dc.tensor(delta)), np.zeros(16, dtype=int)))
+        loss = dc.sum(softmax_cross_entropy(
+            decode(model, feats + dc.tensor(delta)), np.zeros(16, dtype=int)))
         grads = dc.grad(loss, leaf_twin(flow).params())
         for g in grads:
             np.testing.assert_array_equal(g, np.zeros_like(g))

@@ -18,7 +18,7 @@ from densitydescent.estimator import FlowTrainConfig
 from densitydescent.perturb import PerturbConfig
 from densitydescent.worker import can_fork
 from layouts import deadline, starts  # noqa: F401  (fixtures)
-from layouts import installed
+from layouts import installed, run
 from recipe import NO_FLOW_ARMS, SMALL_SPEC, small_config, small_doc
 
 pytestmark = pytest.mark.skipif(not can_fork(),
@@ -48,8 +48,9 @@ def test_split_run_equals_in_process_run(arm, starts):
     assert split.latent.means.tobytes() == alone.latent.means.tobytes()
     assert split.latent.log_weights.tobytes() == alone.latent.log_weights.tobytes()
     for name in ("flow_steps", "perturb_fallbacks", "warming_iterations",
-                 "isolation_violations", "final_test_acc"):
+                 "final_test_acc"):
         assert getattr(split, name) == getattr(alone, name), name
+    assert split.isolation_violations is None   # its worker holds no flow to check
     assert split.flow_steps == cfg.epochs * 6 * 2
     if cfg.lambda_ft > 0:
         # the perturbation ran, so its kind shaped the run
@@ -94,6 +95,14 @@ def test_runs_that_read_the_flow_or_take_no_flow_step_stay_in_process(monkeypatc
         assert not semisup._splits(small_config(lambda_ft=0.0), ds)
     with installed("cores1"):
         assert not semisup._splits(small_config(lambda_ft=0.0), ds)
+
+
+@pytest.mark.parametrize("layout,logged", [("cores2", "n/a"), ("no-fork", "0")])
+def test_run_log_tells_an_unchecked_isolation_count_from_a_checked_0(layout, logged, tmp_path):
+    argv = ["train-ssl", "--config", small_doc(tmp_path, ssl={"lambda_ft": 0.0})]
+    assert run(argv, layout, tmp_path / "run").code == 0
+    log = (tmp_path / "run" / "run.log").read_text()
+    assert f" isolation_violations={logged}\n" in log
 
 
 def fail_at_call(monkeypatch, n, fail):

@@ -1,9 +1,9 @@
 """The hand-derived student step against the tape.
 
 ``student_step`` must give the losses and the six parameter gradients of
-``dc.grad`` on ``unified_loss`` exactly, not merely closely: train_ssl's
-outputs are byte-stable across the switch only if every sum is taken in the
-tape's order.
+``dc.grad`` on ``unified_loss`` (``reference.student.tape_reference``)
+exactly, not merely closely: train_ssl's outputs are byte-stable across the
+switch only if every sum is taken in the tape's order.
 """
 
 from dataclasses import replace
@@ -14,11 +14,10 @@ import pytest
 from densitydescent import diffcore as dc
 from densitydescent.data import make_dataset
 from densitydescent.perturb import KINDS
-from densitydescent.semisup import (PseudoLabelBatch, init_model,
-                                    masked_consistency_loss, student_step,
-                                    sup_loss, train_ssl, unified_loss)
+from densitydescent.semisup import PseudoLabelBatch, init_model, student_step, train_ssl
 from leaf_twin import leaf_twin
 from recipe import two_moons_benchmark
+from reference.student import encode, tape_reference
 
 
 def make_case(n_l=8, n_s=16, hidden=64, feature_dim=2, k=2, mask="mixed",
@@ -33,21 +32,6 @@ def make_case(n_l=8, n_s=16, hidden=64, feature_dim=2, k=2, mask="mixed",
     pseudo = PseudoLabelBatch(labels=rng.integers(0, k, n_s), mask=masks[mask])
     delta = 0.3 * rng.standard_normal((n_s, feature_dim))
     return model, x_l, y_l, x_s, pseudo, delta
-
-
-def tape_reference(model, x_l, y_l, x_s, pseudo, delta, lam, warming=False):
-    """Losses and gradients by the tape, built in train_ssl's order."""
-    l_sup = sup_loss(model.decode(model.encode(x_l)), y_l)
-    l_im = l_ft = None
-    if x_s is not None:
-        v_s = model.encode(x_s)
-        l_im = masked_consistency_loss(model.decode(v_s), pseudo)
-        if warming:
-            l_ft = dc.as_tensor(0.0)
-        elif delta is not None:
-            l_ft = masked_consistency_loss(model.decode(v_s + dc.tensor(delta)), pseudo)
-    loss = unified_loss(l_sup, l_im, l_ft, lam)
-    return l_sup, l_im, l_ft, loss, dc.grad(loss, model.params())
 
 
 def assert_step_equals_tape(model, x_l, y_l, x_s, pseudo, delta, lam,
@@ -73,7 +57,7 @@ def assert_step_equals_tape(model, x_l, y_l, x_s, pseudo, delta, lam,
     if use_perturb and lam > 0:
         assert step.l_ft == float(l_ft.data)
         assert len(seen) == 1
-        assert np.array_equal(seen[0], model.encode(x_s).data)
+        assert np.array_equal(seen[0], encode(model, x_s).data)
     else:
         assert step.l_ft is None
     assert len(step.grads) == 6
