@@ -149,8 +149,7 @@ def cmd_train_ssl(args) -> int:
         violations = result.isolation_violations
         _log(out, f"train-ssl seed={s}: test_acc={result.final_test_acc:.4f} "
                   f"flow_steps={result.flow_steps} "
-                  f"fallbacks={result.perturb_fallbacks} "
-                  f"warming_iterations={result.warming_iterations}",
+                  f"fallbacks={result.perturb_fallbacks}",
              f" isolation_violations={'n/a' if violations is None else violations}")
     summary = {
         "config": cfg.effective,
@@ -251,21 +250,24 @@ def _pair_checks(model, latent, inputs, cfg):
     err = float(np.abs(flow_inverse(z, model) - batch).max())
     yield f"invertibility(d={d})", err < 1e-9, f"max roundtrip err {err:.3e}"
 
+    # each check's worst error is np.max of its errors, so a NaN error fails
+    # its row (the builtin max(0.0, nan) is 0.0)
     if logdet_points is not None:
-        worst = 0.0
+        errs = []
         logdets = kernel_forward(logdet_points, model, keep=False)[1]
         for point, logdet in zip(logdet_points, logdets):
             numeric = numeric_jacobian_logdet(model, point)
             # identity flows have logdet 0; floor the denominator
-            worst = max(worst, abs(float(logdet) - numeric)
-                        / max(1e-6, abs(numeric)))
+            errs.append(abs(float(logdet) - numeric) / max(1e-6, abs(numeric)))
+        worst = float(np.max(errs))
         yield f"logdet(d={d})", worst < 1e-4, f"max rel err {worst:.3e}"
 
-    worst = 0.0
+    errs = []
     for point, g in zip(grad_points, density_gradient(grad_points, model, latent)):
         fd = finite_diff_grad(
             lambda w: -float(marginal_logpdf(w[None], model, latent)[0]), point)
-        worst = max(worst, float(np.abs(g - fd).max() / max(1.0, np.abs(fd).max())))
+        errs.append(np.abs(g - fd).max() / max(1.0, np.abs(fd).max()))
+    worst = float(np.max(errs))
     yield f"gradient(d={d})", worst < 1e-3, f"max rel err {worst:.3e}"
 
     if d == 2:

@@ -25,22 +25,13 @@ GRAD_FLOOR = 1e-12
 @dataclass
 class PerturbConfig:
     kind: str = knob("density-descending", choices=KINDS)
-    eps: float = knob(0.25, gt=0)
-    eps_relative: bool = True        # if True, eps is in units of feature std
+    eps: float = knob(0.25, gt=0)   # in units of the feature batch's std
     dropout_rate: float = knob(0.5, gt=0, lt=1)
     vat_xi: float = knob(1e-2, gt=0)
     vat_power_iters: int = knob(1, ge=1)
 
     def __post_init__(self):
         check_fields(self, "perturb")
-
-
-def resolve_eps(cfg: PerturbConfig, feats: np.ndarray) -> float:
-    """Absolute step size: cfg.eps, or cfg.eps times the feature std."""
-    if not cfg.eps_relative:
-        return cfg.eps
-    sigma = float(np.asarray(feats, dtype=np.float64).std())
-    return cfg.eps * sigma
 
 
 def density_gradient(v, model: FlowModel, latent: GmmLatent) -> np.ndarray:
@@ -172,9 +163,10 @@ def generate_perturbation(v: np.ndarray, cfg: PerturbConfig, rng: np.random.Gene
                           ) -> tuple[np.ndarray, int]:
     """Dispatch over the configured kind; returns (delta, fallbacks), the
     count of zero-gradient fallbacks (only density-descending has any).
+    The step size is ``cfg.eps`` times the std of the batch ``v``.
     ``decoder`` is the student's (dec_w, dec_b), which the ``vat-lite`` probe
     reads."""
-    eps = resolve_eps(cfg, v)
+    eps = cfg.eps * float(np.asarray(v, dtype=np.float64).std())
     fallbacks = 0
     if cfg.kind == "density-descending":
         if flow_model is None or latent is None:

@@ -140,7 +140,6 @@ class SslConfig:
     hidden: int = knob(64, ge=1, le=MAX_WIDTH)
     # even: the flow over the features couples one half on the other
     feature_dim: int = knob(2, ge=2, le=MAX_FEATURE_DIM, even=True)
-    ft_start_epoch: int | None = None   # default: warm_start_epoch + 1
     seed: int = 0
     perturb: PerturbConfig = field(default_factory=PerturbConfig)
     flow: FlowArch = field(default_factory=FlowArch)
@@ -335,9 +334,8 @@ class TrainResult:
     iterations whose student step, perturbation included, changed the flow
     or whose flow steps changed the student or teacher; counted by every
     loop that holds its flow, None from one that holds none and so checks
-    nothing), the perturbation's fallbacks, the iterations that waited for
-    the flow's first step, and the flow steps. A split run (see
-    ``train_ssl``) takes the rows without ``L_flow``, the counters, the
+    nothing), the perturbation's fallbacks and the flow steps. A split run
+    (see ``train_ssl``) takes the rows without ``L_flow``, the counters, the
     student and the teacher from its worker's loop, and the flow, the latent
     and ``L_flow`` from the calling process's ``FlowTrainer``; every field
     but ``isolation_violations`` equals that of the same run in one process.
@@ -349,7 +347,6 @@ class TrainResult:
     final_test_acc: float = 0.0
     isolation_violations: int | None = None
     perturb_fallbacks: int = 0
-    warming_iterations: int = 0
     flow_steps: int = 0
     student: Model | None = None
     teacher: Model | None = None
@@ -403,7 +400,7 @@ def train_ssl(cfg: SslConfig, ds: Dataset, keep_flow: bool = True,
     teacher = student.clone()
     if not (keep_flow or reads_flow(cfg)):
         loop = _loop(cfg, ds, student, teacher, None, seeds, pools=False)
-        return replace(_drained(loop, None, []), flow_steps=0)
+        return _drained(loop, None, [])
     trainer = FlowTrainer(init_flow(cfg.feature_dim, cfg.flow.blocks, cfg.flow.hidden,
                                     cfg.flow.s_max, s_flow),
                           init_latent(ds.n_classes, cfg.feature_dim, s_latent), cfg.flow_train)
@@ -468,14 +465,16 @@ def _loop(cfg: SslConfig, ds: Dataset, student: Model, teacher: Model,
     its ``TrainResult``; the rows have no ``L_flow``. The perturbation reads
     the model and latent of the trainer ``flow`` (one that reads a flow
     fails without one); ``seeds`` seed the loop's and the perturbation's
-    random streams. Each iteration past the warm start yields its 1-indexed
-    epoch and its pools, and resumes once the consumer has stepped the flow
-    on them; with ``pools`` off it yields nothing and only makes the pools'
-    random draws. A loop that holds its flow checks isolation each iteration
-    on exact bytes: the flow's around the student step, perturbation
-    included, and the student's and teacher's around the yield of pools;
-    each change counts one violation. A loop with no flow checks nothing,
-    and its count is None."""
+    random streams. Each iteration from the warm-start epoch on yields its
+    1-indexed epoch and its pools, counted as flow steps, and resumes once
+    the consumer has stepped the flow on them; with ``pools`` off it yields
+    nothing, counts no flow step and only makes the pools' random draws. The
+    feature term starts in the epoch after the warm start, so the flow has
+    always stepped before a perturbation reads it. A loop that holds its
+    flow checks isolation each iteration on exact bytes: the flow's around
+    the student step, perturbation included, and the student's and
+    teacher's around the yield of pools; each change counts one violation.
+    A loop with no flow checks nothing, and its count is None."""
     x, y = ds.x, ds.y
     xl, yl = x[ds.labeled_idx], y[ds.labeled_idx]
     xu = x[ds.unlabeled_idx]
@@ -487,8 +486,6 @@ def _loop(cfg: SslConfig, ds: Dataset, student: Model, teacher: Model,
     per_epoch = (math.ceil(len(xu) / cfg.batch_unlabeled) if semi
                  else math.ceil(len(xl) / cfg.batch_labeled))
     total_iters = cfg.epochs * per_epoch
-    ft_start = (cfg.ft_start_epoch if cfg.ft_start_epoch is not None
-                else cfg.flow_train.warm_start_epoch + 1)
 
     result = TrainResult(isolation_violations=None if flow is None else 0)
     flow_model, latent = (flow.model, flow.latent) if flow is not None else (None, None)
@@ -521,11 +518,9 @@ def _loop(cfg: SslConfig, ds: Dataset, student: Model, teacher: Model,
                 xw = augment_weak(xu[ui], cfg.sigma_weak, rng)
                 xs = augment_strong(xu[ui], cfg.sigma_strong, cfg.drop_prob, rng)
                 pseudo = pseudo_labels(teacher.predict_proba(xw), cfg.tau)
-                if cfg.lambda_ft > 0 and epoch >= ft_start:
-                    if result.flow_steps > 0:
-                        perturb = feature_delta
-                    else:
-                        result.warming_iterations += 1
+                # the feature term starts once the flow has trained for an epoch
+                if cfg.lambda_ft > 0 and epoch > cfg.flow_train.warm_start_epoch:
+                    perturb = feature_delta
                 retained += pseudo.mask.sum()
                 seen_u += len(ui)
             # taken before the student step, which runs the perturbation
@@ -551,7 +546,7 @@ def _loop(cfg: SslConfig, ds: Dataset, student: Model, teacher: Model,
                                               unlabeled=feats_u[iu]) for il, iu in draws]
                     if snapshot(student, teacher) != models_bytes:
                         result.isolation_violations += 1
-                result.flow_steps += len(draws)
+                    result.flow_steps += len(draws)
 
             sums["L_sup"] += step.l_sup
             sums["L_im"] += step.l_im if step.l_im is not None else 0.0

@@ -18,7 +18,7 @@ from layouts import starts  # noqa: F401  (a fixture)
 from recipe import NO_FLOW_ARMS, SMALL_SPEC, small_config, small_doc
 
 
-COUNTERS = ("perturb_fallbacks", "warming_iterations", "final_test_acc")
+COUNTERS = ("perturb_fallbacks", "final_test_acc")
 
 
 @pytest.fixture

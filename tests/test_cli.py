@@ -429,6 +429,17 @@ class TestConfigRejectedBeforeWork:
     def test_flow_components_is_an_unknown_key(self, fault, tmp_path, monkeypatch, capsys):
         fault.check(tmp_path, monkeypatch, capsys)
 
+    # the feature term starts after the warm-start epoch and eps is in units of
+    # the feature std, by construction; the keys that chose otherwise are gone,
+    # so a document that still names them fails like any typo
+    @rows({f"{command}-{section}.{key}": Fault(command, f"unknown config key '{section}.{key}'",
+                                               config=small(**{section: {key: value}}))
+           for section, key, value in [("ssl", "ft_start_epoch", 2),
+                                       ("perturb", "eps_relative", True)]
+           for command in COMMANDS})
+    def test_feature_term_modes_are_unknown_keys(self, fault, tmp_path, monkeypatch, capsys):
+        fault.check(tmp_path, monkeypatch, capsys)
+
     # each used to end in a traceback: IsADirectoryError, UnicodeDecodeError,
     # or FileExistsError from making --out
     @rows({**{f"{command}---config-{name}": Fault(command, f"config.json: {text}", config=make)

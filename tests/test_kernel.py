@@ -152,14 +152,26 @@ def test_kernel_rejects_wrong_dimension():
         density_gradient(np.zeros((2, 3, 4)), flow, init_latent(2, 4, seed=1))
 
 
+def _overflowing_shift(flow):
+    flow.blocks[0].b2[:] = 1e308   # forces an overflow in the forward pass
+
+
+def _infinite_weight(flow):
+    # tanh saturates to exactly +-1, so log p stays finite, but the backward
+    # pass forms (1 - h^2) * inf = 0 * inf = nan
+    flow.blocks[0].w1[0, 0] = np.inf
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_density_gradient_overflow_raises_numeric_error():
-    flow = random_flow(2, 16, 2, seed=31)
-    flow.blocks[0].b2[:] = 1e308   # forces an overflow in the forward pass
     latent = init_latent(2, 2, seed=32)
     v = np.random.default_rng(33).standard_normal((8, 2))
-    with pytest.raises(NumericError):
-        density_gradient(v, flow, latent)
+    for corrupt, message in [(_overflowing_shift, "non-finite log-density in forward pass"),
+                             (_infinite_weight, "non-finite density gradient")]:
+        flow = random_flow(2, 16, 2, seed=31)
+        corrupt(flow)
+        with pytest.raises(NumericError, match=message):
+            density_gradient(v, flow, latent)
 
 
 def test_marginal_logpdf_bitwise_inside_one_block():

@@ -9,7 +9,7 @@ from densitydescent.latent import init_latent, marginal_loglik
 from densitydescent.oracle import finite_diff_grad
 from densitydescent.perturb import (PerturbConfig, channel_dropout_perturbation,
                                     density_descent_perturbation, density_gradient,
-                                    generate_perturbation, resolve_eps,
+                                    generate_perturbation,
                                     uniform_noise_perturbation, vat_perturbation)
 from densitydescent.semisup import init_model
 from leaf_twin import leaf_twin
@@ -225,7 +225,7 @@ class TestGenerateDispatch:
     def test_detachment_from_flow_parameters(self):
         flow, latent, pts = trained_2d_model(12)
         model = init_model(2, 8, 2, 2, seed=13)
-        cfg = PerturbConfig(kind="density-descending", eps=0.5, eps_relative=False)
+        cfg = PerturbConfig(kind="density-descending", eps=0.5)
         feats = dc.tensor(pts[:16])
         delta, _ = generate_perturbation(feats.data, cfg, np.random.default_rng(0),
                                          flow_model=flow, latent=latent)
@@ -236,11 +236,10 @@ class TestGenerateDispatch:
             np.testing.assert_array_equal(g, np.zeros_like(g))
 
     def test_relative_eps_resolution(self):
-        cfg = PerturbConfig(kind="uniform-noise", eps=0.5, eps_relative=True)
+        cfg = PerturbConfig(kind="uniform-noise", eps=0.5)
         feats = np.random.default_rng(14).standard_normal((30, 4)) * 2.0
-        assert resolve_eps(cfg, feats) == pytest.approx(0.5 * feats.std())
-        cfg_abs = PerturbConfig(kind="uniform-noise", eps=0.5, eps_relative=False)
-        assert resolve_eps(cfg_abs, feats) == 0.5
+        delta, _ = generate_perturbation(feats, cfg, np.random.default_rng(0))
+        np.testing.assert_allclose(np.linalg.norm(delta, axis=1), 0.5 * feats.std())
 
     def test_missing_dependencies_rejected(self):
         v = np.zeros((2, 4))

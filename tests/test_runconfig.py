@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from badinput import json_file, rejected, small
 from densitydescent.errors import ConfigError
-from densitydescent.runconfig import KEYS, echo_config, load_config, parse_config
+from densitydescent.runconfig import KEYS, echo_config, load_config, load_sweep, parse_config
+from densitydescent.semisup import cells
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join(ROOT, "tests", "golden")
@@ -24,6 +25,16 @@ def test_config_echo_matches_golden(name, tmp_path):
     echo_config(cfg, tmp_path / "config.json")
     with open(os.path.join(GOLDEN, f"{name}.config.json"), "rb") as fh:
         assert (tmp_path / "config.json").read_bytes() == fh.read()
+
+
+@pytest.mark.parametrize("name, count", [
+    ("sweep_eps", 25), ("sweep_kinds", 20), ("sweep_loss_weight", 25)])
+def test_shipped_sweep_builds_its_cells(name, count):
+    # building a cell validates it against the shipped config; nothing trains
+    cfg = load_config(os.path.join(ROOT, "configs", "moons_ssl.json"))
+    runs = cells(cfg.ssl, load_sweep(os.path.join(ROOT, "configs", f"{name}.json")))
+    assert len(runs) == count
+    assert len({(r.perturb.kind, r.perturb.eps, r.lambda_ft, r.seed) for r in runs}) == count
 
 
 SECTION_KEYS = {name: sorted(section)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from recipe import two_moons_benchmark
+from recipe import SMALL_SPEC, small_config, two_moons_benchmark
 
 from densitydescent import diffcore as dc
 from densitydescent import estimator, semisup
@@ -32,7 +32,7 @@ def tiny_config(**kw):
         epochs=4, batch_labeled=8, batch_unlabeled=32, lr=0.05, feature_dim=2,
         hidden=16, flow=FlowArch(hidden=16), sigma_weak=0.02, sigma_strong=0.1,
         drop_prob=0.05, ema_momentum=0.95, tau=0.9, lambda_ft=0.5,
-        perturb=PerturbConfig(kind="density-descending", eps=0.25, eps_relative=True),
+        perturb=PerturbConfig(kind="density-descending", eps=0.25),
         flow_train=FlowTrainConfig(sample_budget=64, warm_start_epoch=1),
         seed=0,
     )
@@ -272,7 +272,7 @@ class TestTrainSsl:
         cfg_dd = tiny_config(lambda_ft=0.0)
         cfg_unif = tiny_config(
             lambda_ft=0.0,
-            perturb=PerturbConfig(kind="uniform-noise", eps=0.25, eps_relative=True))
+            perturb=PerturbConfig(kind="uniform-noise", eps=0.25))
         a = train_ssl(cfg_dd, tiny_data())
         b = train_ssl(cfg_unif, tiny_data())
         assert a.rows == b.rows
@@ -292,12 +292,13 @@ class TestTrainSsl:
             train_ssl(tiny_config(), ds)
 
     def test_feature_loss_waits_for_estimator(self):
-        cfg = tiny_config(
-            epochs=3, ft_start_epoch=1,
-            flow_train=FlowTrainConfig(sample_budget=64, warm_start_epoch=3))
-        res = train_ssl(cfg, tiny_data())
-        assert res.warming_iterations > 0
-        assert all(r["L_ft"] == 0.0 for r in res.rows[:2])
+        # the feature term starts in the epoch after the flow's warm start
+        for warm_start in (1, 3):
+            cfg = small_config(epochs=4, flow_train=FlowTrainConfig(
+                sample_budget=64, warm_start_epoch=warm_start, updates_per_iteration=2))
+            l_ft = [r["L_ft"] for r in train_ssl(cfg, make_dataset(SMALL_SPEC)).rows]
+            assert l_ft[:warm_start] == [0.0] * warm_start, warm_start
+            assert all(value > 0 for value in l_ft[warm_start:]), (warm_start, l_ft)
 
     def test_metrics_csv_roundtrip(self, tmp_path):
         res = train_ssl(tiny_config(), tiny_data())

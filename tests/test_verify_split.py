@@ -301,11 +301,18 @@ def _scaled(f):
     return lambda *args, **kw: f(*args, **kw) * 1.01
 
 
+def _nan(f):
+    return lambda *args, **kw: f(*args, **kw) * float("nan")
+
+
 @needs_fork
 @pytest.mark.parametrize("name, broken, check, fails", [
     ("flow_inverse", _off_by, "invertibility", 4),
     ("kernel_forward", _logdet_scaled, "logdet", 2),   # identity flows have log-det 0
     ("density_gradient", _scaled, "gradient", 4),
+    # a NaN error fails its row, though the builtin max(0.0, nan) is 0.0
+    ("numeric_jacobian_logdet", _nan, "logdet", 4),
+    ("density_gradient", _nan, "gradient", 4),
 ])
 def test_a_broken_quantity_fails_its_check(name, broken, check, fails, tmp_path,
                                            monkeypatch, capsys, starts):
