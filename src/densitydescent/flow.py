@@ -261,8 +261,9 @@ def kernel_backward(model: FlowModel, saved, gz: np.ndarray, glogdet,
     receive it unchanged, since the log-det is their plain sum. Block
     Jacobians are triangular: v_a passes through and v_b only scales, so
     dL/dv_b = dL/dy_b * exp(s) and everything else flows through the
-    conditioner. With ``params`` the parameter gradients are returned too,
-    in ``model.params()`` order; otherwise the second value is None.
+    conditioner. With ``params`` the parameter gradient is returned too, as
+    one fresh vector laid out like ``model.flat``; otherwise the second value
+    is None.
     ``saved`` is only read, so the same activations can be pulled back more
     than once.
     """
@@ -288,7 +289,7 @@ def kernel_backward(model: FlowModel, saved, gz: np.ndarray, glogdet,
         del dh, gpre
         if i:
             g = g[:, model.perm]   # the reversal is its own inverse
-    return g, (grads if params else None)
+    return g, (np.concatenate(grads, axis=None) if params else None)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """In-place optimizers over a model's parameter vector ``flat``, of which its
-named arrays are views: a step is a few whole-vector ufuncs, giving the bits
-a loop over the arrays would."""
+named arrays are views. A step takes the gradient as one vector laid out like
+``flat`` and is a few whole-vector ufuncs, giving the bits a loop over the
+arrays would."""
 
 from __future__ import annotations
 
@@ -16,13 +17,6 @@ def pack(arrays) -> list[np.ndarray]:
                      for a, i, j in zip(arrays, ends, ends[1:])]
 
 
-def _flat_grad(flat: np.ndarray, grads: list[np.ndarray]) -> np.ndarray:
-    g = np.concatenate([np.ravel(gi) for gi in grads])
-    if g.shape != flat.shape:
-        raise ValueError("gradient list does not match the parameter vector")
-    return g
-
-
 class Adam:
     """Adam with bias correction; ``lr`` is mutable for schedules."""
 
@@ -35,8 +29,7 @@ class Adam:
         self.m = np.zeros_like(flat)
         self.v = np.zeros_like(flat)
 
-    def step(self, grads: list[np.ndarray]) -> None:
-        g = _flat_grad(self.flat, grads)
+    def step(self, g: np.ndarray) -> None:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         c1 = 1.0 - b1 ** self.t
@@ -58,8 +51,7 @@ class MomentumSGD:
         self.momentum = float(momentum)
         self.v = np.zeros_like(flat)
 
-    def step(self, grads: list[np.ndarray]) -> None:
-        g = _flat_grad(self.flat, grads)
+    def step(self, g: np.ndarray) -> None:
         self.v *= self.momentum
         self.v += g
         self.flat -= self.lr * self.v

@@ -219,12 +219,13 @@ def pseudo_labels(probs: np.ndarray, tau: float) -> PseudoLabelBatch:
 
 @dataclass
 class StudentStep:
-    """Loss values of one student step and the gradient of their sum."""
+    """Loss values of one student step and the gradient of their sum, one
+    fresh vector laid out like ``Model.flat``."""
     l_sup: float
     l_im: float | None       # None without an unlabeled batch
     l_ft: float | None       # None without a feature term
     loss: float              # L_sup + L_im + lambda_ft * L_ft
-    grads: list[np.ndarray]  # in ``Model.params()`` order
+    grad: np.ndarray
 
 
 def _cross_entropy(logits: np.ndarray, labels: np.ndarray
@@ -251,7 +252,8 @@ def student_step(model: Model, x_l: np.ndarray, y_l: np.ndarray,
                  pseudo: PseudoLabelBatch | None = None,
                  perturb: Callable[[np.ndarray], np.ndarray] | None = None,
                  lambda_ft: float = 0.0) -> StudentStep:
-    """Losses and parameter gradients of the unified objective, by hand.
+    """Losses of the unified objective and their parameter gradient, by hand;
+    the gradient is one fresh vector laid out like ``model.flat``.
 
     The supervised term uses the labeled batch; with a strong batch ``x_s``
     the image term scores its features against ``pseudo``, and with
@@ -298,7 +300,7 @@ def student_step(model: Model, x_l: np.ndarray, y_l: np.ndarray,
     return StudentStep(l_sup=float(l_sup), loss=float(loss),
                        l_im=None if l_im is None else float(l_im),
                        l_ft=None if l_ft is None else float(l_ft),
-                       grads=grads + [g_dec_w, g_dec_b])
+                       grad=np.concatenate(grads + [g_dec_w, g_dec_b], axis=None))
 
 
 def ema_update(teacher: Model, student: Model, momentum: float) -> None:
@@ -530,7 +532,7 @@ def _loop(cfg: SslConfig, ds: Dataset, student: Model, teacher: Model,
                 raise NumericError(
                     f"non-finite training loss at epoch {epoch} iter {it} "
                     f"(lr={opt.lr:g}, L_sup={step.l_sup:g})")
-            opt.step(step.grads)
+            opt.step(step.grad)
             ema_update(teacher, student, cfg.ema_momentum)
             if snapshot(flow_model) != flow_bytes:
                 result.isolation_violations += 1

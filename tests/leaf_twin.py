@@ -6,9 +6,15 @@ tape forwards (``encode`` and ``decode`` in ``reference/student.py``,
 be asked of afterwards. A test that needs tape gradients with respect to the
 parameters builds its forward on ``leaf_twin(model)`` and passes
 ``twin.params()`` to ``dc.grad``.
+
+The optimizers take a gradient as one vector laid out like ``flat``;
+``param_views`` splits such a vector back into the model's arrays, so a test
+compares it with the tape's gradients array by array.
 """
 
 from dataclasses import fields, replace
+
+import numpy as np
 
 from densitydescent import diffcore as dc
 from densitydescent.flow import PARAM_NAMES, FlowModel
@@ -24,3 +30,12 @@ def leaf_twin(model):
             for b in model.blocks])
     return replace(model, **{f.name: dc.tensor(getattr(model, f.name))
                              for f in fields(model) if f.name != "flat"})
+
+
+def param_views(vec, model):
+    """Views of ``vec``, a vector laid out like ``model.flat``, shaped like
+    ``model.params()``."""
+    assert vec.shape == model.flat.shape
+    params = model.params()
+    ends = np.cumsum([0] + [p.size for p in params]).tolist()
+    return [vec[i:j].reshape(p.shape) for p, i, j in zip(params, ends, ends[1:])]

@@ -22,7 +22,7 @@ from densitydescent.latent import (BLOCK_ROWS, init_latent, marginal_logpdf,
 from densitydescent.optim import Adam
 from densitydescent.oracle import mc_normalization
 from densitydescent.perturb import density_gradient
-from leaf_twin import leaf_twin
+from leaf_twin import leaf_twin, param_views
 
 RTOL = 1e-10
 
@@ -51,15 +51,15 @@ def random_flow(blocks, hidden, d, seed):
 
 
 class RecordingOptimizer:
-    """Stands in for Adam: keeps the gradients instead of applying them."""
+    """Stands in for Adam: keeps the gradient instead of applying it."""
 
     lr = 1e-3
 
     def __init__(self):
-        self.grads = None
+        self.grad = None
 
-    def step(self, grads):
-        self.grads = grads
+    def step(self, grad):
+        self.grad = grad
 
 
 def make_pool(kind, rows, d, n_classes, rng):
@@ -83,8 +83,8 @@ def test_flow_step_matches_tape(blocks, hidden, rows, d, pool_kind):
     opt = RecordingOptimizer()
     value = flow_train_step(pool, flow, latent, opt)
     assert value == pytest.approx(float(loss.data), rel=RTOL, abs=0.0)
-    assert len(opt.grads) == 4 * blocks
-    for g, ref in zip(opt.grads, reference):
+    assert len(reference) == 4 * blocks
+    for g, ref in zip(param_views(opt.grad, flow), reference):
         assert_close(g, ref)
 
 
@@ -118,13 +118,15 @@ def test_backward_matches_tape_for_any_cotangent(blocks, d):
     z, logdet, saved = kernel_forward(v, flow)
     assert_close(z, z_t.data)
     assert_close(logdet, ld_t.data)
-    gv, grads = kernel_backward(flow, saved, gz, gld, params=True)
-    for g, ref in zip([gv] + grads, reference):
+    gv, grad = kernel_backward(flow, saved, gz, gld, params=True)
+    for g, ref in zip([gv] + param_views(grad, flow), reference):
         assert_close(g, ref)
-    # backward only reads saved, so a second pull-back gives the same bits
-    gv_again, grads_again = kernel_backward(flow, saved, gz, gld, params=True)
-    for g_again, g in zip([gv_again] + grads_again, [gv] + grads):
-        np.testing.assert_array_equal(g_again, g)
+    # backward only reads saved, so a second pull-back gives the same bits,
+    # in a fresh vector
+    gv_again, grad_again = kernel_backward(flow, saved, gz, gld, params=True)
+    np.testing.assert_array_equal(gv_again, gv)
+    np.testing.assert_array_equal(grad_again, grad)
+    assert not np.shares_memory(grad_again, grad)
     gv_only, none = kernel_backward(flow, saved, gz, gld)
     assert none is None
     np.testing.assert_array_equal(gv_only, gv)
@@ -139,7 +141,7 @@ def test_flow_step_updates_like_tape_adam():
     flow_train_step(pool, flow_k, latent, adam(flow_k.flat, 1e-2))
     twin_t = leaf_twin(flow_t)
     loss = flow_loss(pool.labeled, pool.labels, pool.unlabeled, twin_t, latent)
-    adam(flow_t.flat, 1e-2).step(dc.grad(loss, twin_t.params()))
+    adam(flow_t.flat, 1e-2).step(np.concatenate(dc.grad(loss, twin_t.params()), axis=None))
     for pk, pt in zip(flow_k.params(), flow_t.params()):
         assert_close(pk, pt)
 
@@ -172,6 +174,19 @@ def test_density_gradient_overflow_raises_numeric_error():
         corrupt(flow)
         with pytest.raises(NumericError, match=message):
             density_gradient(v, flow, latent)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_flow_step_non_finite_gradient_raises_numeric_error():
+    # an infinite weight in the second block leaves the loss finite but
+    # makes the parameter gradient NaN; the step must not reach the optimizer
+    flow = random_flow(2, 16, 2, seed=31)
+    flow.blocks[1].w1[0, 0] = np.inf
+    pool = make_pool("mixed", 16, 2, 2, np.random.default_rng(34))
+    opt = RecordingOptimizer()
+    with pytest.raises(NumericError, match="non-finite flow gradient"):
+        flow_train_step(pool, flow, init_latent(2, 2, seed=32), opt)
+    assert opt.grad is None
 
 
 def test_marginal_logpdf_bitwise_inside_one_block():
@@ -232,19 +247,20 @@ def test_marginal_logpdf_keeps_one_block_of_activations(d):
 class LoopAdam:
     """The per-array Adam loop that the flat-buffer ``Adam`` replaced."""
 
-    def __init__(self, params, lr, betas, eps):
-        self.params, self.lr, self.eps = list(params), lr, eps
+    def __init__(self, model, lr, betas, eps):
+        self.model, self.lr, self.eps = model, lr, eps
+        self.params = model.params()
         self.beta1, self.beta2 = betas
         self.t = 0
         self.m = [np.zeros_like(p) for p in self.params]
         self.v = [np.zeros_like(p) for p in self.params]
 
-    def step(self, grads):
+    def step(self, grad):
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+        for p, g, m, v in zip(self.params, param_views(grad, self.model), self.m, self.v):
             m *= b1
             m += (1.0 - b1) * g
             v *= b2
@@ -256,7 +272,7 @@ def test_flat_adam_matches_per_array_loop_bitwise():
     flow, twin = random_flow(2, 64, 2, seed=51), random_flow(2, 64, 2, seed=51)
     latent = init_latent(2, 2, seed=52)
     opt = adam(flow.flat, 1e-2)
-    ref = LoopAdam(twin.params(), 1e-2, (opt.beta1, opt.beta2), opt.eps)
+    ref = LoopAdam(twin, 1e-2, (opt.beta1, opt.beta2), opt.eps)
     rng = np.random.default_rng(53)
     for _ in range(50):
         pool = make_pool("mixed", 40, 2, 2, rng)
