@@ -124,7 +124,8 @@ def _check_test_rows(cfg, seeds) -> None:
 
 
 def _parse_seeds(text: str | None, default: int) -> list[int]:
-    if not text:
+    """The ``--seeds`` entries; the config seed only where the option is absent."""
+    if text is None:
         return [default]
     try:
         seeds = [int(s) for s in text.split(",")]
@@ -141,6 +142,7 @@ def cmd_train_ssl(args) -> int:
     out = _resolve_out(args.out)
     echo_config(cfg, os.path.join(out, "config.json"))
     accs = {}
+    # every run keeps its flow: metrics_seed*.csv holds L_flow
     for run, result in runs([replace(cfg.ssl, seed=s) for s in seeds], cfg.dataset):
         s = run.seed
         write_metrics_csv(result, os.path.join(out, f"metrics_seed{s}.csv"))
@@ -204,6 +206,8 @@ def cmd_verify(args) -> int:
     on where it runs. ``worker.ordered`` deals the pairs round-robin to
     this process and to forked workers on the other cores, and streams the
     rows back in pair order, so they print here as one process prints them.
+    On the shipped ``dims`` [2, 8] and two cores each process runs one of
+    the two d = 2 Monte-Carlo checks, most of ``verify``'s time.
     If a pair raises, the rows before its error are printed and the error is
     raised, as in one process.
     """

@@ -36,7 +36,7 @@ class DataSpec:
     kind: str = knob("moons", choices=KINDS)
     n: int = knob(1016, ge=10, le=MAX_SAMPLES)
     noise: float = knob(0.07, ge=0)   # below 0, moons would use |noise|, blobs 5e-6
-    n_classes: int = knob(2, key="classes", ge=2)
+    classes: int = knob(2, ge=2)
     labeled_per_class: int = knob(4, ge=1, also=(-1,))
     test_fraction: float = knob(0.5, ge=0, lt=1)
     seed: int = 0
@@ -46,7 +46,7 @@ class DataSpec:
 
 
 def generate(kind: str, n: int, noise: float, seed: int,
-             n_classes: int = DataSpec.n_classes) -> Dataset:
+             n_classes: int = DataSpec.classes) -> Dataset:
     """Sample one of the parametric generators (splits left empty).
 
     ``DataSpec`` checks each argument; moons and circles have two classes by
@@ -167,5 +167,5 @@ def partition(ds: Dataset, labeled_per_class: int, test_fraction: float,
 def make_dataset(spec: DataSpec, seed: int | None = None) -> Dataset:
     """Generate and partition in one call; ``seed`` overrides the spec seed."""
     s = spec.seed if seed is None else seed
-    ds = generate(spec.kind, spec.n, spec.noise, s, spec.n_classes)
+    ds = generate(spec.kind, spec.n, spec.noise, s, spec.classes)
     return partition(ds, spec.labeled_per_class, spec.test_fraction, s + 1)

@@ -63,13 +63,10 @@ class Valid:
             raise ConfigError(f"{path} must be {rule}, got {value!r}")
 
 
-def knob(default, key: str | None = None, **rule):
-    """A config field: its default, the ``Valid`` values of its key, and the
-    ``key`` where the JSON key is spelled differently from the field."""
-    metadata = {"key": key} if key else {}
-    if rule:
-        metadata["valid"] = Valid(**rule)
-    return dataclasses.field(default=default, metadata=metadata)
+def knob(default, **rule):
+    """A config field, named as its key: its default and the ``Valid``
+    values of its key."""
+    return dataclasses.field(default=default, metadata={"valid": Valid(**rule)} if rule else {})
 
 
 def check_fields(obj, section: str) -> None:
@@ -77,5 +74,4 @@ def check_fields(obj, section: str) -> None:
     naming ``section.key`` in the error."""
     for f in dataclasses.fields(obj):
         if "valid" in f.metadata:
-            f.metadata["valid"].check(f"{section}.{f.metadata.get('key', f.name)}",
-                                      getattr(obj, f.name))
+            f.metadata["valid"].check(f"{section}.{f.name}", getattr(obj, f.name))

@@ -92,22 +92,20 @@ class RunConfig:
 
 
 class Key(typing.NamedTuple):
-    field: str
     hint: typing.Any
     default: typing.Any      # in its JSON form: a list for a tuple
     valid: Valid | None      # the values the key accepts beyond its type
 
 
 def _keys(cls) -> dict[str, Key]:
-    """JSON key -> field, type, default and valid values for the keys of
-    one section (a field's ``key`` metadata spells a key of another name)."""
+    """Key (its field's name) -> type, default and valid values for the
+    keys of one section."""
     hints = typing.get_type_hints(cls)
     keys = {}
     for f in dataclasses.fields(cls):
         if f.name not in _FILLED.get(cls, {}):
             default = list(f.default) if isinstance(f.default, tuple) else f.default
-            keys[f.metadata.get("key", f.name)] = Key(f.name, hints[f.name], default,
-                                                     f.metadata.get("valid"))
+            keys[f.name] = Key(hints[f.name], default, f.metadata.get("valid"))
     return keys
 
 
@@ -116,7 +114,7 @@ _SWEEP_KEYS = _keys(SweepSpec)
 
 # Every key by its path, in document order: type, default and valid values.
 # Rules that span several keys are code, in ``__post_init__`` and ``cli``.
-KEYS = {"seed": Key("seed", int, RunConfig.seed, SEED),
+KEYS = {"seed": Key(int, RunConfig.seed, SEED),
         **{f"{name}.{key}": k for name, keys in _SECTION_KEYS.items()
            for key, k in keys.items()}}
 
@@ -177,7 +175,7 @@ def _check_section(name: str, raw) -> dict:
 
 def _field_values(keys: dict[str, Key], values: dict) -> dict:
     """Dataclass keyword arguments from checked JSON values."""
-    return {k.field: tuple(values[key]) if typing.get_origin(k.hint) is tuple
+    return {key: tuple(values[key]) if typing.get_origin(k.hint) is tuple
             else values[key] for key, k in keys.items() if key in values}
 
 

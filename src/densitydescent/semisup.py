@@ -392,8 +392,9 @@ def train_ssl(cfg: SslConfig, ds: Dataset, keep_flow: bool = True,
     is raised here, unchanged, after the pools before it. ``may_split`` off
     keeps the run in this process whatever the host; ``runs`` leaves it on
     only for a list of one config, so the runs of a multi-run command, not
-    the phases of one run, are what may share the cores. Every run whose
-    loop runs here with its flow checks isolation (``_loop``).
+    the phases of one run, are what may share the cores, and a fan-out of
+    runs over the cores never holds more busy processes than cores. Every
+    run whose loop runs here with its flow checks isolation (``_loop``).
     """
     if len(ds.labeled_idx) == 0:
         raise ConfigError("training needs a labeled split")
@@ -428,7 +429,8 @@ def _splits(cfg: SslConfig, ds: Dataset) -> bool:
     """Whether ``train_ssl`` runs its loop in a worker: no perturbation reads
     the flow, the run takes flow steps, and the host can fork onto a second
     core (``worker.can_fork``). Decided by the config, the split sizes and
-    the host, never by the data's values."""
+    the host, never by the data's values. The split pays only while the
+    second core is idle; where other work holds it, it loses."""
     return (not reads_flow(cfg) and len(ds.unlabeled_idx) > 0
             and cfg.flow_train.warm_start_epoch <= cfg.epochs and can_fork())
 

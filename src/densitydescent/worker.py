@@ -39,7 +39,9 @@ def streamed(gen_fn, *args):
     and returns its return value. An exception raised in ``gen_fn`` is
     raised here after the items sent before it, and a worker that exits
     early raises ``WorkerLost`` naming its exit code. Closing the stream
-    before its end terminates the worker; it is reaped either way.
+    before its end terminates the worker; it is reaped either way. Forked,
+    not spawned: a ``spawn`` worker re-imports numpy and the package, and
+    sent its first message after 0.28-0.39 s against 3-6 ms for ``fork``.
     """
     stream = _received(gen_fn, args)
     next(stream)   # fork now, so that the worker runs while the caller goes on

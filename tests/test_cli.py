@@ -562,6 +562,11 @@ class TestBadRunInputsRejected:
         Fault("train-ssl", "--seeds: expected comma-separated ints",
               seeds="1,x").check(tmp_path, monkeypatch, capsys)
 
+    def test_empty_seeds_option(self, tmp_path, monkeypatch, capsys):
+        # it used to train the config seed, while ' ' and ',' were rejected
+        Fault("train-ssl", "--seeds: expected comma-separated ints, got ''",
+              seeds="").check(tmp_path, monkeypatch, capsys)
+
     @pytest.mark.parametrize("section,key,text", [
         ("ssl", "lambda_ft", "NaN"),
         ("ssl", "lr", "NaN"),

@@ -1,3 +1,4 @@
+import glob
 import json
 import math
 import os
@@ -211,3 +212,24 @@ def rendered_row(path, k):
 
 def test_readme_table_matches_declared_ranges():
     assert readme_rows() == [rendered_row(path, k) for path, k in KEYS.items()]
+
+
+def readme_module_list():
+    """The .py files that the code block of README.md's "Design" section, its
+    one module list, names: an indented name lies in the folder above it."""
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        block = fh.read().split("## Design\n", 1)[1].split("```")[1]
+    named, folder = [], ""
+    for line in filter(str.strip, block.splitlines()):
+        name = line.split()[0]
+        if not line.startswith(" "):
+            folder, name = (name, "") if name.endswith("/") else ("", name)
+        if name.endswith(".py"):
+            named.append(folder + name)
+    return named
+
+
+def test_readme_module_list_names_every_module():
+    files = [os.path.relpath(path, ROOT) for pattern in ("src/densitydescent/*.py", "scripts/*.py")
+             for path in glob.glob(os.path.join(ROOT, pattern))]
+    assert sorted(readme_module_list()) == sorted(files)
