@@ -14,7 +14,11 @@ measures Python-level dispatch, not arithmetic; it cannot see a BLAS or
 SIMD change. It is a second measure beside paired timings of the benchmark,
 not a replacement for them.
 
-Workloads, each printed with its count, iterations and flow steps:
+Each counted call also goes to one layer: that of the innermost layer
+function on the stack when it was made (``LAYERS``), or ``rest`` if none is.
+
+Workloads, each printed with its count, iterations and flow steps, then its
+calls per layer:
 - ``dd``: the shipped ``configs/moons_ssl.json`` at seed 0;
 - ``lambda0``: the same at ``lambda_ft`` 0, its flow stepped in this process;
 - ``fit-density``: the 2500-step fit of ``configs/moons_density.json``.
@@ -30,33 +34,56 @@ import numpy as np
 
 import densitydescent
 from densitydescent.data import make_dataset
-from densitydescent.estimator import fit_density
+from densitydescent.estimator import (FeaturePool, FlowTrainer, fit_density,
+                                      flow_train_step, pool_indices)
 from densitydescent.flow import init_flow
 from densitydescent.latent import init_latent
+from densitydescent.perturb import generate_perturbation
 from densitydescent.runconfig import load_config
-from densitydescent.semisup import (dataset_for_run, derived_seeds, student_step,
-                                    train_ssl)
+from densitydescent.semisup import (dataset_for_run, derived_seeds, ema_update, evaluate,
+                                    student_step, train_ssl)
 
 PACKAGE = os.path.dirname(os.path.abspath(densitydescent.__file__)) + os.sep
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
+# layer -> the functions whose frames, and those they call, make its calls
+LAYERS = {
+    "flow_step": (FlowTrainer.step, flow_train_step),
+    "student_step": (student_step,),
+    "perturbation": (generate_perturbation,),
+    "pool_draws": (pool_indices,),
+    "ema": (ema_update,),
+    "eval": (evaluate,),
+}
+LAYER_OF = {fn.__code__: layer for layer, fns in LAYERS.items() for fn in fns}
+
 
 def count_calls(fn, *args, **kwargs):
     """Run ``fn``; return the calls made from the package's frames while it
-    ran, the calls of ``student_step`` (the iterations) and ``fn``'s result."""
-    counts = {"calls": 0, "student_step": 0}
+    ran, by layer (``rest`` last), the calls of ``student_step`` (the
+    iterations) and ``fn``'s result."""
+    counts = dict.fromkeys([*LAYERS, "rest"], 0)
+    iterations = 0
+    # (frame, layer) of each open layer function, innermost last
+    stack = [(None, "rest")]
 
     def hook(frame, event, arg):
+        nonlocal iterations
+        if event == "return":
+            if frame is stack[-1][0]:
+                stack.pop()
+            return
         if event == "call":
             caller = frame.f_back
-            if frame.f_code is student_step.__code__:
-                counts["student_step"] += 1
         elif event == "c_call":
             caller = frame
         else:
             return
         if caller is not None and caller.f_code.co_filename.startswith(PACKAGE):
-            counts["calls"] += 1
+            counts[stack[-1][1]] += 1
+        if event == "call" and frame.f_code in LAYER_OF:
+            stack.append((frame, LAYER_OF[frame.f_code]))
+            iterations += frame.f_code is student_step.__code__
 
     previous = sys.getprofile()
     sys.setprofile(hook)
@@ -64,12 +91,12 @@ def count_calls(fn, *args, **kwargs):
         result = fn(*args, **kwargs)
     finally:
         sys.setprofile(previous)
-    return counts["calls"], counts["student_step"], result
+    return counts, iterations, result
 
 
-def ssl_work(config_path: str, seed: int = 0, **ssl_keys) -> tuple[int, int, int]:
-    """(calls, iterations, flow steps) of one ``train-ssl`` seed of the
-    config, with some ``ssl`` fields replaced, all in this process."""
+def ssl_work(config_path: str, seed: int = 0, **ssl_keys) -> tuple[dict, int, int]:
+    """(calls by layer, iterations, flow steps) of one ``train-ssl`` seed of
+    the config, with some ``ssl`` fields replaced, all in this process."""
     cfg = load_config(config_path)
     run = replace(cfg.ssl, seed=seed, **ssl_keys)
     ds = dataset_for_run(cfg.dataset, seed)
@@ -77,19 +104,20 @@ def ssl_work(config_path: str, seed: int = 0, **ssl_keys) -> tuple[int, int, int
     return calls, iterations, result.flow_steps
 
 
-def density_work(config_path: str) -> tuple[int, int, int]:
-    """(calls, iterations, flow steps) of the fit that ``fit-density`` runs
-    on the config; each iteration is one flow step."""
+def density_work(config_path: str) -> tuple[dict, int, int]:
+    """(calls by layer, iterations, flow steps) of the fit that
+    ``fit-density`` runs on the config; each iteration is one flow step."""
     cfg = load_config(config_path)
     ds = make_dataset(cfg.dataset)
     dim = ds.x.shape[1]
     s_flow, s_latent, s_fit = derived_seeds(cfg.seed, 3)
     model = init_flow(dim, cfg.flow.blocks, cfg.flow.hidden, cfg.flow.s_max, s_flow)
     latent = init_latent(ds.n_classes, dim, s_latent)
-    calls, _, history = count_calls(
-        fit_density, ds.x[ds.labeled_idx], ds.y[ds.labeled_idx], ds.x[ds.unlabeled_idx],
-        model, latent, cfg.flow_train, cfg.fit.steps, cfg.fit.batch,
-        np.random.default_rng(s_fit))
+    data = FeaturePool(labeled=ds.x[ds.labeled_idx], labels=ds.y[ds.labeled_idx],
+                       unlabeled=ds.x[ds.unlabeled_idx])
+    calls, _, history = count_calls(fit_density, data, model, latent, cfg.flow_train,
+                                    cfg.fit.steps, cfg.fit.batch,
+                                    np.random.default_rng(s_fit))
     return calls, len(history), len(history)
 
 
@@ -103,8 +131,10 @@ WORKLOADS = {
 def main() -> int:
     for name, work in WORKLOADS.items():
         calls, iterations, flow_steps = work()
-        print(f"{name}: calls={calls} iterations={iterations} flow_steps={flow_steps} "
-              f"calls_per_iteration={calls / iterations:.1f}", flush=True)
+        total = sum(calls.values())
+        print(f"{name}: calls={total} iterations={iterations} flow_steps={flow_steps} "
+              f"calls_per_iteration={total / iterations:.1f}")
+        print("  " + " ".join(f"{layer}={n}" for layer, n in calls.items()), flush=True)
     return 0
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import make_dataset
 from .errors import ConfigError, NumericError
-from .estimator import fit_density
+from .estimator import FeaturePool, fit_density
 from .flow import (flow_inverse, init_flow, kernel_forward, load_checkpoint,
                    randomize_conditioners, save_checkpoint)
 from .latent import init_latent, marginal_logpdf
@@ -71,10 +71,10 @@ def cmd_fit_density(args) -> int:
     latent = init_latent(ds.n_classes, dim, s_latent)
     _log(out, f"fit-density: kind={cfg.dataset.kind} n={ds.n} dim={dim} "
               f"components={ds.n_classes} steps={cfg.fit.steps}")
-    history = fit_density(ds.x[ds.labeled_idx], ds.y[ds.labeled_idx],
-                          ds.x[ds.unlabeled_idx], model, latent, cfg.flow_train,
-                          cfg.fit.steps, cfg.fit.batch,
-                          np.random.default_rng(s_fit))
+    data = FeaturePool(labeled=ds.x[ds.labeled_idx], labels=ds.y[ds.labeled_idx],
+                       unlabeled=ds.x[ds.unlabeled_idx])
+    history = fit_density(data, model, latent, cfg.flow_train, cfg.fit.steps,
+                          cfg.fit.batch, np.random.default_rng(s_fit))
     with open(os.path.join(out, "loss.csv"), "w") as fh:
         fh.write("iteration,flow_loss,lr\n")
         for step, loss, lr in history:
@@ -172,7 +172,7 @@ def cmd_train_ssl(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = load_config(args.config)
-    sweep = load_sweep(args.sweep)
+    sweep = load_sweep(args.sweep).over(cfg.ssl)
     cfgs = cells(cfg.ssl, sweep)
     _check_test_rows(cfg, sweep.seeds)
     out = _resolve_out(args.out)

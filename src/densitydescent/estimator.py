@@ -1,9 +1,10 @@
-"""Online training of the flow density estimator on detached features.
+"""Training of the flow density estimator on one input type, the
+``FeaturePool``, drawn one way: ``pool_indices`` picks the rows, the caller
+gathers them.
 
-The estimator is an observer: it reads teacher features with gradients
-severed, maximizes their likelihood under the frozen class-anchored latent
-mixture, and never sends gradients back into the main model. Only the flow
-parameters move; means, covariances and mixture weights stay fixed.
+Online, the estimator is an observer: it reads teacher features with
+gradients severed, maximizes their likelihood under the frozen latent
+mixture and sends no gradient back; ``fit_density`` reads data rows.
 """
 
 from __future__ import annotations
@@ -53,8 +54,10 @@ class FlowTrainConfig:
 
 @dataclass
 class FeaturePool:
-    """Teacher features detached from the main model's parameter graph. A
-    side may be empty (M or N 0); the flow step needs one row in all."""
+    """The rows the flow trains or is scored on: teacher features, detached
+    from the main model's parameter graph, in an online run; data rows in
+    ``fit-density``. A side may be empty (M or N 0); the flow step needs one
+    row in all."""
     labeled: np.ndarray          # (M, d)
     labels: np.ndarray           # (M,)
     unlabeled: np.ndarray        # (N, d)
@@ -64,33 +67,33 @@ class FeaturePool:
         return len(self.labeled) + len(self.unlabeled)
 
 
-def flow_loss(labeled: np.ndarray, labels: np.ndarray, unlabeled: np.ndarray,
-              model: FlowModel, latent: GmmLatent) -> dc.Tensor:
-    """Mean negative log-likelihood over both feature pools.
+def flow_loss(pool: FeaturePool, model: FlowModel, latent: GmmLatent) -> dc.Tensor:
+    """Mean negative log-likelihood over both sides of ``pool``.
 
     Labeled features are scored against their own class component,
     unlabeled ones against the full mixture; the sum is normalized by the
     combined count.
     """
-    n_l = len(labeled)
-    n_u = len(unlabeled)
+    n_l = len(pool.labeled)
+    n_u = len(pool.unlabeled)
     if n_l + n_u == 0:
         raise ValueError("flow_loss needs at least one feature")
     total = None
     if n_l:
-        total = dc.sum(class_conditional_loglik(labeled, labels, model, latent))
+        total = dc.sum(class_conditional_loglik(pool.labeled, pool.labels, model, latent))
     if n_u:
-        s_u = dc.sum(marginal_loglik(unlabeled, model, latent))
+        s_u = dc.sum(marginal_loglik(pool.unlabeled, model, latent))
         total = s_u if total is None else total + s_u
     return total * (-1.0 / (n_l + n_u))
 
 
 def pool_indices(n_labeled: int, n_unlabeled: int, budget: int,
                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """The rows ``subsample_pool`` takes from pools of these sizes: budget/2
-    of each, drawn without replacement (all if fewer), one ``rng.choice`` per
-    side. An empty pool's draw takes no random number and gives an empty
-    index. The draws depend on the sizes only, not on the features."""
+    """The rows of one pool drawn from sources of these sizes: budget/2 of
+    each, drawn without replacement (all if fewer), one ``rng.choice`` per
+    side. An empty source's draw takes no random number and gives an empty
+    index. The draws depend on the sizes only, not on the rows; the caller
+    gathers them into a ``FeaturePool``."""
     if budget < 2 or budget % 2 != 0:
         raise ValueError("budget must be even and >= 2")
     half = budget // 2
@@ -98,22 +101,15 @@ def pool_indices(n_labeled: int, n_unlabeled: int, budget: int,
                  for n in (n_labeled, n_unlabeled))
 
 
-def subsample_pool(labeled: np.ndarray, labels: np.ndarray, unlabeled: np.ndarray,
-                   budget: int, rng: np.random.Generator) -> FeaturePool:
-    """Draw budget/2 features from each pool (all available if fewer); an
-    empty source pool gives an empty side of its own width."""
-    idx_l, idx_u = pool_indices(len(labeled), len(unlabeled), budget, rng)
-    return FeaturePool(labeled=labeled[idx_l], labels=labels[idx_l],
-                       unlabeled=unlabeled[idx_u])
-
-
 def sample_feature_pool(teacher, x_labeled: np.ndarray, y_labeled: np.ndarray,
                         x_unlabeled: np.ndarray, budget: int,
                         rng: np.random.Generator) -> FeaturePool:
-    """Encode batches with the teacher (numpy forward, no tape) and subsample
-    a detached pool."""
-    return subsample_pool(teacher.features(x_labeled), np.asarray(y_labeled, dtype=np.int64),
-                          teacher.features(x_unlabeled), budget, rng)
+    """Encode batches with the teacher (numpy forward, no tape) and draw a
+    detached pool from them."""
+    feats_l, feats_u = teacher.features(x_labeled), teacher.features(x_unlabeled)
+    il, iu = pool_indices(len(feats_l), len(feats_u), budget, rng)
+    return FeaturePool(labeled=feats_l[il], labels=np.asarray(y_labeled, dtype=np.int64)[il],
+                       unlabeled=feats_u[iu])
 
 
 def flow_train_step(pool: FeaturePool, model: FlowModel, latent: GmmLatent,
@@ -168,16 +164,17 @@ class FlowTrainer:
         return flow_train_step(pool, self.model, self.latent, self.opt)
 
 
-def fit_density(labeled: np.ndarray, labels: np.ndarray, unlabeled: np.ndarray,
-                model: FlowModel, latent: GmmLatent, cfg: FlowTrainConfig,
-                steps: int, batch: int, rng: np.random.Generator
+def fit_density(data: FeaturePool, model: FlowModel, latent: GmmLatent,
+                cfg: FlowTrainConfig, steps: int, batch: int, rng: np.random.Generator
                 ) -> list[tuple[int, float, float]]:
-    """Offline fitting loop: subsample a pool and take one ``FlowTrainer``
-    step at ``step / steps``, ``steps`` times. Returns each step's
-    (step, loss, lr), the rows of ``loss.csv``."""
+    """Offline fitting loop: draw a pool of ``batch`` rows from ``data`` and
+    take one ``FlowTrainer`` step on it at ``step / steps``, ``steps``
+    times. Returns each step's (step, loss, lr), the rows of ``loss.csv``."""
     trainer = FlowTrainer(model, latent, cfg)
     history = []
     for step in range(steps):
-        pool = subsample_pool(labeled, labels, unlabeled, batch, rng)
+        il, iu = pool_indices(len(data.labeled), len(data.unlabeled), batch, rng)
+        pool = FeaturePool(labeled=data.labeled[il], labels=data.labels[il],
+                           unlabeled=data.unlabeled[iu])
         history.append((step, trainer.step(pool, step / steps), trainer.opt.lr))
     return history

@@ -607,23 +607,25 @@ class SweepSpec:
     kinds: list[str] | None = None
     eps: list[float] | None = None
     lambda_ft: list[float] | None = None
-    seeds: list[int] = field(default_factory=lambda: [0])
+    seeds: list[int] | None = None
 
     def __post_init__(self):
-        check_seeds("sweep key 'seeds' entries", self.seeds)
+        check_seeds("sweep key 'seeds' entries", self.seeds or [])
         for key in ("kinds", "eps", "lambda_ft"):
             check_distinct(f"sweep key {key!r} entries", getattr(self, key) or [])
 
+    def over(self, cfg: SslConfig) -> SweepSpec:
+        """This sweep with each axis it leaves unset, seeds too, at ``cfg``'s
+        value, as ``train-ssl`` without ``--seeds`` runs ``cfg.seed``."""
+        return SweepSpec(self.kinds or [cfg.perturb.kind], self.eps or [cfg.perturb.eps],
+                         self.lambda_ft or [cfg.lambda_ft], self.seeds or [cfg.seed])
+
 
 def cells(cfg: SslConfig, sweep: SweepSpec) -> list[SslConfig]:
-    """The seeded config of every sweep cell, in (kind, eps, lambda_ft,
-    seed) order; building each one validates it. Axes left unset fall back
-    to the base config's value, and every cell at a seed shares its
-    dataset draw."""
-    kinds = sweep.kinds if sweep.kinds else [cfg.perturb.kind]
-    eps_values = sweep.eps if sweep.eps else [cfg.perturb.eps]
-    lambdas = sweep.lambda_ft if sweep.lambda_ft else [cfg.lambda_ft]
+    """The seeded config of each cell of ``sweep.over(cfg)``, validated as it
+    is built, in (kind, eps, lambda_ft, seed) order; a seed's cells share a draw."""
+    axes = sweep.over(cfg)
     return [replace(cfg, seed=s, lambda_ft=lam,
                     perturb=replace(cfg.perturb, kind=kind, eps=eps))
-            for kind in kinds for eps in eps_values for lam in lambdas
-            for s in sweep.seeds]
+            for kind in axes.kinds for eps in axes.eps for lam in axes.lambda_ft
+            for s in axes.seeds]

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from densitydescent.data import DataSpec, make_dataset
-from densitydescent.estimator import FlowTrainConfig, fit_density
+from densitydescent.estimator import FeaturePool, FlowTrainConfig, fit_density
 from densitydescent.flow import flow_forward, flow_inverse, init_flow
 from densitydescent.latent import GmmLatent, init_latent, marginal_loglik, mixture_logpdf
 from densitydescent.oracle import (finite_diff_grad, mc_normalization,
@@ -41,9 +41,10 @@ def moons_estimator():
     ds = make_dataset(spec)
     flow = init_flow(2, n_blocks=2, hidden=128, seed=11)
     latent = init_latent(2, 2, seed=12)
-    fit_density(ds.x[ds.labeled_idx], ds.y[ds.labeled_idx],
-                ds.x[ds.unlabeled_idx], flow, latent, FlowTrainConfig(),
-                steps=2500, batch=256, rng=np.random.default_rng(13))
+    data = FeaturePool(labeled=ds.x[ds.labeled_idx], labels=ds.y[ds.labeled_idx],
+                       unlabeled=ds.x[ds.unlabeled_idx])
+    fit_density(data, flow, latent, FlowTrainConfig(), steps=2500, batch=256,
+                rng=np.random.default_rng(13))
     held = ds.x[ds.test_idx]
     return flow, latent, held
 
@@ -109,7 +110,7 @@ def test_criterion_2_logdet_exactness():
             comp = rng.integers(0, 2, size=128)
             feats = means[comp] + rng.standard_normal((128, d))
             latent = init_latent(2, d, seed=i)
-            fit_density(feats[:64], comp[:64], feats[64:], flow, latent,
+            fit_density(FeaturePool(feats[:64], comp[:64], feats[64:]), flow, latent,
                         FlowTrainConfig(), steps=25, batch=128, rng=rng)
             for v in rng.standard_normal((2, d)):
                 _, logdet = flow_forward(v[None], flow)
@@ -164,8 +165,8 @@ def test_criterion_5_density_learning():
     x_held, _ = sample(2000)
     flow = init_flow(2, n_blocks=4, hidden=256, seed=61)
     latent = init_latent(2, 2, seed=62)
-    fit_density(x_train[:1000], y_train[:1000], x_train[1000:], flow, latent,
-                FlowTrainConfig(), steps=5000, batch=256,
+    fit_density(FeaturePool(x_train[:1000], y_train[:1000], x_train[1000:]), flow,
+                latent, FlowTrainConfig(), steps=5000, batch=256,
                 rng=np.random.default_rng(63))
     nll_flow = -float(np.mean(marginal_loglik(x_held, flow, latent).data))
     nll_true = -float(np.mean(mixture_logpdf(x_held, true_latent).data))

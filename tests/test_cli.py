@@ -231,6 +231,19 @@ class TestAblate:
                 assert cell == [{c: v for c, v in row.items() if c != "L_flow"}
                                 for row in own]
 
+    def test_sweep_without_seeds_runs_the_config_seed(self, tmp_path, capsys):
+        # as train-ssl without --seeds does; the log names every axis it runs
+        config = small_doc(tmp_path, seed=5, perturb={"kind": "uniform-noise"})
+        sweep = write_json(tmp_path / "sweep.json", {"eps": [0.5]})
+        out, run = tmp_path / "ablate", tmp_path / "run"
+        assert main(["ablate", "--config", config, "--sweep", sweep, "--out", str(out)]) == 0
+        assert "ablate: kinds=['uniform-noise'] eps=[0.5] lambda_ft=[1.0] seeds=[5]\n" in (
+            capsys.readouterr().out)
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert main(["train-ssl", "--config", config, "--out", str(run)]) == 0
+        accs = json.loads((run / "summary.json").read_text())["accuracies"]
+        assert rows == [f"uniform-noise,0.5,1.0,5,{accs['5']!r}"]
+
     def test_unknown_sweep_key(self, tmp_path, monkeypatch, capsys):
         Fault("ablate", "unknown sweep key 'epsilon'",
               sweep=json_file({"epsilon": [1.0]})).check(tmp_path, monkeypatch, capsys)

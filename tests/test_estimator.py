@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from densitydescent.errors import NumericError
-from densitydescent.estimator import (FlowTrainConfig, flow_loss, flow_train_step,
-                                      fit_density, pool_indices, sample_feature_pool,
-                                      subsample_pool)
+from densitydescent.estimator import (FeaturePool, FlowTrainConfig, flow_loss,
+                                      flow_train_step, fit_density, pool_indices,
+                                      sample_feature_pool)
 from densitydescent.flow import flow_inverse, init_flow, randomize_conditioners
 from densitydescent.latent import init_latent, marginal_loglik
 from densitydescent.optim import Adam
@@ -24,7 +24,7 @@ class TestFlowLoss:
         flow = init_flow(2, hidden=8, seed=0)
         latent = init_latent(3, 2, seed=1)
         v = latent.means[1][::-1].copy()[None, :]   # identity flow maps it onto mu_1
-        loss = flow_loss(v, np.array([1]), np.empty((0, 2)), flow, latent)
+        loss = flow_loss(FeaturePool(v, np.array([1]), np.empty((0, 2))), flow, latent)
         assert float(loss.data) == pytest.approx(LOG_2PI)
         assert float(loss.data) == pytest.approx(1.837877, abs=1e-6)
 
@@ -32,7 +32,8 @@ class TestFlowLoss:
         flow = randomize_conditioners(init_flow(4, hidden=16, seed=2), seed=3)
         latent = init_latent(2, 4, seed=4)
         v = np.random.default_rng(5).standard_normal((12, 4))
-        loss = flow_loss(np.empty((0, 4)), np.empty(0, dtype=int), v, flow, latent)
+        loss = flow_loss(FeaturePool(np.empty((0, 4)), np.empty(0, dtype=int), v),
+                         flow, latent)
         expected = -float(np.mean(marginal_loglik(v, flow, latent).data))
         assert float(loss.data) == pytest.approx(expected, rel=1e-12)
 
@@ -40,7 +41,7 @@ class TestFlowLoss:
         flow = init_flow(2, hidden=8, seed=6)
         latent = init_latent(2, 2, seed=7)
         with pytest.raises(ValueError):
-            flow_loss(np.empty((0, 2)), np.empty(0, dtype=int), np.empty((0, 2)),
+            flow_loss(FeaturePool(np.empty((0, 2)), np.empty(0, dtype=int), np.empty((0, 2))),
                       flow, latent)
 
     def test_normalizes_by_combined_count(self):
@@ -49,33 +50,37 @@ class TestFlowLoss:
         rng = np.random.default_rng(10)
         vl, vu = rng.standard_normal((3, 2)), rng.standard_normal((5, 2))
         labels = np.array([0, 1, 0])
-        both = flow_loss(vl, labels, vu, flow, latent)
-        part_l = flow_loss(vl, labels, np.empty((0, 2)), flow, latent)
-        part_u = flow_loss(np.empty((0, 2)), np.empty(0, dtype=int), vu, flow, latent)
+        both = flow_loss(FeaturePool(vl, labels, vu), flow, latent)
+        part_l = flow_loss(FeaturePool(vl, labels, np.empty((0, 2))), flow, latent)
+        part_u = flow_loss(FeaturePool(np.empty((0, 2)), np.empty(0, dtype=int), vu),
+                           flow, latent)
         assert float(both.data) == pytest.approx(
             (3 * float(part_l.data) + 5 * float(part_u.data)) / 8, rel=1e-12)
 
 
 class TestPoolSampling:
+    """``pool_indices`` draws a pool's rows; the caller gathers them into a
+    ``FeaturePool``, as ``fit_density`` and ``semisup._loop`` do."""
+
     def test_budget_two_with_one_each(self):
-        rng = np.random.default_rng(0)
-        pool = subsample_pool(np.ones((1, 3)), np.array([0]), 2 * np.ones((1, 3)),
-                              budget=2, rng=rng)
+        il, iu = pool_indices(1, 1, budget=2, rng=np.random.default_rng(0))
+        pool = FeaturePool(labeled=np.ones((1, 3))[il], labels=np.array([0])[il],
+                           unlabeled=2 * np.ones((1, 3))[iu])
         assert pool.total == 2
         np.testing.assert_array_equal(pool.labeled, np.ones((1, 3)))
         np.testing.assert_array_equal(pool.unlabeled, 2 * np.ones((1, 3)))
 
     def test_empty_side_returns_the_other_side_s_rows(self):
-        rng = np.random.default_rng(1)
-        pool = subsample_pool(np.empty((0, 3)), np.empty(0, dtype=int),
-                              np.ones((4, 3)), budget=8, rng=rng)
-        assert len(pool.unlabeled) == 4 and len(pool.labeled) == 0
+        il, iu = pool_indices(0, 4, budget=8, rng=np.random.default_rng(1))
+        pool = FeaturePool(labeled=np.empty((0, 3))[il], labels=np.empty(0, dtype=int)[il],
+                           unlabeled=np.ones((4, 3))[iu])
+        assert pool.unlabeled.shape == (4, 3) and pool.labeled.shape == (0, 3)
 
     @pytest.mark.parametrize("sizes", [(0, 7), (7, 0)], ids=["labeled", "unlabeled"])
     def test_empty_side_takes_no_random_draw(self, sizes):
-        # subsample_pool draws and gathers each side alike, empty or not: it
-        # relies on rng.choice(0, size=0) giving an empty index and leaving
-        # the generator as a twin that drew only the other side
+        # callers draw and gather each side alike, empty or not: they rely
+        # on rng.choice(0, size=0) giving an empty index and leaving the
+        # generator as a twin that drew only the other side
         rng, twin = np.random.default_rng(6), np.random.default_rng(6)
         empty = sizes.index(0)
         idx = pool_indices(*sizes, budget=8, rng=rng)
@@ -84,21 +89,18 @@ class TestPoolSampling:
         assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_budget_split_caps_at_available(self):
-        rng = np.random.default_rng(2)
-        pool = subsample_pool(np.ones((3, 2)), np.zeros(3, dtype=int),
-                              np.ones((100, 2)), budget=20, rng=rng)
-        assert len(pool.labeled) == 3 and len(pool.unlabeled) == 10
+        il, iu = pool_indices(3, 100, budget=20, rng=np.random.default_rng(2))
+        assert len(il) == 3 and len(iu) == 10
 
-    def test_subsample_is_without_replacement(self):
-        rng = np.random.default_rng(3)
+    def test_draw_is_without_replacement(self):
         feats = np.arange(40, dtype=float).reshape(20, 2)
-        pool = subsample_pool(feats, np.zeros(20, dtype=int), feats, budget=20, rng=rng)
-        assert len(np.unique(pool.labeled, axis=0)) == 10
+        il, iu = pool_indices(20, 20, budget=20, rng=np.random.default_rng(3))
+        assert len(np.unique(feats[il], axis=0)) == 10
+        assert len(np.unique(iu)) == 10
 
     def test_odd_budget_rejected(self):
         with pytest.raises(ValueError):
-            subsample_pool(np.ones((2, 2)), np.zeros(2, dtype=int), np.ones((2, 2)),
-                           budget=3, rng=np.random.default_rng(0))
+            pool_indices(2, 2, budget=3, rng=np.random.default_rng(0))
 
     def test_teacher_features_are_detached_and_teacher_untouched(self):
         teacher = init_model(2, 8, 4, 2, seed=4)
@@ -118,8 +120,9 @@ def _fit_setup(seed=0):
     latent = init_latent(2, 2, seed=seed + 1)
     rng = np.random.default_rng(seed + 2)
     feats = rng.standard_normal((64, 2)) + np.array([1.0, -1.0])
-    pool = subsample_pool(feats[:32], rng.integers(0, 2, 32), feats[32:],
-                          budget=64, rng=rng)
+    labels = rng.integers(0, 2, 32)
+    il, iu = pool_indices(32, 32, budget=64, rng=rng)
+    pool = FeaturePool(labeled=feats[:32][il], labels=labels[il], unlabeled=feats[32:][iu])
     return flow, latent, pool
 
 
@@ -147,11 +150,9 @@ class TestFlowTrainStep:
         for seed in range(20):
             flow, latent, pool = _fit_setup(seed)
             opt = adam(flow.flat, 1e-4)
-            before = float(flow_loss(pool.labeled, pool.labels, pool.unlabeled,
-                                     flow, latent).data)
+            before = float(flow_loss(pool, flow, latent).data)
             flow_train_step(pool, flow, latent, opt)
-            after = float(flow_loss(pool.labeled, pool.labels, pool.unlabeled,
-                                    flow, latent).data)
+            after = float(flow_loss(pool, flow, latent).data)
             wins += after <= before
         assert wins >= 18   # >= 90% of seeds
 
@@ -183,16 +184,16 @@ class TestFitDensity:
         v = flow_inverse(z, gen_flow)
         flow = init_flow(2, hidden=16, seed=11)
         cfg = FlowTrainConfig(lr=1e-3)
-        history = fit_density(v[:128], comp[:128], v[128:], flow, latent, cfg,
-                              steps=500, batch=256, rng=rng)
+        history = fit_density(FeaturePool(v[:128], comp[:128], v[128:]), flow, latent,
+                              cfg, steps=500, batch=256, rng=rng)
         ma = np.convolve([h[1] for h in history], np.ones(5) / 5, mode="valid")
         assert np.all(np.diff(ma) < 1e-9)
 
     def test_history_records_schedule(self):
         flow, latent, pool = _fit_setup(12)
         cfg = FlowTrainConfig(lr=1e-3, decay_fractions=(0.5,), decay_gamma=0.1)
-        history = fit_density(pool.labeled, pool.labels, pool.unlabeled, flow, latent,
-                              cfg, steps=10, batch=16, rng=np.random.default_rng(13))
+        history = fit_density(pool, flow, latent, cfg, steps=10, batch=16,
+                              rng=np.random.default_rng(13))
         lrs = [h[2] for h in history]
         assert lrs[0] == pytest.approx(1e-3) and lrs[-1] == pytest.approx(1e-4)
         assert len(history) == 10

@@ -3,7 +3,7 @@ import pytest
 
 from densitydescent import diffcore as dc
 from densitydescent.errors import ConfigError
-from densitydescent.estimator import FlowTrainConfig, fit_density
+from densitydescent.estimator import FeaturePool, FlowTrainConfig, fit_density
 from densitydescent.flow import (CouplingBlock, coupling_forward, coupling_inverse,
                                  flow_forward, flow_inverse, init_flow,
                                  load_checkpoint, randomize_conditioners,
@@ -129,8 +129,8 @@ class TestFlowModel:
         flow = init_flow(2, hidden=16, seed=13)
         latent = init_latent(2, 2, seed=14)
         pts = rng.standard_normal((400, 2)) * 0.4 + np.array([1.0, -0.5])
-        fit_density(pts[:200], np.zeros(200, dtype=int), pts[200:], flow, latent,
-                    FlowTrainConfig(), steps=100, batch=64, rng=rng)
+        fit_density(FeaturePool(pts[:200], np.zeros(200, dtype=int), pts[200:]), flow,
+                    latent, FlowTrainConfig(), steps=100, batch=64, rng=rng)
         comp = rng.integers(0, 2, size=100)
         z = latent.means[comp] + rng.standard_normal((100, 2))
         v = flow_inverse(z, flow)

@@ -77,7 +77,7 @@ def test_flow_step_matches_tape(blocks, hidden, rows, d, pool_kind):
     latent = init_latent(3, d, seed=5)
     pool = make_pool(pool_kind, rows, d, 3, np.random.default_rng(rows))
     twin = leaf_twin(flow)
-    loss = flow_loss(pool.labeled, pool.labels, pool.unlabeled, twin, latent)
+    loss = flow_loss(pool, twin, latent)
     reference = dc.grad(loss, twin.params())
 
     opt = RecordingOptimizer()
@@ -140,7 +140,7 @@ def test_flow_step_updates_like_tape_adam():
     pool = make_pool("mixed", 40, 2, 2, np.random.default_rng(23))
     flow_train_step(pool, flow_k, latent, adam(flow_k.flat, 1e-2))
     twin_t = leaf_twin(flow_t)
-    loss = flow_loss(pool.labeled, pool.labels, pool.unlabeled, twin_t, latent)
+    loss = flow_loss(pool, twin_t, latent)
     adam(flow_t.flat, 1e-2).step(np.concatenate(dc.grad(loss, twin_t.params()), axis=None))
     for pk, pt in zip(flow_k.params(), flow_t.params()):
         assert_close(pk, pt)

@@ -3,7 +3,7 @@ import pytest
 
 from densitydescent import diffcore as dc
 from densitydescent.errors import ConfigError, NumericError
-from densitydescent.estimator import FlowTrainConfig, fit_density
+from densitydescent.estimator import FeaturePool, FlowTrainConfig, fit_density
 from densitydescent.flow import init_flow
 from densitydescent.latent import init_latent, marginal_loglik
 from densitydescent.oracle import finite_diff_grad
@@ -22,8 +22,8 @@ def trained_2d_model(seed=0):
     latent = init_latent(2, 2, seed=seed + 1)
     comp = rng.integers(0, 2, size=400)
     pts = np.array([[-1.5, 0.0], [1.5, 0.5]])[comp] + 0.4 * rng.standard_normal((400, 2))
-    fit_density(pts[:200], comp[:200], pts[200:], flow, latent, FlowTrainConfig(),
-                steps=400, batch=128, rng=rng)
+    fit_density(FeaturePool(pts[:200], comp[:200], pts[200:]), flow, latent,
+                FlowTrainConfig(), steps=400, batch=128, rng=rng)
     return flow, latent, pts
 
 
