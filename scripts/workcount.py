@@ -17,10 +17,16 @@ not a replacement for them.
 Each counted call also goes to one layer: that of the innermost layer
 function on the stack when it was made (``LAYERS``), or ``rest`` if none is.
 
-Workloads, each printed with its count, iterations and flow steps, then its
-calls per layer:
+A second pass runs each workload afresh under ``tracemalloc``, without the
+profile hook, so that the hook's own allocations do not count, and prints
+the peak of the memory that Python and numpy traced while it ran. The peak
+is not exact across runs, and it is no stand-in for the process's RSS.
+
+Workloads, each printed with its count, iterations, flow steps and traced
+peak, then its calls per layer:
 - ``dd``: the shipped ``configs/moons_ssl.json`` at seed 0;
-- ``lambda0``: the same at ``lambda_ft`` 0, its flow stepped in this process;
+- ``lambda0``: the same at ``lambda_ft`` 0, its flow stepped in this process
+  (``worker.can_fork`` refused, as the hook sees this process alone);
 - ``fit-density``: the 2500-step fit of ``configs/moons_density.json``.
 """
 
@@ -28,11 +34,14 @@ from __future__ import annotations
 
 import os
 import sys
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 
 import densitydescent
+from densitydescent import worker
 from densitydescent.data import make_dataset
 from densitydescent.estimator import (FeaturePool, FlowTrainer, fit_density,
                                       flow_train_step, pool_indices)
@@ -58,10 +67,10 @@ LAYERS = {
 LAYER_OF = {fn.__code__: layer for layer, fns in LAYERS.items() for fn in fns}
 
 
-def count_calls(fn, *args, **kwargs):
-    """Run ``fn``; return the calls made from the package's frames while it
-    ran, by layer (``rest`` last), the calls of ``student_step`` (the
-    iterations) and ``fn``'s result."""
+def count_calls(job):
+    """Run ``job``, a call of no arguments; return the calls made from the
+    package's frames while it ran, by layer (``rest`` last), the calls of
+    ``student_step`` (the iterations) and ``job``'s result."""
     counts = dict.fromkeys([*LAYERS, "rest"], 0)
     iterations = 0
     # (frame, layer) of each open layer function, innermost last
@@ -88,25 +97,39 @@ def count_calls(fn, *args, **kwargs):
     previous = sys.getprofile()
     sys.setprofile(hook)
     try:
-        result = fn(*args, **kwargs)
+        result = job()
     finally:
         sys.setprofile(previous)
     return counts, iterations, result
 
 
-def ssl_work(config_path: str, seed: int = 0, **ssl_keys) -> tuple[dict, int, int]:
-    """(calls by layer, iterations, flow steps) of one ``train-ssl`` seed of
-    the config, with some ``ssl`` fields replaced, all in this process."""
+def traced_peak(job) -> int:
+    """Run ``job``, a call of no arguments, under ``tracemalloc`` and no
+    profile hook; return the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        job()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def ssl_job(config_path: str, seed: int = 0, **ssl_keys):
+    """A call that runs one ``train-ssl`` seed of the config, with some
+    ``ssl`` fields replaced, all in this process, and returns its flow steps."""
     cfg = load_config(config_path)
     run = replace(cfg.ssl, seed=seed, **ssl_keys)
     ds = dataset_for_run(cfg.dataset, seed)
-    calls, iterations, result = count_calls(train_ssl, run, ds, may_split=False)
-    return calls, iterations, result.flow_steps
+
+    def job():
+        with mock.patch.object(worker, "can_fork", lambda: False):
+            return train_ssl(run, ds).flow_steps
+    return job
 
 
-def density_work(config_path: str) -> tuple[dict, int, int]:
-    """(calls by layer, iterations, flow steps) of the fit that
-    ``fit-density`` runs on the config; each iteration is one flow step."""
+def density_job(config_path: str):
+    """A call that runs the fit that ``fit-density`` runs on the config and
+    returns its flow steps."""
     cfg = load_config(config_path)
     ds = make_dataset(cfg.dataset)
     dim = ds.x.shape[1]
@@ -115,25 +138,28 @@ def density_work(config_path: str) -> tuple[dict, int, int]:
     latent = init_latent(ds.n_classes, dim, s_latent)
     data = FeaturePool(labeled=ds.x[ds.labeled_idx], labels=ds.y[ds.labeled_idx],
                        unlabeled=ds.x[ds.unlabeled_idx])
-    calls, _, history = count_calls(fit_density, data, model, latent, cfg.flow_train,
-                                    cfg.fit.steps, cfg.fit.batch,
-                                    np.random.default_rng(s_fit))
-    return calls, len(history), len(history)
+    return lambda: len(fit_density(data, model, latent, cfg.flow_train, cfg.fit.steps,
+                                   cfg.fit.batch, np.random.default_rng(s_fit)))
 
 
+SSL_CONFIG = os.path.join(CONFIGS, "moons_ssl.json")
+# name -> a fresh job of the workload: each pass runs its own
 WORKLOADS = {
-    "dd": lambda: ssl_work(os.path.join(CONFIGS, "moons_ssl.json")),
-    "lambda0": lambda: ssl_work(os.path.join(CONFIGS, "moons_ssl.json"), lambda_ft=0.0),
-    "fit-density": lambda: density_work(os.path.join(CONFIGS, "moons_density.json")),
+    "dd": lambda: ssl_job(SSL_CONFIG),
+    "lambda0": lambda: ssl_job(SSL_CONFIG, lambda_ft=0.0),
+    "fit-density": lambda: density_job(os.path.join(CONFIGS, "moons_density.json")),
 }
 
 
 def main() -> int:
-    for name, work in WORKLOADS.items():
-        calls, iterations, flow_steps = work()
+    for name, workload in WORKLOADS.items():
+        calls, iterations, flow_steps = count_calls(workload())
+        iterations = iterations or flow_steps   # a fit's iterations are its flow steps
         total = sum(calls.values())
+        peak = traced_peak(workload())
         print(f"{name}: calls={total} iterations={iterations} flow_steps={flow_steps} "
-              f"calls_per_iteration={total / iterations:.1f}")
+              f"calls_per_iteration={total / iterations:.1f} "
+              f"traced_peak_mb={peak / 2**20:.2f}")
         print("  " + " ".join(f"{layer}={n}" for layer, n in calls.items()), flush=True)
     return 0
 

@@ -18,12 +18,11 @@ in ``tests/reference/student.py``.
 
 A run whose perturbation never reads the flow (``lambda_ft`` 0, or a
 baseline kind) trains no flow when its caller reads none either (``ablate``);
-otherwise, when the run is its command's only one, it trains the flow on
-a second core: ``train_ssl`` streams the loop's pools from one forked worker
-and steps its trainer on them, with the same bits as in one process. A
-multi-run command hands its list of seeded configs to ``runs``, and each run
-steps its flow in this process. Every loop that holds its flow checks that
-the flow and the student never write each other's parameters (``_loop``).
+otherwise, where the host can fork, it trains the flow on a second core:
+``train_ssl`` streams the loop's pools from one forked worker and steps its
+trainer on them, with the same bits as in one process. Every loop that holds
+its flow checks that the flow and the student never write each other's
+parameters (``_loop``).
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ from typing import Callable, Generator, Iterator
 
 import numpy as np
 
+from . import worker
 from .data import DataSpec, Dataset, make_dataset
 from .errors import ConfigError, NumericError, Valid, check_fields, knob
 from .estimator import FeaturePool, FlowTrainConfig, FlowTrainer, pool_indices
@@ -42,7 +42,6 @@ from .flow import MAX_WIDTH, FlowArch, init_flow
 from .latent import BLOCK_ROWS, init_latent, softmax
 from .optim import MomentumSGD, pack, poly_decay
 from .perturb import PerturbConfig, dropped_channels, generate_perturbation
-from .worker import can_fork, streamed
 
 
 @dataclass
@@ -364,8 +363,7 @@ def write_metrics_csv(result: TrainResult, path) -> None:
             fh.write(",".join(cells) + "\n")
 
 
-def train_ssl(cfg: SslConfig, ds: Dataset, keep_flow: bool = True,
-              may_split: bool = True) -> TrainResult:
+def train_ssl(cfg: SslConfig, ds: Dataset, keep_flow: bool = True) -> TrainResult:
     """Run the full interleaved loop and return per-epoch metrics.
 
     Each iteration: student step on the unified objective (``student_step``),
@@ -389,12 +387,10 @@ def train_ssl(cfg: SslConfig, ds: Dataset, keep_flow: bool = True,
     the host can fork onto a second core (``_splits``), through
     ``worker.streamed``, so the worker goes on while the flow steps. The
     result is bit for bit that of the run in one process. A worker's error
-    is raised here, unchanged, after the pools before it. ``may_split`` off
-    keeps the run in this process whatever the host; ``runs`` leaves it on
-    only for a list of one config, so the runs of a multi-run command, not
-    the phases of one run, are what may share the cores, and a fan-out of
-    runs over the cores never holds more busy processes than cores. Every
-    run whose loop runs here with its flow checks isolation (``_loop``).
+    is raised here, unchanged, after the pools before it, and the worker is
+    reaped before this function returns, so a run holds at most two
+    processes. Every run whose loop runs here with its flow checks
+    isolation (``_loop``).
     """
     if len(ds.labeled_idx) == 0:
         raise ConfigError("training needs a labeled split")
@@ -407,8 +403,8 @@ def train_ssl(cfg: SslConfig, ds: Dataset, keep_flow: bool = True,
     trainer = FlowTrainer(init_flow(cfg.feature_dim, cfg.flow.blocks, cfg.flow.hidden,
                                     cfg.flow.s_max, s_flow),
                           init_latent(ds.n_classes, cfg.feature_dim, s_latent), cfg.flow_train)
-    if may_split and _splits(cfg, ds):
-        loop = streamed(_loop, cfg, ds, student, teacher, None, seeds)
+    if _splits(cfg, ds):
+        loop = worker.streamed(_loop, cfg, ds, student, teacher, None, seeds)
     else:
         loop = _loop(cfg, ds, student, teacher, trainer, seeds)
     losses = [[] for _ in range(cfg.epochs)]
@@ -432,7 +428,7 @@ def _splits(cfg: SslConfig, ds: Dataset) -> bool:
     the host, never by the data's values. The split pays only while the
     second core is idle; where other work holds it, it loses."""
     return (not reads_flow(cfg) and len(ds.unlabeled_idx) > 0
-            and cfg.flow_train.warm_start_epoch <= cfg.epochs and can_fork())
+            and cfg.flow_train.warm_start_epoch <= cfg.epochs and worker.can_fork())
 
 
 def _drained(loop, trainer: FlowTrainer | None, losses: list[list[float]]) -> TrainResult:
@@ -594,12 +590,11 @@ def runs(cfgs: list[SslConfig], spec: DataSpec, keep_flow: bool = True
          ) -> Iterator[tuple[SslConfig, TrainResult]]:
     """Train each seeded config on its own dataset draw; yields each config
     with its result in list order, as soon as its run finishes. The runs go
-    one after another in this process; only a list of one config may split
-    onto a second core (``train_ssl``). With ``keep_flow`` off, a run whose
-    perturbation reads no flow trains none and does not split."""
+    one after another; each splits onto a second core as ``train_ssl``
+    decides from its config and the host alone. With ``keep_flow`` off, a
+    run whose perturbation reads no flow trains none and does not split."""
     for cfg in cfgs:
-        yield cfg, train_ssl(cfg, dataset_for_run(spec, cfg.seed),
-                             keep_flow=keep_flow, may_split=len(cfgs) == 1)
+        yield cfg, train_ssl(cfg, dataset_for_run(spec, cfg.seed), keep_flow=keep_flow)
 
 
 @dataclass

@@ -3,7 +3,8 @@ block starts. The layouts:
 
 - ``cores1``, ``cores2``, ``cores4``: 1, 2 or 4 usable cores, faked through
   ``os.sched_getaffinity``;
-- ``no-fork``: ``can_fork`` refused in ``worker`` and ``semisup``;
+- ``no-fork``: ``worker.can_fork`` refused, so every command runs in one
+  process;
 - ``blas1``, ``blas2``: 1 or 2 BLAS threads (``OPENBLAS_NUM_THREADS`` and
   ``OMP_NUM_THREADS``, set before numpy loads) and 2 usable cores, in a
   fresh interpreter that runs this file as a script:
@@ -76,11 +77,10 @@ def deadline():
 @contextmanager
 def installed(layout):
     """The patches of the in-process ``layout``, for the block."""
-    from densitydescent import semisup, worker
+    from densitydescent import worker
     with pytest.MonkeyPatch.context() as m:
         if layout == "no-fork":
-            for module in (worker, semisup):
-                m.setattr(module, "can_fork", lambda: False)
+            m.setattr(worker, "can_fork", lambda: False)
         else:
             cores = set(range(int(layout.removeprefix("cores"))))
             m.setattr(os, "sched_getaffinity", lambda pid: cores, raising=False)

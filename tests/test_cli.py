@@ -298,17 +298,30 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")]) == 3
 
 
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="a run splits only where it can fork")
 @pytest.mark.parametrize("kind", [None, *KINDS],
                          ids=["train-ssl-lambda0", *[f"train-ssl-{kind}" for kind in KINDS]])
-def test_no_command_starts_more_processes_than_usable_cores(kind, tmp_path):
-    # a train-ssl of two runs, at lambda_ft 0 (kind None) or of any kind,
-    # keeps each flow in its run's process on 4 usable cores too
+def test_no_command_starts_more_processes_than_usable_cores(kind, tmp_path, monkeypatch):
+    # a train-ssl of two runs, at lambda_ft 0 (kind None) or of any kind, on
+    # 4 usable cores: each run whose perturbation reads no flow starts one
+    # worker, and reaps it before the next run starts its own
+    alive = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def recorded(process):
+        alive.append(len(multiprocessing.active_children()))
+        return start(process)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", recorded)
     cfg = small_doc(tmp_path, perturb={"kind": kind or "density-descending"},
                     ssl={"epochs": 2, "lambda_ft": 0.0 if kind is None else 1.0})
     result = layouts.run(["train-ssl", "--config", cfg, "--seeds", "0,1"], "cores4",
                          tmp_path / "run")
-    assert (result.code, result.started, multiprocessing.active_children()) == (0, 0, []), \
-        result.stderr
+    splits = 0 if kind == "density-descending" else 2
+    assert (result.code, result.started, multiprocessing.active_children()) == \
+        (0, splits, []), result.stderr
+    assert alive == [0] * splits
 
 
 def test_out_root_env_override(small_fit_config, tmp_path, monkeypatch):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from layouts import installed
 from recipe import SMALL_SPEC, small_config, two_moons_benchmark
 
 from densitydescent import diffcore as dc
@@ -244,19 +245,21 @@ class TestTrainSsl:
         self.leak_flow_steps_into_the_student(monkeypatch)
         cfg = tiny_config(lambda_ft=0.0)
         # in this process: a split run's worker holds a student no flow step reaches
-        res = train_ssl(cfg, tiny_data(), may_split=False)
+        with installed("no-fork"):
+            res = train_ssl(cfg, tiny_data())
         iterations = res.flow_steps // cfg.flow_train.updates_per_iteration
         assert iterations > 0
         assert res.isolation_violations == iterations   # every iteration with flow steps
 
     def test_isolation_check_counts_in_every_run_of_a_multi_seed_command(self, monkeypatch):
-        # train-ssl --seeds 0,1 at lambda_ft 0: both runs step their flow in
-        # this process, and each checks isolation without being asked to
+        # train-ssl --seeds 0,1 at lambda_ft 0 on a host that cannot fork:
+        # both runs step their flow in this process, and each checks isolation
         self.leak_flow_steps_into_the_student(monkeypatch)
         cfg = tiny_config(lambda_ft=0.0)
         spec = DataSpec(kind="moons", n=120, noise=0.1, labeled_per_class=4,
                         test_fraction=0.25)
-        results = [res for _, res in runs([replace(cfg, seed=s) for s in (0, 1)], spec)]
+        with installed("no-fork"):
+            results = [res for _, res in runs([replace(cfg, seed=s) for s in (0, 1)], spec)]
         assert len(results) == 2
         for res in results:
             iterations = res.flow_steps // cfg.flow_train.updates_per_iteration

@@ -34,7 +34,8 @@ def test_split_run_equals_in_process_run(arm, starts):
     cfg, ds = small_config(**NO_FLOW_ARMS[arm]), dataset()
     split = semisup.train_ssl(cfg, ds)
     assert starts[0] == 1
-    alone = semisup.train_ssl(cfg, ds, may_split=False)
+    with installed("no-fork"):
+        alone = semisup.train_ssl(cfg, ds)
     assert starts[0] == 1 and alone.isolation_violations == 0
 
     assert len(split.rows) == cfg.epochs
@@ -56,8 +57,8 @@ def test_split_run_equals_in_process_run(arm, starts):
         assert any(row["L_ft"] > 0 for row in split.rows)
 
 
-@pytest.mark.parametrize("may_split", [True, False], ids=["split", "in-process"])
-def test_l_flow_sums_each_iterations_last_loss_in_order(may_split, monkeypatch):
+@pytest.mark.parametrize("layout", ["cores2", "no-fork"], ids=["split", "in-process"])
+def test_l_flow_sums_each_iterations_last_loss_in_order(layout, monkeypatch, starts):
     losses = []
     step = estimator.flow_train_step
 
@@ -67,7 +68,9 @@ def test_l_flow_sums_each_iterations_last_loss_in_order(may_split, monkeypatch):
 
     monkeypatch.setattr(estimator, "flow_train_step", recorded)
     cfg = small_config(lambda_ft=0.0, batch_unlabeled=8)
-    result = semisup.train_ssl(cfg, dataset(), may_split=may_split)
+    with installed(layout):
+        result = semisup.train_ssl(cfg, dataset())
+    assert starts[0] == (layout == "cores2")
     per_epoch, updates = 11, cfg.flow_train.updates_per_iteration
     assert len(losses) == cfg.epochs * per_epoch * updates
     last = losses[updates - 1::updates]
@@ -92,8 +95,9 @@ def test_runs_that_read_the_flow_or_take_no_flow_step_stay_in_process(monkeypatc
     with monkeypatch.context() as m:   # a multiprocessing.Pool worker
         m.setattr(multiprocessing.current_process(), "daemon", True)
         assert not semisup._splits(small_config(lambda_ft=0.0), ds)
-    with installed("cores1"):
-        assert not semisup._splits(small_config(lambda_ft=0.0), ds)
+    for layout in ("cores1", "no-fork"):
+        with installed(layout):
+            assert not semisup._splits(small_config(lambda_ft=0.0), ds)
 
 
 @pytest.mark.parametrize("layout,logged", [("cores2", "n/a"), ("no-fork", "0")])
@@ -140,8 +144,8 @@ def test_worker_error_comes_after_the_finished_iterations_pools(monkeypatch, sta
         semisup.train_ssl(cfg, ds)
     assert starts[0] == 1 and calls[0] == 0   # the worker took every call
     split, stepped[:] = stepped[:], []
-    with pytest.raises(NumericError, match="^student failed at call 8$"):
-        semisup.train_ssl(cfg, ds, may_split=False)
+    with installed("no-fork"), pytest.raises(NumericError, match="^student failed at call 8$"):
+        semisup.train_ssl(cfg, ds)
     assert len(stepped) == 7 * cfg.flow_train.updates_per_iteration
     assert len(split) == len(stepped)
     assert split[-1].tobytes() == stepped[-1].tobytes()
