@@ -136,7 +136,7 @@ def flow_train_step(pool: FeaturePool, model: FlowModel, latent: GmmLatent,
             f"labeled_mean={_safe_mean(pool.labeled):g}, "
             f"unlabeled_mean={_safe_mean(pool.unlabeled):g})")
     gz = np.concatenate([gz_l, gz_u]) * (-1.0 / n)
-    _, grad = kernel_backward(model, saved, gz, -1.0 / n, params=True)
+    grad = kernel_backward(model, saved, gz, -1.0 / n, params=True)
     if not np.isfinite(grad).all():
         raise NumericError(f"non-finite flow gradient (lr={opt.lr:g}, pool={pool.total})")
     opt.step(grad)

@@ -254,18 +254,18 @@ def kernel_forward(v: np.ndarray, model: FlowModel, keep: bool = True):
 
 
 def kernel_backward(model: FlowModel, saved, gz: np.ndarray, glogdet,
-                    params: bool = False):
-    """VJP of ``kernel_forward``: (dL/dz, dL/dlogdet) -> dL/dv.
+                    params: bool = False) -> np.ndarray:
+    """VJP of ``kernel_forward``: (dL/dz, dL/dlogdet) -> dL/dv, or with
+    ``params`` the parameter gradient in its place.
 
     ``glogdet`` is a scalar or one value per row; each block's log-scales
     receive it unchanged, since the log-det is their plain sum. Block
     Jacobians are triangular: v_a passes through and v_b only scales, so
     dL/dv_b = dL/dy_b * exp(s) and everything else flows through the
-    conditioner. With ``params`` the parameter gradient is returned too, as
-    one fresh vector laid out like ``model.flat``; otherwise the second value
-    is None.
-    ``saved`` is only read, so the same activations can be pulled back more
-    than once.
+    conditioner. The parameter gradient is one fresh vector laid out like
+    ``model.flat``, and its pull-back stops at the first block's parameters,
+    forming no dL/dv. ``saved`` is only read, so the same activations can be
+    pulled back more than once.
     """
     half = model.d // 2
     gld = np.reshape(glogdet, (-1, 1))
@@ -283,13 +283,15 @@ def kernel_backward(model: FlowModel, saved, gz: np.ndarray, glogdet,
         gpre *= dh
         if params:
             grads[:0] = [va.T @ gpre, gpre.sum(axis=0), h.T @ graw, graw.sum(axis=0)]
+            if not i:
+                return np.concatenate(grads, axis=None)
         g = np.concatenate([g[:, :half] + gpre @ block.w1.T, gy_b * es], axis=1)
         # freed before the next block allocates its own: two (N, hidden)
         # temporaries beside saved at a time, not four
         del dh, gpre
         if i:
             g = g[:, model.perm]   # the reversal is its own inverse
-    return g, (np.concatenate(grads, axis=None) if params else None)
+    return g
 
 
 # ---------------------------------------------------------------------------

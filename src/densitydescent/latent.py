@@ -8,7 +8,7 @@ uniform and never trained. All mixture math stays in the log domain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,6 +35,14 @@ class GmmLatent:
     means: np.ndarray        # (K, d), frozen after init
     log_weights: np.ndarray  # (K,), log mixture weights
     seed: int = 0
+    # per-component constant of the expanded log-density, set when built:
+    # log pi_k - ||mu_k||^2 / 2 - d/2 log(2 pi)
+    const: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        mu = self.means
+        object.__setattr__(self, "const", self.log_weights - 0.5 * np.einsum("kd,kd->k", mu, mu)
+                           - 0.5 * mu.shape[1] * LOG_2PI)
 
     @property
     def n_components(self) -> int:
@@ -63,14 +71,6 @@ def gaussian_logpdf(z, mean) -> dc.Tensor:
     return dc.sum(diff * diff, axis=1) * (-0.5) + (-0.5 * zt.shape[1] * LOG_2PI)
 
 
-def _row_const(latent: GmmLatent) -> np.ndarray:
-    """Per-component constant of the expanded log-density:
-    log pi_k - ||mu_k||^2 / 2 - d/2 log(2 pi)."""
-    mu = latent.means
-    d = mu.shape[1]
-    return latent.log_weights - 0.5 * np.einsum("kd,kd->k", mu, mu) - 0.5 * d * LOG_2PI
-
-
 def mixture_logpdf(z, latent: GmmLatent) -> dc.Tensor:
     """log sum_k pi_k N(z | mu_k, I), evaluated with logsumexp.
 
@@ -81,24 +81,24 @@ def mixture_logpdf(z, latent: GmmLatent) -> dc.Tensor:
     zt = dc.as_batch(z)
     cross = dc.matmul(zt, dc.as_tensor(latent.means.T))  # (N, K)
     sq = dc.sum(zt * zt, axis=1, keepdims=True)          # (N, 1)
-    comp = cross + sq * (-0.5) + dc.as_tensor(_row_const(latent))
+    comp = cross + sq * (-0.5) + dc.as_tensor(latent.const)
     return dc.logsumexp(comp, axis=1)
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of an (N, K) array, max-shifted for stability."""
-    m = logits.max(axis=1, keepdims=True)
-    e = np.exp(logits - m)
-    return e / e.sum(axis=1, keepdims=True)
+def logsumexp_softmax(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise log-sum-exp of an (N, K) array and its softmax, both from
+    one max-shifted exponential."""
+    m = x.max(axis=1, keepdims=True)
+    e = np.exp(x - m)
+    s = e.sum(axis=1, keepdims=True)
+    return m[:, 0] + np.log(s[:, 0]), e / s
 
 
-def _mixture_comp_ll(z: np.ndarray, latent: GmmLatent) -> tuple[np.ndarray, np.ndarray]:
-    """Per-component log-terms (N, K) of an (N, d) array and their logsumexp,
-    the mixture log-density; the same arithmetic as ``mixture_logpdf``."""
-    comp = z @ latent.means.T + (z * z).sum(axis=1, keepdims=True) * (-0.5) \
-        + _row_const(latent)
-    m = comp.max(axis=1, keepdims=True)
-    return comp, m[:, 0] + np.log(np.exp(comp - m).sum(axis=1))
+def _mixture_terms(z: np.ndarray, latent: GmmLatent) -> tuple[np.ndarray, np.ndarray]:
+    """The mixture log-density of an (N, d) array and each row's component
+    responsibilities; the same arithmetic as ``mixture_logpdf``."""
+    return logsumexp_softmax(z @ latent.means.T + (z * z).sum(axis=1, keepdims=True) * (-0.5)
+                             + latent.const)
 
 
 def mixture_logpdf_grad(z: np.ndarray, latent: GmmLatent) -> tuple[np.ndarray, np.ndarray]:
@@ -107,8 +107,8 @@ def mixture_logpdf_grad(z: np.ndarray, latent: GmmLatent) -> tuple[np.ndarray, n
     The gradient is softmax(comp) @ mu - z: the responsibility-weighted pull
     toward the component means.
     """
-    comp, ll = _mixture_comp_ll(z, latent)
-    return ll, softmax(comp) @ latent.means - z
+    ll, resp = _mixture_terms(z, latent)
+    return ll, resp @ latent.means - z
 
 
 def gaussian_logpdf_grad(z: np.ndarray, mean: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -162,5 +162,5 @@ def marginal_logpdf(v: np.ndarray, flow_model, latent: GmmLatent) -> np.ndarray:
     out = np.empty(len(x))
     for start in range(0, len(x), BLOCK_ROWS):
         z, logdet, _ = kernel_forward(x[start:start + BLOCK_ROWS], flow_model, keep=False)
-        out[start:start + BLOCK_ROWS] = _mixture_comp_ll(z, latent)[1] + logdet
+        out[start:start + BLOCK_ROWS] = _mixture_terms(z, latent)[0] + logdet
     return out

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NumericError, check_fields, knob
 from .flow import FlowModel, kernel_backward, kernel_forward
-from .latent import GmmLatent, mixture_logpdf_grad, softmax
+from .latent import GmmLatent, logsumexp_softmax, mixture_logpdf_grad
 
 KINDS = ("density-descending", "uniform-noise", "channel-dropout", "vat-lite")
 GRAD_FLOOR = 1e-12
@@ -52,7 +52,7 @@ def density_gradient(v, model: FlowModel, latent: GmmLatent) -> np.ndarray:
         raise NumericError(
             f"non-finite log-density in forward pass at rows {bad.tolist()}, "
             f"v={arr[bad].tolist()}")
-    g, _ = kernel_backward(model, saved, -gz, -1.0)
+    g = kernel_backward(model, saved, -gz, -1.0)
     if not np.isfinite(g).all():
         bad = np.argwhere(~np.isfinite(g).all(axis=1)).ravel()[:5]
         raise NumericError(
@@ -144,11 +144,11 @@ def vat_perturbation(v: np.ndarray, eps: float, dec_w: np.ndarray,
     objective. The returned step has length eps.
     """
     mat = np.asarray(v, dtype=np.float64)
-    p = softmax(mat @ dec_w + dec_b)
+    p = logsumexp_softmax(mat @ dec_w + dec_b)[1]
     p_mass = p.sum(axis=1, keepdims=True)
     direction, _ = _normalize_rows(rng.standard_normal(mat.shape))
     for _ in range(power_iters):
-        q = softmax((mat + xi * direction) @ dec_w + dec_b)
+        q = logsumexp_softmax((mat + xi * direction) @ dec_w + dec_b)[1]
         g = (q * p_mass - p) @ dec_w.T
         if not np.isfinite(g).all():
             raise NumericError("non-finite VAT probe gradient")

@@ -39,7 +39,7 @@ from .data import DataSpec, Dataset, make_dataset
 from .errors import ConfigError, NumericError, Valid, check_fields, knob
 from .estimator import FeaturePool, FlowTrainConfig, FlowTrainer, pool_indices
 from .flow import MAX_WIDTH, FlowArch, init_flow
-from .latent import BLOCK_ROWS, init_latent, softmax
+from .latent import BLOCK_ROWS, init_latent, logsumexp_softmax
 from .optim import MomentumSGD, pack, poly_decay
 from .perturb import PerturbConfig, dropped_channels, generate_perturbation
 
@@ -73,7 +73,7 @@ class Model:
         return self.features(x) @ self.dec_w + self.dec_b
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        return softmax(self.logits(x))
+        return logsumexp_softmax(self.logits(x))[1]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return np.argmax(self.logits(x), axis=1)
@@ -230,12 +230,10 @@ class StudentStep:
 def _cross_entropy(logits: np.ndarray, labels: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row softmax cross-entropy and its logit gradient softmax - onehot."""
-    n = len(labels)
-    m = logits.max(axis=1, keepdims=True)
-    e = np.exp(logits - m)
-    ce = m[:, 0] + np.log(e.sum(axis=1)) - logits[np.arange(n), labels]
-    soft = e / e.sum(axis=1, keepdims=True)
-    soft[np.arange(n), labels] -= 1.0
+    rows = np.arange(len(labels))
+    lse, soft = logsumexp_softmax(logits)
+    ce = lse - logits[rows, labels]
+    soft[rows, labels] -= 1.0
     return ce, soft
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from densitydescent import diffcore as dc
-from densitydescent.latent import softmax
+from densitydescent.latent import logsumexp_softmax
 from densitydescent.perturb import _normalize_rows
 from densitydescent.semisup import PseudoLabelBatch
 
@@ -123,7 +123,7 @@ def tape_vat_perturbation(v, eps, logits_fn, rng, xi=1e-2, power_iters=1):
     """The VAT probe as a tape gradient: the reference ``vat_perturbation``
     must match bit for bit."""
     mat = np.asarray(v, dtype=np.float64)
-    p = softmax(logits_fn(dc.tensor(mat)).data)
+    p = logsumexp_softmax(logits_fn(dc.tensor(mat)).data)[1]
     direction, _ = _normalize_rows(rng.standard_normal(mat.shape))
     for _ in range(power_iters):
         r = dc.tensor(xi * direction)

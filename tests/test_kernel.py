@@ -118,18 +118,21 @@ def test_backward_matches_tape_for_any_cotangent(blocks, d):
     z, logdet, saved = kernel_forward(v, flow)
     assert_close(z, z_t.data)
     assert_close(logdet, ld_t.data)
-    gv, grad = kernel_backward(flow, saved, gz, gld, params=True)
+    gv = kernel_backward(flow, saved, gz, gld)
+    grad = kernel_backward(flow, saved, gz, gld, params=True)
     for g, ref in zip([gv] + param_views(grad, flow), reference):
         assert_close(g, ref)
     # backward only reads saved, so a second pull-back gives the same bits,
     # in a fresh vector
-    gv_again, grad_again = kernel_backward(flow, saved, gz, gld, params=True)
-    np.testing.assert_array_equal(gv_again, gv)
+    np.testing.assert_array_equal(kernel_backward(flow, saved, gz, gld), gv)
+    grad_again = kernel_backward(flow, saved, gz, gld, params=True)
     np.testing.assert_array_equal(grad_again, grad)
     assert not np.shares_memory(grad_again, grad)
-    gv_only, none = kernel_backward(flow, saved, gz, gld)
-    assert none is None
-    np.testing.assert_array_equal(gv_only, gv)
+    # the parameter pull-back forms no dL/dv: only dL/dv reads the first
+    # block's w1 after the forward pass, so a NaN there leaves it unchanged
+    flow.blocks[0].w1[...] = np.nan
+    np.testing.assert_array_equal(kernel_backward(flow, saved, gz, gld, params=True), grad)
+    assert np.isnan(kernel_backward(flow, saved, gz, gld)).any()
 
 
 def test_flow_step_updates_like_tape_adam():

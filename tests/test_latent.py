@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from densitydescent.errors import ConfigError
-from densitydescent.flow import init_flow, randomize_conditioners
+from densitydescent.flow import init_flow, load_checkpoint, randomize_conditioners, save_checkpoint
 from densitydescent.latent import (GmmLatent, class_conditional_loglik,
                                    gaussian_logpdf, init_latent, marginal_loglik,
-                                   mixture_logpdf)
+                                   mixture_logpdf, mixture_logpdf_grad)
 from densitydescent.oracle import mc_normalization
 
 LOG_2PI = np.log(2 * np.pi)
@@ -84,6 +84,34 @@ class TestMixtureLogpdf:
         val = mixture_logpdf(np.array([[-300.0, 0.0]]), latent).data[0]
         assert np.isfinite(val)
         assert val == pytest.approx(-LOG_2PI + np.log(0.5), abs=1e-9)
+
+
+class TestMixtureLogpdfGrad:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_equals_the_written_out_formula(self, k):
+        # the mixture's terms, their max-shifted log-sum-exp and the gradient
+        # softmax(comp) @ mu - z, each written out: the same bits
+        latent = init_latent(k, 2, seed=30 + k)
+        z = np.random.default_rng(40 + k).standard_normal((64, 2)) * 3.0
+        mu = latent.means
+        const = latent.log_weights - 0.5 * np.einsum("kd,kd->k", mu, mu) - 0.5 * 2 * LOG_2PI
+        comp = z @ mu.T + (z * z).sum(axis=1, keepdims=True) * (-0.5) + const
+        m = comp.max(axis=1, keepdims=True)
+        e = np.exp(comp - m)
+        ll, grad = mixture_logpdf_grad(z, latent)
+        assert np.array_equal(ll, m[:, 0] + np.log(e.sum(axis=1)))
+        assert np.array_equal(grad, e / e.sum(axis=1, keepdims=True) @ mu - z)
+
+
+class TestLatentConstant:
+    def test_same_bits_however_the_latent_is_built(self, tmp_path):
+        latent = init_latent(3, 4, seed=50)
+        save_checkpoint(tmp_path / "c.npz", init_flow(4, hidden=8, seed=51), latent)
+        loaded = load_checkpoint(tmp_path / "c.npz")[1]
+        built = GmmLatent(means=latent.means.copy(), log_weights=latent.log_weights.copy())
+        assert latent.const.shape == (3,)
+        for other in (loaded, built):
+            assert other.const.tobytes() == latent.const.tobytes()
 
 
 class TestFlowLikelihoods:

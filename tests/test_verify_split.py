@@ -297,6 +297,13 @@ def _logdet_scaled(f):
     return forward
 
 
+def _mass_off(f):
+    def estimate(*args, **kw):
+        mass, se, warn = f(*args, **kw)
+        return mass + 0.5, se, warn
+    return estimate
+
+
 def _scaled(f):
     return lambda *args, **kw: f(*args, **kw) * 1.01
 
@@ -310,6 +317,7 @@ def _nan(f):
     ("flow_inverse", _off_by, "invertibility", 4),
     ("kernel_forward", _logdet_scaled, "logdet", 2),   # identity flows have log-det 0
     ("density_gradient", _scaled, "gradient", 4),
+    ("mc_normalization", _mass_off, "normalization", 2),
     # a NaN error fails its row, though the builtin max(0.0, nan) is 0.0
     ("numeric_jacobian_logdet", _nan, "logdet", 4),
     ("density_gradient", _nan, "gradient", 4),
