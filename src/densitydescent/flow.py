@@ -16,16 +16,17 @@ Conditioner output layers start at zero, making the freshly built flow an
 exact identity (up to the channel reversal).
 
 The map exists twice. ``kernel_forward`` and ``kernel_backward`` run it in
-plain numpy with a hand-derived vector-Jacobian product; the online flow
-step, the density gradient and ``verify`` use them, and forward-only
-callers (``latent.marginal_logpdf``, ``verify``'s invertibility and log-det
-checks) run ``kernel_forward`` without keeping the activations. Every pass
-allocates fresh arrays; the allocator setting made when the package is
-imported keeps their pages from being faulted in anew each step.
-``flow_forward`` builds the same arithmetic as tape nodes, the reference the
-tests check the kernel against; it wraps the parameter arrays in tensors, so
-tape gradients with respect to them need a copy of the model whose arrays
-are leaf tensors.
+plain numpy with a hand-derived vector-Jacobian product, the conditioner's
+net through ``optim.tanh_net`` and ``optim.tanh_net_vjp``, which the
+student's encoder shares; the online flow step, the density gradient and
+``verify`` use them, and forward-only callers (``latent.marginal_logpdf``,
+``verify``'s invertibility and log-det checks) run ``kernel_forward``
+without keeping the activations. Every pass allocates fresh arrays; the
+allocator setting made when the package is imported keeps their pages from
+being faulted in anew each step. ``flow_forward`` builds the same arithmetic
+as tape nodes, the reference the tests check the kernel against; it wraps
+the parameter arrays in tensors, so tape gradients with respect to them need
+a copy of the model whose arrays are leaf tensors.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 from . import diffcore as dc
 from .errors import ConfigError, Valid, check_fields, knob
 from .latent import GmmLatent
-from .optim import pack
+from .optim import pack, tanh_net, tanh_net_vjp
 
 CHECKPOINT_FORMAT = 1
 PARAM_NAMES = ("w1", "b1", "w2", "b2")   # a block's parameters, in ``params()`` order
@@ -161,8 +162,9 @@ def coupling_inverse(v_out: np.ndarray, block: CouplingBlock) -> np.ndarray:
     """Exact algebraic inverse of ``coupling_forward`` on an (N, d) array."""
     half = v_out.shape[1] // 2
     va = v_out[:, :half]
-    _, u, t = _conditioner_np(block, va)
-    vb = (v_out[:, half:] - t) * np.exp(-(u * block.s_max))
+    _, raw = tanh_net(va, block.w1, block.b1, block.w2, block.b2)
+    u = np.tanh(raw[:, :half] * (1.0 / block.s_max))
+    vb = (v_out[:, half:] - raw[:, half:]) * np.exp(-(u * block.s_max))
     return np.concatenate([va, vb], axis=1)
 
 
@@ -201,31 +203,18 @@ def flow_inverse(z, model: FlowModel) -> np.ndarray:
 # analytic kernel: the same map in plain numpy, with a hand-derived VJP
 
 
-def _conditioner_np(block: CouplingBlock, va: np.ndarray):
-    """Numpy ``_conditioner``: hidden activations h, u = tanh(s_raw / s_max)
-    (so the clamped log-scale is s = s_max * u) and the shift t."""
-    # with one input channel (d = 2) the first layer is an outer product:
-    # broadcasting gives the matmul's bits, as there is nothing to sum
-    first = np.multiply if va.shape[1] == 1 else np.matmul
-    h = first(va, block.w1)
-    h += block.b1
-    np.tanh(h, out=h)   # one (rows, hidden) array, not three
-    raw = h @ block.w2 + block.b2
-    half = raw.shape[1] // 2
-    u = np.tanh(raw[:, :half] * (1.0 / block.s_max))
-    return h, u, raw[:, half:]
-
-
 def _coupling_np(block: CouplingBlock, x: np.ndarray):
     """One block of ``kernel_forward`` on an (N, d) array: the output, the
     per-row log-determinant and the activations ``kernel_backward`` reads,
-    (v_a, v_b, h, u, exp(s))."""
+    (v_a, v_b, h, u, exp(s)), where s = s_max * u is the clamped log-scale."""
     half = x.shape[1] // 2
     va, vb = x[:, :half], x[:, half:]
-    h, u, t = _conditioner_np(block, va)
+    h, raw = tanh_net(va, block.w1, block.b1, block.w2, block.b2)
+    u = np.tanh(raw[:, :half] * (1.0 / block.s_max))
     s = u * block.s_max
     es = np.exp(s)
-    return np.concatenate([va, vb * es + t], axis=1), s.sum(axis=1), (va, vb, h, u, es)
+    return (np.concatenate([va, vb * es + raw[:, half:]], axis=1), s.sum(axis=1),
+            (va, vb, h, u, es))
 
 
 def kernel_forward(v: np.ndarray, model: FlowModel, keep: bool = True):
@@ -277,18 +266,13 @@ def kernel_backward(model: FlowModel, saved, gz: np.ndarray, glogdet,
         gy_b = g[:, half:]
         gs = gy_b * vb * es + gld
         graw = np.concatenate([gs * (1.0 - u * u), gy_b], axis=1)
-        dh = h * h
-        np.subtract(1.0, dh, out=dh)   # tanh' = 1 - h^2, in place
-        gpre = graw @ block.w2.T
-        gpre *= dh
+        wgrads, gva = tanh_net_vjp(va, h, graw, block.w1, block.w2,
+                                   params=params, inputs=not params or i > 0)
         if params:
-            grads[:0] = [va.T @ gpre, gpre.sum(axis=0), h.T @ graw, graw.sum(axis=0)]
+            grads[:0] = wgrads
             if not i:
                 return np.concatenate(grads, axis=None)
-        g = np.concatenate([g[:, :half] + gpre @ block.w1.T, gy_b * es], axis=1)
-        # freed before the next block allocates its own: two (N, hidden)
-        # temporaries beside saved at a time, not four
-        del dh, gpre
+        g = np.concatenate([g[:, :half] + gva, gy_b * es], axis=1)
         if i:
             g = g[:, model.perm]   # the reversal is its own inverse
     return g

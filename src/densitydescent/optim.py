@@ -17,6 +17,33 @@ def pack(arrays) -> list[np.ndarray]:
                      for a, i, j in zip(arrays, ends, ends[1:])]
 
 
+def tanh_net(x: np.ndarray, w1, b1, w2, b2) -> tuple[np.ndarray, np.ndarray]:
+    """The two-layer tanh net of the student's encoder and of each coupling
+    block's conditioner: the hidden activations h = tanh(x @ w1 + b1) and
+    the output h @ w2 + b2, for an (N, inputs) float64 array ``x``."""
+    # with one input column the first layer is an outer product:
+    # broadcasting gives the matmul's bits, as there is nothing to sum
+    first = np.multiply if x.shape[1] == 1 else np.matmul
+    h = first(x, w1)
+    h += b1
+    np.tanh(h, out=h)   # one (rows, hidden) array, not three
+    return h, h @ w2 + b2
+
+
+def tanh_net_vjp(x: np.ndarray, h: np.ndarray, g: np.ndarray, w1, w2,
+                 params: bool = True, inputs: bool = False):
+    """Pull ``g``, the gradient at ``tanh_net``'s output, back through it:
+    with ``params`` the gradients of (w1, b1, w2, b2) as a list, else None,
+    and with ``inputs`` dL/dx, else None. ``h`` is the forward's and is only
+    read; two (rows, hidden) temporaries are live at the peak, freed on return."""
+    dh = h * h
+    np.subtract(1.0, dh, out=dh)   # tanh' = 1 - h^2, in place
+    gpre = g @ w2.T
+    gpre *= dh
+    grads = [x.T @ gpre, gpre.sum(axis=0), h.T @ g, g.sum(axis=0)] if params else None
+    return grads, (gpre @ w1.T if inputs else None)
+
+
 class Adam:
     """Adam with bias correction; ``lr`` is mutable for schedules."""
 

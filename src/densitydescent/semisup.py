@@ -10,11 +10,11 @@ trains alongside as an observer on detached teacher features and supplies
 the density-descending direction.
 
 The training loop runs in plain numpy: ``student_step`` computes the three
-losses and the parameter gradients with a hand-derived backward pass, every
-perturbation kind (the ``vat-lite`` probe included) is hand-derived too, and
-the teacher and evaluation use the numpy forward pass. The tests hold
-``student_step`` bit for bit to the same losses built on the autodiff tape,
-in ``tests/reference/student.py``.
+losses and the parameter gradients with a hand-derived backward pass (the
+encoder's is ``optim.tanh_net_vjp``, as the flow's), every perturbation kind
+(the ``vat-lite`` probe included) is hand-derived too, and the teacher and
+evaluation use the numpy forward pass. The tests hold ``student_step`` bit for
+bit to the same losses built on the tape, in ``tests/reference/student.py``.
 
 A run whose perturbation never reads the flow (``lambda_ft`` 0, or a
 baseline kind) trains no flow when its caller reads none either (``ablate``);
@@ -40,7 +40,7 @@ from .errors import ConfigError, NumericError, Valid, check_fields, knob
 from .estimator import FeaturePool, FlowTrainConfig, FlowTrainer, pool_indices
 from .flow import MAX_WIDTH, FlowArch, init_flow
 from .latent import BLOCK_ROWS, init_latent, logsumexp_softmax
-from .optim import MomentumSGD, pack, poly_decay
+from .optim import MomentumSGD, pack, poly_decay, tanh_net, tanh_net_vjp
 from .perturb import PerturbConfig, dropped_channels, generate_perturbation
 
 
@@ -50,9 +50,9 @@ class Model:
 
     The parameters are views into one vector ``flat``, in ``params()`` order.
     ``features``, ``predict_proba`` and ``predict`` run the forward pass in
-    plain numpy. Its tape form, the reference for ``student_step`` and the
-    ``vat-lite`` probe, is ``encode`` and ``decode`` in
-    ``tests/reference/student.py``.
+    plain numpy, the encoder as ``optim.tanh_net``. Its tape form, the
+    reference for ``student_step`` and the ``vat-lite`` probe, is ``encode``
+    and ``decode`` in ``tests/reference/student.py``.
     """
     flat: np.ndarray
     enc_w1: np.ndarray
@@ -67,7 +67,8 @@ class Model:
                 self.dec_w, self.dec_b]
 
     def features(self, x: np.ndarray) -> np.ndarray:
-        return _encode(self, x)[2]
+        x = np.asarray(x, dtype=np.float64)
+        return tanh_net(x, self.enc_w1, self.enc_b1, self.enc_w2, self.enc_b2)[1]
 
     def logits(self, x: np.ndarray) -> np.ndarray:
         return self.features(x) @ self.dec_w + self.dec_b
@@ -88,15 +89,6 @@ class Model:
 
 def _packed(arrays: list[np.ndarray]) -> Model:
     return Model(*pack(arrays))
-
-
-def _encode(model: Model, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Numpy encoder forward: the float64 input, hidden activations, features."""
-    x = np.asarray(x, dtype=np.float64)
-    h = x @ model.enc_w1
-    h += model.enc_b1
-    np.tanh(h, out=h)   # one (rows, hidden) array, not three
-    return x, h, h @ model.enc_w2 + model.enc_b2
 
 
 def init_model(input_dim: int, hidden: int, feature_dim: int, n_classes: int,
@@ -237,13 +229,6 @@ def _cross_entropy(logits: np.ndarray, labels: np.ndarray
     return ce, soft
 
 
-def _encoder_grads(model: Model, x: np.ndarray, h: np.ndarray,
-                   g_v: np.ndarray) -> list[np.ndarray]:
-    """Encoder parameter gradients given the gradient at its features."""
-    g_p = (g_v @ model.enc_w2.T) * (1.0 - h * h)
-    return [x.T @ g_p, g_p.sum(axis=0), h.T @ g_v, g_v.sum(axis=0)]
-
-
 def student_step(model: Model, x_l: np.ndarray, y_l: np.ndarray,
                  x_s: np.ndarray | None = None,
                  pseudo: PseudoLabelBatch | None = None,
@@ -262,14 +247,17 @@ def student_step(model: Model, x_l: np.ndarray, y_l: np.ndarray,
     decoder; perturbed, image at the strong features; strong, labeled at
     the encoder).
     """
+    enc = model.enc_w1, model.enc_b1, model.enc_w2, model.enc_b2
     dec_w, dec_b = model.dec_w, model.dec_b
-    x_l, h_l, v_l = _encode(model, x_l)
+    x_l = np.asarray(x_l, dtype=np.float64)
+    h_l, v_l = tanh_net(x_l, *enc)
     ce, soft = _cross_entropy(v_l @ dec_w + dec_b, np.asarray(y_l, dtype=np.int64))
     l_sup = ce.sum() * (1.0 / len(ce))
     loss, l_im, l_ft = l_sup, None, None
     heads = [(v_l, soft * (1.0 / len(ce)))]   # (features, logit gradient)
     if x_s is not None:
-        x_s, h_s, v_s = _encode(model, x_s)
+        x_s = np.asarray(x_s, dtype=np.float64)
+        h_s, v_s = tanh_net(x_s, *enc)
         scale = 1.0 / len(v_s)
         ce, soft = _cross_entropy(v_s @ dec_w + dec_b, pseudo.labels)
         l_im = (ce * pseudo.mask).sum() * scale
@@ -288,12 +276,12 @@ def student_step(model: Model, x_l: np.ndarray, y_l: np.ndarray,
         g_dec_w = gw if g_dec_w is None else g_dec_w + gw
         g_dec_b = gb if g_dec_b is None else g_dec_b + gb
     g_v = [g @ dec_w.T for _, g in heads]
-    grads = _encoder_grads(model, x_l, h_l, g_v[0])
+    grads = tanh_net_vjp(x_l, h_l, g_v[0], model.enc_w1, model.enc_w2)[0]
     if x_s is not None:
         # the strong features feed the image head and the perturbed head
         g_vs = g_v[1] if len(g_v) == 2 else g_v[2] + g_v[1]
         grads = [gs + gl for gs, gl in
-                 zip(_encoder_grads(model, x_s, h_s, g_vs), grads)]
+                 zip(tanh_net_vjp(x_s, h_s, g_vs, model.enc_w1, model.enc_w2)[0], grads)]
     return StudentStep(l_sup=float(l_sup), loss=float(loss),
                        l_im=None if l_im is None else float(l_im),
                        l_ft=None if l_ft is None else float(l_ft),

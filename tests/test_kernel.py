@@ -19,7 +19,7 @@ from densitydescent.flow import (flow_forward, init_flow, kernel_backward, kerne
                                  randomize_conditioners)
 from densitydescent.latent import (BLOCK_ROWS, init_latent, marginal_logpdf,
                                    marginal_loglik)
-from densitydescent.optim import Adam
+from densitydescent.optim import Adam, tanh_net, tanh_net_vjp
 from densitydescent.oracle import mc_normalization
 from densitydescent.perturb import density_gradient
 from leaf_twin import leaf_twin, param_views
@@ -133,6 +133,69 @@ def test_backward_matches_tape_for_any_cotangent(blocks, d):
     flow.blocks[0].w1[...] = np.nan
     np.testing.assert_array_equal(kernel_backward(flow, saved, gz, gld, params=True), grad)
     assert np.isnan(kernel_backward(flow, saved, gz, gld)).any()
+
+
+@pytest.mark.parametrize("inputs", [1, 2, 4])
+def test_tanh_net_matches_tape_bitwise(inputs):
+    # the one net of the student's encoder and of every coupling block's
+    # conditioner, against the same net built on the tape
+    rng = np.random.default_rng(60 + inputs)
+    x, g = rng.standard_normal((37, inputs)), rng.standard_normal((37, 3))
+    w1, b1 = rng.standard_normal((inputs, 16)), rng.standard_normal(16)
+    w2, b2 = rng.standard_normal((16, 3)), rng.standard_normal(3)
+    leaves = [dc.tensor(a.copy()) for a in (x, w1, b1, w2, b2)]
+    h_t = dc.tanh(dc.matmul(leaves[0], leaves[1]) + leaves[2])
+    out_t = dc.matmul(h_t, leaves[3]) + leaves[4]
+    gx_t, *grads_t = dc.grad(dc.sum(out_t * dc.tensor(g)), leaves)
+
+    h, out = tanh_net(x, w1, b1, w2, b2)
+    np.testing.assert_array_equal(h, h_t.data)
+    np.testing.assert_array_equal(out, out_t.data)
+    h_before = h.copy()
+    grads, gx = tanh_net_vjp(x, h, g, w1, w2)
+    assert gx is None and len(grads) == 4
+    for hand, tape in zip(grads, grads_t):
+        np.testing.assert_array_equal(hand, tape)
+    grads, gx = tanh_net_vjp(x, h, g, w1, w2, params=False, inputs=True)
+    assert grads is None
+    np.testing.assert_array_equal(gx, gx_t)
+    both, gx_both = tanh_net_vjp(x, h, g, w1, w2, inputs=True)
+    np.testing.assert_array_equal(gx_both, gx)
+    for hand, tape in zip(both, grads_t):
+        np.testing.assert_array_equal(hand, tape)
+    np.testing.assert_array_equal(h, h_before)   # the pull-back only reads h
+
+
+@pytest.mark.parametrize("rows", [1, 72, 256, 512])
+def test_one_column_outer_product_equals_matmul(rows):
+    # ``tanh_net`` forms its first layer with np.multiply when x has one
+    # column (a d = 2 coupling block's v_a, a column view): with nothing to
+    # sum, it must give np.matmul's bits
+    rng = np.random.default_rng(rows)
+    w1 = rng.standard_normal((1, 256))
+    for x in (rng.standard_normal((rows, 1)), rng.standard_normal((rows, 2))[:, :1]):
+        np.testing.assert_array_equal(np.multiply(x, w1), np.matmul(x, w1))
+
+
+@pytest.mark.parametrize("params", [False, True])
+@pytest.mark.parametrize("d", [2, 8])
+def test_kernel_backward_working_memory(d, params):
+    # beyond the saved activations, a block's pull-back holds two (rows,
+    # hidden) temporaries, tanh' and the pre-activation gradient, freed
+    # before the next block's; (g @ w2.T) * (1.0 - h * h) would hold three
+    rows, hidden = 512, 256
+    flow = random_flow(2, hidden, d, seed=70 + d)
+    rng = np.random.default_rng(71)
+    gz, gld = rng.standard_normal((rows, d)), rng.standard_normal(rows)
+    _, _, saved = kernel_forward(rng.standard_normal((rows, d)), flow)
+    kernel_backward(flow, saved, gz, gld, params=params)   # first-call allocations
+    tracemalloc.start()
+    try:
+        kernel_backward(flow, saved, gz, gld, params=params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * rows * hidden * 8
 
 
 def test_flow_step_updates_like_tape_adam():
