@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffcore as dc
-from .errors import ConfigError, NumericError, Valid, check_fields, knob
+from .errors import NumericError, check_fields, knob
 from .flow import FlowModel, kernel_backward, kernel_forward
 from .latent import (GmmLatent, class_conditional_loglik, component_means,
                      gaussian_logpdf_grad, marginal_loglik, mixture_logpdf_grad)
@@ -27,14 +27,7 @@ MAX_UPDATES_PER_ITERATION = 256
 
 @dataclass
 class FlowTrainConfig:
-    # a beta of 1 freezes Adam's moment estimate and zeroes its bias
-    # correction; a decay factor of zero or less stops or reverses the fit
     lr: float = knob(1e-3, gt=0)
-    beta1: float = knob(0.9, ge=0, lt=1)
-    beta2: float = knob(0.999, ge=0, lt=1)
-    adam_eps: float = knob(1e-8, gt=0)
-    decay_fractions: tuple[float, ...] = knob((1.0 / 3.0, 2.0 / 3.0), length=Valid(le=8))
-    decay_gamma: float = knob(0.5, gt=0)
     sample_budget: int = knob(2048, ge=2, even=True)   # 2 pools; 20000 at full scale
     warm_start_epoch: int = knob(2, ge=1)        # estimator begins at this main-model epoch
     # flow steps per main-model iteration
@@ -42,14 +35,6 @@ class FlowTrainConfig:
 
     def __post_init__(self):
         check_fields(self, "flow_train")
-        # every lr the step decay can set, as ``step_decay`` computes it
-        with np.errstate(over="ignore"):
-            lrs = self.lr * np.float64(self.decay_gamma) ** np.arange(
-                len(self.decay_fractions) + 1)
-        if not np.isfinite(lrs).all():
-            raise ConfigError(f"flow_train.decay_gamma: lr {self.lr!r} times "
-                              f"{self.decay_gamma!r} ** {len(self.decay_fractions)} (one "
-                              f"factor per decay fraction) is not a finite float")
 
 
 @dataclass
@@ -154,13 +139,12 @@ class FlowTrainer:
 
     def __init__(self, model: FlowModel, latent: GmmLatent, cfg: FlowTrainConfig):
         self.model, self.latent, self.cfg = model, latent, cfg
-        self.opt = Adam(model.flat, cfg.lr, (cfg.beta1, cfg.beta2), cfg.adam_eps)
+        self.opt = Adam(model.flat, cfg.lr)
 
     def step(self, pool: FeaturePool, progress: float) -> float:
         """One ``flow_train_step`` on ``pool`` at the lr of ``progress``;
         returns its loss."""
-        cfg = self.cfg
-        self.opt.lr = step_decay(cfg.lr, progress, cfg.decay_fractions, cfg.decay_gamma)
+        self.opt.lr = step_decay(self.cfg.lr, progress)
         return flow_train_step(pool, self.model, self.latent, self.opt)
 
 

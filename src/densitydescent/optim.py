@@ -44,21 +44,31 @@ def tanh_net_vjp(x: np.ndarray, h: np.ndarray, g: np.ndarray, w1, w2,
     return grads, (gpre @ w1.T if inputs else None)
 
 
+# Adam's standard constants (Kingma & Ba), for the flow
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+# the flow's step decay: lr halves at a third and at two thirds of the run
+DECAY_FRACTIONS = (1.0 / 3.0, 2.0 / 3.0)
+DECAY_GAMMA = 0.5
+# the student's SGD momentum and poly-decay power, the standard values of
+# semantic-segmentation training
+SGD_MOMENTUM = 0.9
+POLY_POWER = 0.9
+
+
 class Adam:
     """Adam with bias correction; ``lr`` is mutable for schedules."""
 
-    def __init__(self, flat: np.ndarray, lr: float, betas: tuple[float, float], eps: float):
+    def __init__(self, flat: np.ndarray, lr: float):
         self.flat = flat
         self.lr = float(lr)
-        self.beta1, self.beta2 = betas
-        self.eps = float(eps)
         self.t = 0
         self.m = np.zeros_like(flat)
         self.v = np.zeros_like(flat)
 
     def step(self, g: np.ndarray) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETAS
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
         m, v = self.m, self.v
@@ -66,35 +76,34 @@ class Adam:
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * (g * g)
-        self.flat -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        self.flat -= self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 class MomentumSGD:
-    """Heavy-ball SGD: v <- mu*v + g; p <- p - lr*v."""
+    """Heavy-ball SGD: v <- mu*v + g; p <- p - lr*v, with mu ``SGD_MOMENTUM``."""
 
-    def __init__(self, flat: np.ndarray, lr: float, momentum: float):
+    def __init__(self, flat: np.ndarray, lr: float):
         self.flat = flat
         self.lr = float(lr)
-        self.momentum = float(momentum)
         self.v = np.zeros_like(flat)
 
     def step(self, g: np.ndarray) -> None:
-        self.v *= self.momentum
+        self.v *= SGD_MOMENTUM
         self.v += g
         self.flat -= self.lr * self.v
 
 
-def poly_decay(lr0: float, step: int, total: int, power: float) -> float:
+def poly_decay(lr0: float, step: int, total: int) -> float:
     """Polynomial decay from lr0 to ~0 across ``total`` steps."""
     frac = min(max(step, 0), max(total, 1)) / max(total, 1)
-    return lr0 * (1.0 - frac) ** power
+    return lr0 * (1.0 - frac) ** POLY_POWER
 
 
-def step_decay(lr0: float, progress: float, milestones: tuple[float, ...],
-               gamma: float) -> float:
-    """Multiply lr0 by gamma at each milestone fraction of the run."""
+def step_decay(lr0: float, progress: float) -> float:
+    """Multiply lr0 by ``DECAY_GAMMA`` at each ``DECAY_FRACTIONS`` milestone
+    of the run."""
     passed = 0
-    for frac in milestones:
+    for frac in DECAY_FRACTIONS:
         if progress >= frac:
             passed += 1
-    return lr0 * gamma ** passed
+    return lr0 * DECAY_GAMMA ** passed

@@ -20,15 +20,17 @@ from .latent import GmmLatent, logsumexp_softmax, mixture_logpdf_grad
 
 KINDS = ("density-descending", "uniform-noise", "channel-dropout", "vat-lite")
 GRAD_FLOOR = 1e-12
+# channel-dropout's rate: half the channels, dropout's standard 0.5
+DROPOUT_RATE = 0.5
+# the ``vat-lite`` probe's finite-difference length and its power iterations
+VAT_XI = 1e-2
+VAT_POWER_ITERS = 1
 
 
 @dataclass
 class PerturbConfig:
     kind: str = knob("density-descending", choices=KINDS)
     eps: float = knob(0.25, gt=0)   # in units of the feature batch's std
-    dropout_rate: float = knob(0.5, gt=0, lt=1)
-    vat_xi: float = knob(1e-2, gt=0)
-    vat_power_iters: int = knob(1, ge=1)
 
     def __post_init__(self):
         check_fields(self, "perturb")
@@ -131,8 +133,7 @@ def channel_dropout_perturbation(v: np.ndarray, rate: float,
 
 def vat_perturbation(v: np.ndarray, eps: float, dec_w: np.ndarray,
                      dec_b: np.ndarray, rng: np.random.Generator,
-                     xi: float = PerturbConfig.vat_xi,
-                     power_iters: int = PerturbConfig.vat_power_iters) -> np.ndarray:
+                     xi: float = VAT_XI, power_iters: int = VAT_POWER_ITERS) -> np.ndarray:
     """Single-head adversarial direction of each row via power iteration.
 
     Starts from a random unit direction, probes the affine softmax decoder
@@ -175,9 +176,9 @@ def generate_perturbation(v: np.ndarray, cfg: PerturbConfig, rng: np.random.Gene
     elif cfg.kind == "uniform-noise":
         delta = uniform_noise_perturbation(np.shape(v), eps, rng)
     elif cfg.kind == "channel-dropout":
-        delta = channel_dropout_perturbation(v, cfg.dropout_rate, rng)
+        delta = channel_dropout_perturbation(v, DROPOUT_RATE, rng)
     else:  # "vat-lite": PerturbConfig admits no kind outside KINDS
         if decoder is None:
             raise ValueError("vat-lite perturbation needs the student decoder")
-        delta = vat_perturbation(v, eps, *decoder, rng, cfg.vat_xi, cfg.vat_power_iters)
+        delta = vat_perturbation(v, eps, *decoder, rng, VAT_XI, VAT_POWER_ITERS)
     return delta, fallbacks

@@ -41,7 +41,7 @@ from .estimator import FeaturePool, FlowTrainConfig, FlowTrainer, pool_indices
 from .flow import MAX_WIDTH, FlowArch, init_flow
 from .latent import BLOCK_ROWS, init_latent, logsumexp_softmax
 from .optim import MomentumSGD, pack, poly_decay, tanh_net, tanh_net_vjp
-from .perturb import PerturbConfig, dropped_channels, generate_perturbation
+from .perturb import PerturbConfig, generate_perturbation
 
 
 @dataclass
@@ -118,10 +118,7 @@ class SslConfig:
     epochs: int = knob(100, ge=1)
     batch_labeled: int = knob(8, ge=1)
     batch_unlabeled: int = knob(64, ge=1)
-    # a step <= 0 never descends, and momentum >= 1 never forgets a step
-    lr: float = knob(0.05, gt=0)
-    sgd_momentum: float = knob(0.9, ge=0, lt=1)
-    poly_power: float = knob(0.9, ge=0)   # below 0 the learning rate grows
+    lr: float = knob(0.05, gt=0)   # a step <= 0 never descends
     tau: float = knob(0.95, gt=0, lt=1)
     lambda_ft: float = knob(1.0, ge=0)
     ema_momentum: float = knob(0.99, ge=0, le=1)
@@ -142,14 +139,6 @@ class SslConfig:
         if not self.sigma_weak < self.sigma_strong:
             raise ConfigError(f"ssl.sigma_weak must be < ssl.sigma_strong = "
                               f"{self.sigma_strong:g}, got {self.sigma_weak:g}")
-        rate = self.perturb.dropout_rate
-        k = dropped_channels(rate, self.feature_dim)
-        if self.perturb.kind == "channel-dropout" and not 1 <= k < self.feature_dim:
-            # k = 0 leaves the feature as it is; k = feature_dim zeroes all of it
-            raise ConfigError(
-                f"perturb.dropout_rate {rate:g} drops round({rate:g} * ssl.feature_dim "
-                f"{self.feature_dim}) = {k} channels; channel-dropout must drop "
-                f"1 to {self.feature_dim - 1}")
 
 
 def derived_seeds(seed: int, n: int) -> list[int]:
@@ -466,7 +455,7 @@ def _loop(cfg: SslConfig, ds: Dataset, student: Model, teacher: Model,
     xu = x[ds.unlabeled_idx]
     xt, yt = x[ds.test_idx], y[ds.test_idx]
     rng, prng = map(np.random.default_rng, seeds)
-    opt = MomentumSGD(student.flat, cfg.lr, cfg.sgd_momentum)
+    opt = MomentumSGD(student.flat, cfg.lr)
 
     semi = len(xu) > 0
     per_epoch = (math.ceil(len(xu) / cfg.batch_unlabeled) if semi
@@ -495,7 +484,7 @@ def _loop(cfg: SslConfig, ds: Dataset, student: Model, teacher: Model,
         retained = 0.0
         seen_u = 0
         for it in range(per_epoch):
-            opt.lr = poly_decay(cfg.lr, it_global, total_iters, cfg.poly_power)
+            opt.lr = poly_decay(cfg.lr, it_global, total_iters)
             li = _batch_indices(order_l, it, cfg.batch_labeled)
             xb_l = augment_weak(xl[li], cfg.sigma_weak, rng)
             xs = xw = pseudo = perturb = None

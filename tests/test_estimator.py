@@ -13,12 +13,6 @@ from densitydescent.semisup import init_model
 LOG_2PI = np.log(2 * np.pi)
 
 
-def adam(flat, lr):
-    """``Adam`` over ``flat`` with the flow_train section's betas and eps."""
-    cfg = FlowTrainConfig()
-    return Adam(flat, lr, (cfg.beta1, cfg.beta2), cfg.adam_eps)
-
-
 class TestFlowLoss:
     def test_single_labeled_feature_at_component_mode(self):
         flow = init_flow(2, hidden=8, seed=0)
@@ -129,7 +123,7 @@ def _fit_setup(seed=0):
 class TestFlowTrainStep:
     def test_zero_learning_rate_keeps_params(self):
         flow, latent, pool = _fit_setup()
-        opt = adam(flow.flat, 0.0)
+        opt = Adam(flow.flat, 0.0)
         before = [p.copy() for p in flow.params()]
         flow_train_step(pool, flow, latent, opt)
         for b, p in zip(before, flow.params()):
@@ -139,7 +133,7 @@ class TestFlowTrainStep:
         flow, latent, pool = _fit_setup(3)
         means = latent.means.copy()
         logw = latent.log_weights.copy()
-        opt = adam(flow.flat, 1e-3)
+        opt = Adam(flow.flat, 1e-3)
         for _ in range(20):
             flow_train_step(pool, flow, latent, opt)
         np.testing.assert_array_equal(latent.means, means)
@@ -149,7 +143,7 @@ class TestFlowTrainStep:
         wins = 0
         for seed in range(20):
             flow, latent, pool = _fit_setup(seed)
-            opt = adam(flow.flat, 1e-4)
+            opt = Adam(flow.flat, 1e-4)
             before = float(flow_loss(pool, flow, latent).data)
             flow_train_step(pool, flow, latent, opt)
             after = float(flow_loss(pool, flow, latent).data)
@@ -160,13 +154,13 @@ class TestFlowTrainStep:
     def test_nan_loss_aborts_with_diagnostics(self):
         flow, latent, pool = _fit_setup(5)
         flow.blocks[0].b2[:] = 1e308   # forces an overflow in the forward pass
-        opt = adam(flow.flat, 1e-3)
+        opt = Adam(flow.flat, 1e-3)
         with pytest.raises(NumericError):
             flow_train_step(pool, flow, latent, opt)
 
     def test_returns_loss_value(self):
         flow, latent, pool = _fit_setup(6)
-        opt = adam(flow.flat, 1e-3)
+        opt = Adam(flow.flat, 1e-3)
         value = flow_train_step(pool, flow, latent, opt)
         assert np.isfinite(value)
 
@@ -190,13 +184,14 @@ class TestFitDensity:
         assert np.all(np.diff(ma) < 1e-9)
 
     def test_history_records_schedule(self):
+        # the lr halves at a third and at two thirds of the run: over 9 steps
+        # progress step / 9 reaches 1/3 at step 3 and 2/3 at step 6 exactly
         flow, latent, pool = _fit_setup(12)
-        cfg = FlowTrainConfig(lr=1e-3, decay_fractions=(0.5,), decay_gamma=0.1)
-        history = fit_density(pool, flow, latent, cfg, steps=10, batch=16,
+        lr = 1e-3
+        history = fit_density(pool, flow, latent, FlowTrainConfig(lr=lr), steps=9, batch=16,
                               rng=np.random.default_rng(13))
-        lrs = [h[2] for h in history]
-        assert lrs[0] == pytest.approx(1e-3) and lrs[-1] == pytest.approx(1e-4)
-        assert len(history) == 10
+        assert [h[0] for h in history] == list(range(9))
+        assert [h[2] for h in history] == [lr] * 3 + [lr / 2] * 3 + [lr / 4] * 3
 
 
 class TestConfigValidation:

@@ -13,13 +13,12 @@ import pytest
 
 from densitydescent import diffcore as dc
 from densitydescent.errors import NumericError
-from densitydescent.estimator import (FeaturePool, FlowTrainConfig, flow_loss,
-                                      flow_train_step)
+from densitydescent.estimator import FeaturePool, flow_loss, flow_train_step
 from densitydescent.flow import (flow_forward, init_flow, kernel_backward, kernel_forward,
                                  randomize_conditioners)
 from densitydescent.latent import (BLOCK_ROWS, init_latent, marginal_logpdf,
                                    marginal_loglik)
-from densitydescent.optim import Adam, tanh_net, tanh_net_vjp
+from densitydescent.optim import ADAM_BETAS, ADAM_EPS, Adam, tanh_net, tanh_net_vjp
 from densitydescent.oracle import mc_normalization
 from densitydescent.perturb import density_gradient
 from leaf_twin import leaf_twin, param_views
@@ -30,12 +29,6 @@ RTOL = 1e-10
 # shapes at d = 2, plus a wider feature dimension
 SHAPES = [(2, 256, 64, 2), (2, 128, 256, 2), (4, 256, 256, 2), (2, 64, 48, 8)]
 POOLS = ["labeled", "unlabeled", "mixed"]
-
-
-def adam(flat, lr):
-    """``Adam`` over ``flat`` with the flow_train section's betas and eps."""
-    cfg = FlowTrainConfig()
-    return Adam(flat, lr, (cfg.beta1, cfg.beta2), cfg.adam_eps)
 
 
 def assert_close(actual, reference):
@@ -204,10 +197,10 @@ def test_flow_step_updates_like_tape_adam():
     flow_t = random_flow(2, 64, 2, seed=21)
     latent = init_latent(2, 2, seed=22)
     pool = make_pool("mixed", 40, 2, 2, np.random.default_rng(23))
-    flow_train_step(pool, flow_k, latent, adam(flow_k.flat, 1e-2))
+    flow_train_step(pool, flow_k, latent, Adam(flow_k.flat, 1e-2))
     twin_t = leaf_twin(flow_t)
     loss = flow_loss(pool, twin_t, latent)
-    adam(flow_t.flat, 1e-2).step(np.concatenate(dc.grad(loss, twin_t.params()), axis=None))
+    Adam(flow_t.flat, 1e-2).step(np.concatenate(dc.grad(loss, twin_t.params()), axis=None))
     for pk, pt in zip(flow_k.params(), flow_t.params()):
         assert_close(pk, pt)
 
@@ -313,17 +306,16 @@ def test_marginal_logpdf_keeps_one_block_of_activations(d):
 class LoopAdam:
     """The per-array Adam loop that the flat-buffer ``Adam`` replaced."""
 
-    def __init__(self, model, lr, betas, eps):
-        self.model, self.lr, self.eps = model, lr, eps
+    def __init__(self, model, lr):
+        self.model, self.lr = model, lr
         self.params = model.params()
-        self.beta1, self.beta2 = betas
         self.t = 0
         self.m = [np.zeros_like(p) for p in self.params]
         self.v = [np.zeros_like(p) for p in self.params]
 
     def step(self, grad):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETAS
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
         for p, g, m, v in zip(self.params, param_views(grad, self.model), self.m, self.v):
@@ -331,14 +323,14 @@ class LoopAdam:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * (g * g)
-            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 def test_flat_adam_matches_per_array_loop_bitwise():
     flow, twin = random_flow(2, 64, 2, seed=51), random_flow(2, 64, 2, seed=51)
     latent = init_latent(2, 2, seed=52)
-    opt = adam(flow.flat, 1e-2)
-    ref = LoopAdam(twin, 1e-2, (opt.beta1, opt.beta2), opt.eps)
+    opt = Adam(flow.flat, 1e-2)
+    ref = LoopAdam(twin, 1e-2)
     rng = np.random.default_rng(53)
     for _ in range(50):
         pool = make_pool("mixed", 40, 2, 2, rng)

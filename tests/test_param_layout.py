@@ -75,8 +75,8 @@ def test_fresh_and_loaded_flow_tile_their_vector(tmp_path):
 def test_optimizer_step_moves_views_and_vector():
     rng = np.random.default_rng(4)
     for model, make_opt in ((init_model(2, 5, 2, 2, seed=5),
-                             lambda flat: MomentumSGD(flat, 0.1, 0.9)),
-                            (small_flow(), lambda flat: Adam(flat, 0.1, (0.9, 0.999), 1e-8))):
+                             lambda flat: MomentumSGD(flat, 0.1)),
+                            (small_flow(), lambda flat: Adam(flat, 0.1))):
         before = [p.copy() for p in model.params()]
         flat_before = model.flat.copy()
         opt = make_opt(model.flat)

@@ -7,11 +7,12 @@ from densitydescent.estimator import FeaturePool, FlowTrainConfig, fit_density
 from densitydescent.flow import init_flow
 from densitydescent.latent import init_latent, marginal_loglik
 from densitydescent.oracle import finite_diff_grad
-from densitydescent.perturb import (PerturbConfig, channel_dropout_perturbation,
+from densitydescent.perturb import (DROPOUT_RATE, PerturbConfig,
+                                    channel_dropout_perturbation,
                                     density_descent_perturbation, density_gradient,
-                                    generate_perturbation,
+                                    dropped_channels, generate_perturbation,
                                     uniform_noise_perturbation, vat_perturbation)
-from densitydescent.semisup import init_model
+from densitydescent.semisup import MAX_FEATURE_DIM, init_model
 from leaf_twin import leaf_twin
 from reference.student import decode, softmax_cross_entropy, tape_vat_perturbation
 
@@ -109,6 +110,13 @@ class TestBaselinePerturbations:
         assert np.all((out == 0).sum(axis=1) == 4)
         kept = out != 0
         np.testing.assert_array_equal(out[kept], v[kept])
+
+    def test_dropout_rate_drops_some_but_not_all_channels(self):
+        # at every feature_dim a config accepts (even, up to the cap), the
+        # fixed rate must drop a channel and keep one: dropping none leaves
+        # the feature as it is, dropping all zeroes it
+        for d in range(2, MAX_FEATURE_DIM + 1, 2):
+            assert 1 <= dropped_channels(DROPOUT_RATE, d) < d, d
 
     def test_dropout_determinism(self):
         v = np.random.default_rng(5).standard_normal((10, 6))
@@ -255,7 +263,3 @@ class TestGenerateDispatch:
             PerturbConfig(kind="banana")
         with pytest.raises(ConfigError):
             PerturbConfig(eps=-1.0)
-        with pytest.raises(ConfigError):
-            PerturbConfig(dropout_rate=1.0)
-        with pytest.raises(ConfigError):
-            PerturbConfig(vat_power_iters=0)

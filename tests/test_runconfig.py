@@ -192,7 +192,7 @@ def test_every_ranged_key_has_edges():
     cases = list(edge_cases())
     assert {path for path, _, _ in cases} == {
         path for path, k in KEYS.items() if k.valid is not None or entry_type(k.hint) is float}
-    assert [sum(ok is outcome for *_, ok in cases) for outcome in (True, False)] == [65, 129]
+    assert [sum(ok is outcome for *_, ok in cases) for outcome in (True, False)] == [51, 88]
 
 
 def readme_rows():
