@@ -11,7 +11,7 @@ from densitydescent.cli import main
 from densitydescent.flow import load_checkpoint
 from densitydescent.latent import marginal_loglik
 from densitydescent.oracle import grid_density_dump
-from densitydescent.perturb import KINDS
+from densitydescent.perturb import KINDS, dropped_channels
 from badinput import (COMMANDS, FIT_AND_TRAIN, Fault, archive, checkpoint, directory, each,
                       json_file, npy_file, rows, small, written)
 from recipe import CONFIG, checkpoint_arrays, small_doc
@@ -538,6 +538,25 @@ class TestBadRunInputsRejected:
         # config.json was written
         Fault("train-ssl", f"{section}.{key}",
               config=small(**{section: {key: value}})).check(tmp_path, monkeypatch, capsys)
+
+    @pytest.mark.parametrize("rate,channels", [(0.2, 0), (0.75, 2)])
+    def test_channel_dropout_rate_dropping_none_or_all(self, rate, channels, tmp_path,
+                                                       monkeypatch, capsys):
+        # at feature_dim 2 these rates drop no channel or both; the rate is a
+        # constant now, and a config that still sets one fails before training
+        assert dropped_channels(rate, 2) == channels
+        Fault("train-ssl", "unknown config key 'perturb.dropout_rate'",
+              config=small(perturb={"kind": "channel-dropout", "dropout_rate": rate})
+              ).check(tmp_path, monkeypatch, capsys)
+
+    def test_sweep_to_channel_dropout_with_degenerate_rate(self, tmp_path, monkeypatch,
+                                                          capsys):
+        # the base kind never reads a rate and the sweep's channel-dropout
+        # cell would: the base config's rate fails before any output
+        Fault("ablate", "unknown config key 'perturb.dropout_rate'",
+              config=small(perturb={"dropout_rate": 0.2}),
+              sweep=json_file({"kinds": ["density-descending", "channel-dropout"]})
+              ).check(tmp_path, monkeypatch, capsys)
 
     @pytest.mark.parametrize("command,section,key,value", [
         ("fit-density", "flow", "hidden", 10**15),

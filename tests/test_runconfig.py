@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from badinput import json_file, rejected, small
-from densitydescent.errors import ConfigError
-from densitydescent.runconfig import KEYS, echo_config, load_config, load_sweep, parse_config
+from densitydescent.errors import ConfigError, Valid
+from densitydescent.runconfig import (KEYS, Key, echo_config, load_config, load_sweep,
+                                      parse_config)
 from densitydescent.semisup import cells
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -139,11 +140,11 @@ def entry_type(hint):
     return typing.get_args(hint)[0] if typing.get_origin(hint) is tuple else hint
 
 
-def edge_cases():
+def edge_cases(keys=KEYS):
     """(path, value, accepted) for each key with a rule, and NaN, Infinity
     and -Infinity for each number key, read from ``runconfig.KEYS``, the
-    table a generator of documents imports."""
-    for path, k in KEYS.items():
+    table a generator of documents imports, or from another such table."""
+    for path, k in keys.items():
         item = entry_type(k.hint)
         accepted, rejected = edge_values(k.valid, item is int) if k.valid else ([], [])
         if item is float:   # Python's json reads these words
@@ -162,6 +163,25 @@ def edge_cases():
         yield from ((path, v, False) for v in rejected)
 
 
+# Keys that became constants of optim and perturb, each with the type, default
+# and rule it had as a key. Their edges are documents that once ran (accepted)
+# or once failed on the key's range: every one must now fail as an unknown
+# key, so that an old config is never read as if the key were absent.
+FORMER_KEYS = {
+    "ssl.sgd_momentum": Key(float, 0.9, Valid(ge=0, lt=1)),
+    "ssl.poly_power": Key(float, 0.9, Valid(ge=0)),
+    "flow_train.beta1": Key(float, 0.9, Valid(ge=0, lt=1)),
+    "flow_train.beta2": Key(float, 0.999, Valid(ge=0, lt=1)),
+    "flow_train.adam_eps": Key(float, 1e-8, Valid(gt=0)),
+    "flow_train.decay_fractions": Key(tuple[float, ...], [1.0 / 3.0, 2.0 / 3.0],
+                                      Valid(length=Valid(le=8))),
+    "flow_train.decay_gamma": Key(float, 0.5, Valid(gt=0)),
+    "perturb.dropout_rate": Key(float, 0.5, Valid(gt=0, lt=1)),
+    "perturb.vat_xi": Key(float, 1e-2, Valid(gt=0)),
+    "perturb.vat_power_iters": Key(int, 1, Valid(ge=1)),
+}
+
+
 def case_id(path, value, ok):
     """``path-value-outcome``, a list written out as ``[v]``, ``[]`` or
     ``[v]*n``: an id that stays with its case when keys come or go."""
@@ -171,19 +191,24 @@ def case_id(path, value, ok):
 
 
 @pytest.mark.parametrize("path,value,ok",
-                         [pytest.param(*case, id=case_id(*case)) for case in edge_cases()])
+                         [pytest.param(*case, id=case_id(*case))
+                          for case in [*edge_cases(), *edge_cases(FORMER_KEYS)]])
 def test_key_edges(path, value, ok, tmp_path, monkeypatch, capsys):
     # a closed edge and the nearest value inside an open one parse; the
     # nearest value outside, and a number that is not finite, fail
     # fit-density under the contract of badinput.rejected, with a line that
-    # starts with the key's path
-    if ok:
+    # starts with the key's path; a former key fails at every value, with a
+    # line that names it as unknown
+    if ok and path in KEYS:
         parse_config(document(path, value))
     else:
         config = json_file(document(path, value))(tmp_path / "config.json")
         err = rejected(["fit-density", "--config", config, "--out", str(tmp_path / "run")],
                        monkeypatch, capsys)
-        assert re.match(rf"config error: {re.escape(path)}\b", err), err
+        if path in FORMER_KEYS:
+            assert err == f"config error: unknown config key {path!r}", err
+        else:
+            assert re.match(rf"config error: {re.escape(path)}\b", err), err
 
 
 def test_every_ranged_key_has_edges():
@@ -193,6 +218,7 @@ def test_every_ranged_key_has_edges():
     assert {path for path, _, _ in cases} == {
         path for path, k in KEYS.items() if k.valid is not None or entry_type(k.hint) is float}
     assert [sum(ok is outcome for *_, ok in cases) for outcome in (True, False)] == [51, 88]
+    assert not FORMER_KEYS.keys() & KEYS.keys()
 
 
 def readme_rows():
