@@ -3,8 +3,9 @@ and oracle verification.
 
 Exit codes: 0 success, 1 verification failure, 2 config error, 3 numeric
 abort, 4 a forked worker lost (it exited before it finished). Output
-directories receive the effective config echo plus metrics; wall-clock
-timestamps go only to the run.log sidecar so metrics files stay
+directories receive the effective config echo plus metrics, every file but
+``checkpoint.npz`` written here through ``write_csv`` and ``write_json``;
+wall-clock timestamps go only to the run.log sidecar so metrics files stay
 byte-reproducible.
 """
 
@@ -28,15 +29,37 @@ from .latent import init_latent, marginal_logpdf
 from .oracle import (finite_diff_grad, grid_density_dump, mc_normalization,
                      numeric_jacobian_logdet)
 from .perturb import density_gradient
-from .runconfig import echo_config, load_config, load_sweep
-from .semisup import (cells, check_seeds, dataset_for_run, derived_seeds, runs,
-                      write_metrics_csv)
+from .runconfig import load_config, load_sweep
+from .semisup import (METRIC_COLUMNS, cells, check_seeds, dataset_for_run,
+                      derived_seeds, runs)
 from .worker import WorkerLost, ordered
 
 OUT_ROOT_ENV = "DENSITYDESCENT_OUT_ROOT"
 
 
-def _resolve_out(out: str) -> str:
+def write_csv(path, header, rows, end: str = "\n") -> None:
+    """Write ``header`` and ``rows`` as comma-separated lines ending in
+    ``end``: a float cell as ``repr(float(v))``, the shortest string that
+    reads back to the same bits, and any other cell as ``str(v)``."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + end)
+        for row in rows:
+            fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v)
+                              for v in row) + end)
+
+
+def write_json(path, doc) -> None:
+    """Write ``doc`` with indent 2, sorted keys and a final newline."""
+    with open(path, "w", newline="") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _output_dir(args, cfg) -> str:
+    """Make ``--out`` (under ``$DENSITYDESCENT_OUT_ROOT`` if it is relative)
+    and echo the effective config into it as ``config.json``; re-running
+    that echo reproduces the run byte for byte."""
+    out = args.out
     root = os.environ.get(OUT_ROOT_ENV)
     if root and not os.path.isabs(out):
         out = os.path.join(root, out)
@@ -44,6 +67,7 @@ def _resolve_out(out: str) -> str:
         os.makedirs(out, exist_ok=True)
     except OSError as e:
         raise ConfigError(f"--out {out}: {e.strerror}")
+    write_json(os.path.join(out, "config.json"), cfg.effective)
     return out
 
 
@@ -63,8 +87,7 @@ def _log(out_dir: str, message: str, log_only: str = "") -> None:
 def cmd_fit_density(args) -> int:
     cfg = load_config(args.config)
     ds = make_dataset(cfg.dataset)
-    out = _resolve_out(args.out)
-    echo_config(cfg, os.path.join(out, "config.json"))
+    out = _output_dir(args, cfg)
     dim = ds.x.shape[1]
     s_flow, s_latent, s_fit = derived_seeds(cfg.seed, 3)
     model = init_flow(dim, cfg.flow.blocks, cfg.flow.hidden, cfg.flow.s_max, s_flow)
@@ -75,10 +98,7 @@ def cmd_fit_density(args) -> int:
                        unlabeled=ds.x[ds.unlabeled_idx])
     history = fit_density(data, model, latent, cfg.flow_train, cfg.fit.steps,
                           cfg.fit.batch, np.random.default_rng(s_fit))
-    with open(os.path.join(out, "loss.csv"), "w") as fh:
-        fh.write("iteration,flow_loss,lr\n")
-        for step, loss, lr in history:
-            fh.write(f"{step},{loss!r},{lr!r}\n")
+    write_csv(os.path.join(out, "loss.csv"), ("iteration", "flow_loss", "lr"), history)
     save_checkpoint(os.path.join(out, "checkpoint.npz"), model, latent)
     if cfg.fit.grid:
         lo, hi = cfg.fit.grid_bounds
@@ -95,10 +115,8 @@ def cmd_fit_density(args) -> int:
             raise NumericError(f"fit.grid_bounds [{lo}, {hi}]: log p is not finite at "
                                f"{bad} of {len(dump.logp)} grid cells; narrow the bounds")
         # rows end in \r\n, csv.writer's terminator, which grid.csv has always had
-        with open(os.path.join(out, "grid.csv"), "w", newline="") as fh:
-            fh.write("x,y,logp\r\n")
-            for x, y, logp in zip(dump.x.tolist(), dump.y.tolist(), dump.logp.tolist()):
-                fh.write(f"{x!r},{y!r},{logp!r}\r\n")
+        write_csv(os.path.join(out, "grid.csv"), ("x", "y", "logp"),
+                  zip(dump.x.tolist(), dump.y.tolist(), dump.logp.tolist()), end="\r\n")
     held = ds.x[ds.test_idx]
     if len(held):
         nll = -float(np.mean(marginal_logpdf(held, model, latent)))
@@ -139,13 +157,13 @@ def cmd_train_ssl(args) -> int:
     cfg = load_config(args.config)
     seeds = _parse_seeds(args.seeds, cfg.seed)
     _check_test_rows(cfg, seeds)
-    out = _resolve_out(args.out)
-    echo_config(cfg, os.path.join(out, "config.json"))
+    out = _output_dir(args, cfg)
     accs = {}
     # every run keeps its flow: metrics_seed*.csv holds L_flow
     for run, result in runs([replace(cfg.ssl, seed=s) for s in seeds], cfg.dataset):
         s = run.seed
-        write_metrics_csv(result, os.path.join(out, f"metrics_seed{s}.csv"))
+        write_csv(os.path.join(out, f"metrics_seed{s}.csv"), METRIC_COLUMNS,
+                  ([row[c] for c in METRIC_COLUMNS] for row in result.rows))
         accs[s] = result.final_test_acc
         # None: the loop held no flow (a split run's worker), so it checked nothing
         violations = result.isolation_violations
@@ -159,9 +177,7 @@ def cmd_train_ssl(args) -> int:
         "accuracies": {str(s): accs[s] for s in seeds},
         "mean_accuracy": float(np.mean(list(accs.values()))),
     }
-    with open(os.path.join(out, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out, "summary.json"), summary)
     _log(out, f"train-ssl done: mean_accuracy={summary['mean_accuracy']:.4f}")
     return 0
 
@@ -175,18 +191,16 @@ def cmd_ablate(args) -> int:
     sweep = load_sweep(args.sweep).over(cfg.ssl)
     cfgs = cells(cfg.ssl, sweep)
     _check_test_rows(cfg, sweep.seeds)
-    out = _resolve_out(args.out)
-    echo_config(cfg, os.path.join(out, "config.json"))
+    out = _output_dir(args, cfg)
     _log(out, f"ablate: kinds={sweep.kinds} eps={sweep.eps} "
               f"lambda_ft={sweep.lambda_ft} seeds={sweep.seeds}")
     # a row holds only the run's test accuracy, so a cell whose
     # perturbation never reads the flow trains none
-    rows = [f"{run.perturb.kind},{run.perturb.eps!r},{run.lambda_ft!r},"
-            f"{run.seed},{result.final_test_acc!r}\n"
+    rows = [(run.perturb.kind, run.perturb.eps, run.lambda_ft, run.seed,
+             result.final_test_acc)
             for run, result in runs(cfgs, cfg.dataset, keep_flow=False)]
-    with open(os.path.join(out, "sweep.csv"), "w") as fh:
-        fh.write("kind,eps,lambda_ft,seed,test_acc\n")
-        fh.writelines(rows)
+    write_csv(os.path.join(out, "sweep.csv"),
+              ("kind", "eps", "lambda_ft", "seed", "test_acc"), rows)
     _log(out, f"ablate done: {len(rows)} rows")
     return 0
 

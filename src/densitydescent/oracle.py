@@ -54,38 +54,34 @@ def numeric_jacobian_logdet(map_or_model, v: np.ndarray, h: float = 1e-4) -> flo
     Costs 2d forward passes; restricted to d <= 16.
     """
     v = np.asarray(v, dtype=np.float64)
-    d = v.shape[0]
-    if d > 16:
+    if v.shape[0] > 16:
         raise ValueError("numeric Jacobian limited to d <= 16")
     if isinstance(map_or_model, FlowModel):
         def fn(w):
             return kernel_forward(w[None], map_or_model, keep=False)[0][0]
     else:
         fn = map_or_model
-    jac = np.empty((d, d))
-    for j in range(d):
-        vp = v.copy()
-        vm = v.copy()
-        vp[j] += h
-        vm[j] -= h
-        jac[:, j] = (np.asarray(fn(vp)) - np.asarray(fn(vm))) / (2.0 * h)
-    return lu_logabsdet(jac)
+    return lu_logabsdet(finite_diff_grad(fn, v, h))
 
 
-def finite_diff_grad(fn: Callable[[np.ndarray], float], v: np.ndarray,
+def finite_diff_grad(fn: Callable[[np.ndarray], np.ndarray], v: np.ndarray,
                      h: float = 1e-4) -> np.ndarray:
-    """Central-difference gradient of a scalar function of a vector."""
+    """Central differences of a function of ``v``, one per entry of ``v``,
+    shaped ``out.shape[:-1] + v.shape`` with ``out`` their stack on a last
+    axis: a scalar function's gradient is shaped like ``v``, and a vector
+    function's Jacobian has one column per entry."""
     if h <= 0:
         raise ValueError("h must be positive")
     v = np.asarray(v, dtype=np.float64)
-    g = np.empty_like(v)
+    diffs = []
     for i in range(v.size):
         vp = v.copy()
         vm = v.copy()
         vp.flat[i] += h
         vm.flat[i] -= h
-        g.flat[i] = (float(fn(vp)) - float(fn(vm))) / (2.0 * h)
-    return g
+        diffs.append((np.asarray(fn(vp)) - np.asarray(fn(vm))) / (2.0 * h))
+    out = np.stack(diffs, axis=-1)
+    return out.reshape(out.shape[:-1] + v.shape)
 
 
 def mc_normalization(model: FlowModel, latent: GmmLatent, bounds: Bounds,

@@ -5,7 +5,7 @@ dataclass (``SECTIONS``): its fields are the section's keys, their
 annotations the types and their defaults the defaults, so every default
 lives in exactly one place. Unknown keys anywhere are rejected with their
 full path so hyperparameters cannot drift silently. The effective
-(post-default) document is echoed into each run's output directory.
+(post-default) document is echoed into each run's output directory by ``cli``.
 """
 
 from __future__ import annotations
@@ -213,14 +213,6 @@ def _load_json(path, what: str):
 
 def load_config(path) -> RunConfig:
     return parse_config(_load_json(path, "config"))
-
-
-def echo_config(cfg: RunConfig, path) -> None:
-    """Write the effective (post-default) document; re-running it must
-    reproduce the run byte-for-byte."""
-    with open(path, "w") as fh:
-        json.dump(cfg.effective, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def load_sweep(path) -> SweepSpec:

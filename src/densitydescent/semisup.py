@@ -16,13 +16,9 @@ encoder's is ``optim.tanh_net_vjp``, as the flow's), every perturbation kind
 evaluation use the numpy forward pass. The tests hold ``student_step`` bit for
 bit to the same losses built on the tape, in ``tests/reference/student.py``.
 
-A run whose perturbation never reads the flow (``lambda_ft`` 0, or a
-baseline kind) trains no flow when its caller reads none either (``ablate``);
-otherwise, where the host can fork, it trains the flow on a second core:
-``train_ssl`` streams the loop's pools from one forked worker and steps its
-trainer on them, with the same bits as in one process. Every loop that holds
-its flow checks that the flow and the student never write each other's
-parameters (``_loop``).
+``train_ssl`` decides where a run's loop and its flow run, and its
+docstring states the rule. Every loop that holds its flow checks that the
+flow and the student never write each other's parameters (``_loop``).
 """
 
 from __future__ import annotations
@@ -310,15 +306,12 @@ class TrainResult:
     iterations whose student step, perturbation included, changed the flow
     or whose flow steps changed the student or teacher; counted by every
     loop that holds its flow, None from one that holds none and so checks
-    nothing), the perturbation's fallbacks and the flow steps. A split run
-    (see ``train_ssl``) takes the rows without ``L_flow``, the counters, the
-    student and the teacher from its worker's loop, and the flow, the latent
-    and ``L_flow`` from the calling process's ``FlowTrainer``; every field
-    but ``isolation_violations`` equals that of the same run in one process.
-    A run without a flow (``keep_flow`` off and a perturbation that reads
-    none) has rows without an ``L_flow`` key, no ``flow_model`` or
-    ``latent``, 0 ``flow_steps`` and None ``isolation_violations``; every
-    other field equals that of the run with its flow."""
+    nothing), the perturbation's fallbacks and the flow steps. Wherever
+    ``train_ssl`` runs the loop, every field but ``isolation_violations``
+    equals that of the same run in one process. A run that trains no flow
+    has rows without an ``L_flow`` key, no ``flow_model`` or ``latent``, 0
+    ``flow_steps`` and None ``isolation_violations``; every other field
+    equals that of the run with its flow."""
     rows: list[dict] = field(default_factory=list)
     final_test_acc: float = 0.0
     isolation_violations: int | None = None
@@ -328,14 +321,6 @@ class TrainResult:
     teacher: Model | None = None
     flow_model: object = None
     latent: object = None
-
-
-def write_metrics_csv(result: TrainResult, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(METRIC_COLUMNS) + "\n")
-        for row in result.rows:
-            cells = [str(row["epoch"])] + [repr(float(row[c])) for c in METRIC_COLUMNS[1:]]
-            fh.write(",".join(cells) + "\n")
 
 
 def train_ssl(cfg: SslConfig, ds: Dataset, keep_flow: bool = True) -> TrainResult:
@@ -356,16 +341,15 @@ def train_ssl(cfg: SslConfig, ds: Dataset, keep_flow: bool = True) -> TrainResul
     models and other columns are those of the run with its flow.
 
     Otherwise an ``estimator.FlowTrainer`` steps the flow here on each pool
-    the loop yields (``_drained``), and this function keeps each epoch's
-    losses for ``L_flow``. Any run whose perturbation does not read the
-    flow, and that takes flow steps, runs the loop in one forked worker when
-    the host can fork onto a second core (``_splits``), through
-    ``worker.streamed``, so the worker goes on while the flow steps. The
-    result is bit for bit that of the run in one process. A worker's error
-    is raised here, unchanged, after the pools before it, and the worker is
-    reaped before this function returns, so a run holds at most two
-    processes. Every run whose loop runs here with its flow checks
-    isolation (``_loop``).
+    the loop yields, and ``_drained`` adds each epoch's ``L_flow``. Any run
+    whose perturbation does not read the flow, and that takes flow steps,
+    runs the loop in one forked worker when the host can fork onto a second
+    core (``_splits``), through ``worker.streamed``, so the worker goes on
+    while the flow steps. The result is bit for bit that of the run in one
+    process. A worker's error is raised here, unchanged, after the pools
+    before it, and the worker is reaped before this function returns, so a
+    run holds at most two processes. Every run whose loop runs here with its
+    flow checks isolation (``_loop``).
     """
     if len(ds.labeled_idx) == 0:
         raise ConfigError("training needs a labeled split")
@@ -374,20 +358,15 @@ def train_ssl(cfg: SslConfig, ds: Dataset, keep_flow: bool = True) -> TrainResul
     teacher = student.clone()
     if not (keep_flow or reads_flow(cfg)):
         loop = _loop(cfg, ds, student, teacher, None, seeds, pools=False)
-        return _drained(loop, None, [])
+        return _drained(loop, None, cfg.epochs)
     trainer = FlowTrainer(init_flow(cfg.feature_dim, cfg.flow.blocks, cfg.flow.hidden,
                                     cfg.flow.s_max, s_flow),
                           init_latent(ds.n_classes, cfg.feature_dim, s_latent), cfg.flow_train)
     if _splits(cfg, ds):
-        loop = worker.streamed(_loop, cfg, ds, student, teacher, None, seeds)
-    else:
-        loop = _loop(cfg, ds, student, teacher, trainer, seeds)
-    losses = [[] for _ in range(cfg.epochs)]
-    with closing(loop):   # a flow error stops and reaps a split run's worker at once
-        result = _drained(loop, trainer, losses)
-    result.rows = list(map(_with_l_flow, result.rows, losses))
-    result.flow_model, result.latent = trainer.model, trainer.latent
-    return result
+        # a flow error stops and reaps the worker at once
+        with closing(worker.streamed(_loop, cfg, ds, student, teacher, None, seeds)) as loop:
+            return _drained(loop, trainer, cfg.epochs)
+    return _drained(_loop(cfg, ds, student, teacher, trainer, seeds), trainer, cfg.epochs)
 
 
 def reads_flow(cfg: SslConfig) -> bool:
@@ -397,40 +376,39 @@ def reads_flow(cfg: SslConfig) -> bool:
 
 
 def _splits(cfg: SslConfig, ds: Dataset) -> bool:
-    """Whether ``train_ssl`` runs its loop in a worker: no perturbation reads
-    the flow, the run takes flow steps, and the host can fork onto a second
-    core (``worker.can_fork``). Decided by the config, the split sizes and
-    the host, never by the data's values. The split pays only while the
-    second core is idle; where other work holds it, it loses."""
+    """Whether ``train_ssl`` runs its loop in a worker, by the rule its
+    docstring states. Decided by the config, the split sizes and the host
+    (``worker.can_fork``), never by the data's values. The split pays only
+    while the second core is idle; where other work holds it, it loses."""
     return (not reads_flow(cfg) and len(ds.unlabeled_idx) > 0
             and cfg.flow_train.warm_start_epoch <= cfg.epochs and worker.can_fork())
 
 
-def _drained(loop, trainer: FlowTrainer | None, losses: list[list[float]]) -> TrainResult:
+def _drained(loop, trainer: FlowTrainer | None, epochs: int) -> TrainResult:
     """Step ``trainer`` once per pool of each (epoch, pools) ``loop`` yields
-    at progress ``(epoch - 1) / epochs``, ``len(losses)`` being the epochs,
-    and append each iteration's last loss to ``losses[epoch - 1]``; return
-    the loop's result."""
+    at progress ``(epoch - 1) / epochs``, and return the loop's finished
+    result. With a trainer, each row gains its epoch's ``L_flow`` in
+    ``METRIC_COLUMNS`` order: each iteration's last loss summed in
+    iteration order from 0.0, then divided by their count, which past the
+    warm start is every iteration of the epoch; an epoch without flow steps
+    reads 0.0. The result then holds the trainer's flow and latent."""
+    totals, counts = [0.0] * epochs, [0] * epochs
     while True:
         try:
             epoch, pools = next(loop)
         except StopIteration as end:
-            return end.value
+            result = end.value
+            break
         for pool in pools:
-            loss = trainer.step(pool, (epoch - 1) / len(losses))
-        losses[epoch - 1].append(loss)
-
-
-def _with_l_flow(row: dict, losses: list[float]) -> dict:
-    """A loop row with its epoch's ``L_flow``, in ``METRIC_COLUMNS`` order:
-    the losses summed in iteration order from 0.0, then divided by their
-    count, which past the warm start is every iteration of the epoch. An
-    epoch without flow steps reads 0.0."""
-    total = 0.0
-    for loss in losses:   # not sum(): from Python 3.12 it compensates rounding
-        total += loss
-    l_flow = total / len(losses) if losses else 0.0
-    return {c: l_flow if c == "L_flow" else row[c] for c in METRIC_COLUMNS}
+            loss = trainer.step(pool, (epoch - 1) / epochs)
+        totals[epoch - 1] += loss   # plain adds: from Python 3.12 sum() compensates rounding
+        counts[epoch - 1] += 1
+    if trainer is not None:
+        result.rows = [{c: (total / count if count else 0.0) if c == "L_flow" else row[c]
+                        for c in METRIC_COLUMNS}
+                       for row, total, count in zip(result.rows, totals, counts)]
+        result.flow_model, result.latent = trainer.model, trainer.latent
+    return result
 
 
 def _loop(cfg: SslConfig, ds: Dataset, student: Model, teacher: Model,
@@ -565,9 +543,7 @@ def runs(cfgs: list[SslConfig], spec: DataSpec, keep_flow: bool = True
          ) -> Iterator[tuple[SslConfig, TrainResult]]:
     """Train each seeded config on its own dataset draw; yields each config
     with its result in list order, as soon as its run finishes. The runs go
-    one after another; each splits onto a second core as ``train_ssl``
-    decides from its config and the host alone. With ``keep_flow`` off, a
-    run whose perturbation reads no flow trains none and does not split."""
+    one after another, each laid out by ``train_ssl`` with ``keep_flow``."""
     for cfg in cfgs:
         yield cfg, train_ssl(cfg, dataset_for_run(spec, cfg.seed), keep_flow=keep_flow)
 

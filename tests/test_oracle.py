@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from densitydescent.errors import NumericError
-from densitydescent.flow import flow_forward, init_flow, randomize_conditioners
+from densitydescent.flow import (flow_forward, init_flow, kernel_forward,
+                                 randomize_conditioners)
 from densitydescent.latent import init_latent, marginal_loglik
 from densitydescent.oracle import (finite_diff_grad, grid_density_dump,
                                    lu_logabsdet, mc_normalization,
@@ -56,6 +57,13 @@ class TestNumericJacobianLogdet:
         with pytest.raises(ValueError):
             numeric_jacobian_logdet(flow, np.zeros(18))
 
+    def test_rejects_bad_step(self):
+        # a zero step once gave nan and a negative one a value, with no error
+        flow = randomize_conditioners(init_flow(2, hidden=16, seed=1), seed=2)
+        for h in (0.0, -1e-4):
+            with pytest.raises(ValueError):
+                numeric_jacobian_logdet(flow, np.array([0.3, -0.2]), h=h)
+
 
 class TestFiniteDiffGrad:
     def test_quadratic_is_exact(self):
@@ -80,6 +88,25 @@ class TestFiniteDiffGrad:
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
             finite_diff_grad(lambda w: 0.0, np.zeros(2), h=-1.0)
+
+    def test_jacobian_equals_the_column_loop(self):
+        flow = randomize_conditioners(init_flow(4, hidden=16, seed=11), scale=0.6, seed=12)
+
+        def fn(w):
+            return kernel_forward(w[None], flow, keep=False)[0][0]
+
+        v, h = np.random.default_rng(13).standard_normal(4), 1e-4
+        # the loop numeric_jacobian_logdet ran before it called finite_diff_grad
+        jac = np.empty((4, 4))
+        for j in range(4):
+            vp = v.copy()
+            vm = v.copy()
+            vp[j] += h
+            vm[j] -= h
+            jac[:, j] = (np.asarray(fn(vp)) - np.asarray(fn(vm))) / (2.0 * h)
+        out = finite_diff_grad(fn, v, h)
+        assert out.shape == jac.shape
+        assert out.tobytes() == jac.tobytes()
 
 
 class TestMcNormalization:

@@ -185,6 +185,22 @@ class TestVatMatchesTape:
             assert out.shape == v.shape
             assert np.array_equal(out, ref)
 
+    def test_configured_kind_matches_tape_at_its_defaults(self):
+        # generate_perturbation reads perturb.VAT_XI and VAT_POWER_ITERS; the
+        # reference's own defaults (xi=1e-2, power_iters=1) are the paper's
+        model = init_model(2, 8, 4, 3, seed=5)
+        data = np.random.default_rng(6)
+        model.dec_w[...] *= 3.0
+        model.dec_b[...] = data.standard_normal(3)
+        v = data.standard_normal((40, 4)) * 2.0
+        cfg = PerturbConfig(kind="vat-lite")
+        out, fallbacks = generate_perturbation(v, cfg, np.random.default_rng(7),
+                                               decoder=_decoder(model))
+        ref = tape_vat_perturbation(v, cfg.eps * v.std(), lambda u: decode(model, u),
+                                    np.random.default_rng(7))
+        assert fallbacks == 0
+        assert np.array_equal(out, ref)
+
     def test_non_finite_feature_is_numeric_error(self):
         model = init_model(2, 8, 4, 2, seed=1)
         v = np.zeros((3, 4))

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from badinput import json_file, rejected, small
 from densitydescent.errors import ConfigError, Valid
-from densitydescent.runconfig import (KEYS, Key, echo_config, load_config, load_sweep,
-                                      parse_config)
+from densitydescent.cli import write_json
+from densitydescent.runconfig import KEYS, Key, load_config, load_sweep, parse_config
 from densitydescent.semisup import cells
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -24,7 +24,7 @@ GOLDEN = os.path.join(ROOT, "tests", "golden")
 def test_config_echo_matches_golden(name, tmp_path):
     # recorded echoes of the shipped configs: a default that moves changes them
     cfg = load_config(os.path.join(ROOT, "configs", f"{name}.json"))
-    echo_config(cfg, tmp_path / "config.json")
+    write_json(tmp_path / "config.json", cfg.effective)
     with open(os.path.join(GOLDEN, f"{name}.config.json"), "rb") as fh:
         assert (tmp_path / "config.json").read_bytes() == fh.read()
 

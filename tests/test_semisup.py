@@ -9,6 +9,7 @@ from recipe import SMALL_SPEC, small_config, two_moons_benchmark
 
 from densitydescent import diffcore as dc
 from densitydescent import estimator, semisup
+from densitydescent.cli import write_csv
 from densitydescent.data import DataSpec, make_dataset
 from densitydescent.errors import ConfigError
 from densitydescent.estimator import FlowTrainConfig
@@ -20,7 +21,7 @@ from densitydescent.semisup import (Model, SslConfig, SweepSpec,
                                     ema_update,
                                     evaluate, init_model, pseudo_labels,
                                     runs, train_ssl,
-                                    write_metrics_csv, METRIC_COLUMNS,
+                                    METRIC_COLUMNS,
                                     PseudoLabelBatch)
 from reference.student import (decode, encode, masked_consistency_loss, sup_loss,
                                unified_loss)
@@ -303,18 +304,27 @@ class TestTrainSsl:
             assert l_ft[:warm_start] == [0.0] * warm_start, warm_start
             assert all(value > 0 for value in l_ft[warm_start:]), (warm_start, l_ft)
 
+    @staticmethod
+    def write_metrics(result, path):
+        # as ``train-ssl`` writes metrics_seed*.csv
+        write_csv(path, METRIC_COLUMNS, ([row[c] for c in METRIC_COLUMNS] for row in result.rows))
+
     def test_metrics_csv_roundtrip(self, tmp_path):
         res = train_ssl(tiny_config(), tiny_data())
         path = tmp_path / "metrics.csv"
-        write_metrics_csv(res, path)
+        self.write_metrics(res, path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == ",".join(METRIC_COLUMNS)
         assert len(lines) == 5
+        for line, row in zip(lines[1:], res.rows):
+            cells = line.split(",")
+            assert cells[0] == str(row["epoch"])
+            assert [float(c) for c in cells[1:]] == [row[c] for c in METRIC_COLUMNS[1:]]
 
     def test_csv_is_byte_deterministic(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_metrics_csv(train_ssl(tiny_config(), tiny_data()), p1)
-        write_metrics_csv(train_ssl(tiny_config(), tiny_data()), p2)
+        self.write_metrics(train_ssl(tiny_config(), tiny_data()), p1)
+        self.write_metrics(train_ssl(tiny_config(), tiny_data()), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
 
